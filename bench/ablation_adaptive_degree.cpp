@@ -27,7 +27,7 @@ struct Scenario {
   std::vector<harness::HyParViewClass> classes;  // empty = homogeneous
 };
 
-std::uint64_t forwarded_by_class(harness::Network& net, std::size_t cls) {
+std::uint64_t forwarded_by_class(harness::SimBackend& net, std::size_t cls) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     if (net.node_class(i) == cls) {
@@ -64,12 +64,12 @@ int main() {
     std::vector<double> post_failure;
 
     for (const double fraction : fractions) {
-      auto cfg = bench::sim_config(harness::ProtocolKind::kHyParView,
-                                   scale.nodes, scale.seed);
+      auto cfg = harness::NetworkConfig::defaults_for(
+          harness::ProtocolKind::kHyParView, scale.nodes, scale.seed);
       cfg.hyparview_classes = scenario.classes;
       auto cluster = harness::Cluster::sim(cfg);
       cluster.run(harness::Experiment("adaptive_stabilize")
-                      .stabilize(50, bench::env_cycle_options()));
+                      .stabilize(50));
       harness::SimBackend& net = *cluster.sim_backend();
 
       if (fraction == fractions.front()) {

@@ -40,13 +40,13 @@ int main() {
   for (std::size_t v = 0; v < variants.size(); ++v) {
     for (std::size_t f = 0; f < fractions.size(); ++f) {
       jobs.push_back([&, v, f] {
-        auto cfg = bench::sim_config(harness::ProtocolKind::kHyParView,
-                                     scale.nodes, scale.seed);
+        auto cfg = harness::NetworkConfig::defaults_for(
+            harness::ProtocolKind::kHyParView, scale.nodes, scale.seed);
         cfg.sim.notify_on_crash = variants[v].notify;
         cfg.gossip.reroute_on_failure = variants[v].reroute;
         auto cluster = harness::Cluster::sim(cfg);
         harness::Experiment spec("failure_detection_cell");
-        spec.stabilize(50, bench::env_cycle_options())
+        spec.stabilize(50)
             .crash(fractions[f]);
         if (cfg.sim.notify_on_crash) {
           spec.settle();  // let the crash notifications land first

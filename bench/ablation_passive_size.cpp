@@ -2,7 +2,7 @@
 // the resilience level — reliability right after massive failures, for
 // passive capacities 5..60.
 //
-// Every (passive size, fraction) cell is an independent Network, so the grid
+// Every (passive size, fraction) cell is an independent SimBackend, so the grid
 // fans out across threads (harness::SweepRunner, HPV_THREADS) with results
 // bit-identical to the serial loop.
 #include "bench_common.hpp"
@@ -30,14 +30,14 @@ int main() {
   for (std::size_t p = 0; p < passive_sizes.size(); ++p) {
     for (std::size_t f = 0; f < fractions.size(); ++f) {
       jobs.push_back([&, p, f] {
-        auto cfg = bench::sim_config(harness::ProtocolKind::kHyParView,
-                                     scale.nodes,
-                                     scale.seed + passive_sizes[p]);
+        auto cfg = harness::NetworkConfig::defaults_for(
+            harness::ProtocolKind::kHyParView, scale.nodes,
+            scale.seed + passive_sizes[p]);
         cfg.hyparview.passive_capacity = passive_sizes[p];
         auto cluster = harness::Cluster::sim(cfg);
         const auto result =
             cluster.run(harness::Experiment("passive_size_cell")
-                            .stabilize(50, bench::env_cycle_options())
+                            .stabilize(50)
                             .crash(fractions[f])
                             .broadcast(scale.messages, "measure"));
         Cell& cell = cells[p * fractions.size() + f];

@@ -24,8 +24,8 @@ int main() {
                          "mean passive fill", "reliability(50 msgs)"});
   for (const auto& s : settings) {
     bench::Stopwatch watch;
-    auto cfg = bench::sim_config(harness::ProtocolKind::kHyParView,
-                                 scale.nodes, scale.seed);
+    auto cfg = harness::NetworkConfig::defaults_for(
+        harness::ProtocolKind::kHyParView, scale.nodes, scale.seed);
     cfg.hyparview.arwl = s.arwl;
     cfg.hyparview.prwl = s.prwl;
     auto cluster = harness::Cluster::sim(cfg);

@@ -20,7 +20,7 @@ using namespace hyparview;
 namespace {
 
 /// Per-node warm-promotion counters (0 for non-HyParView nodes).
-std::vector<std::uint64_t> warm_promotions_per_node(harness::Network& net) {
+std::vector<std::uint64_t> warm_promotions_per_node(harness::SimBackend& net) {
   std::vector<std::uint64_t> out(net.node_count(), 0);
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     const auto* hpv = dynamic_cast<const core::HyParView*>(&net.protocol(i));
@@ -49,12 +49,12 @@ int main() {
   for (const double fraction : fractions) {
     for (const std::size_t warm : cache_sizes) {
       bench::Stopwatch watch;
-      auto cfg = bench::sim_config(harness::ProtocolKind::kHyParView,
-                                   scale.nodes, scale.seed);
+      auto cfg = harness::NetworkConfig::defaults_for(
+          harness::ProtocolKind::kHyParView, scale.nodes, scale.seed);
       cfg.hyparview.warm_cache_size = warm;
       auto cluster = harness::Cluster::sim(cfg);
       cluster.run(harness::Experiment("warm_stabilize")
-                      .stabilize(50, bench::env_cycle_options()));
+                      .stabilize(50));
       harness::SimBackend& net = *cluster.sim_backend();
 
       // Standing cost of the cache at steady state (counters reset between
@@ -62,7 +62,7 @@ int main() {
       auto& sim = net.simulator();
       sim.reset_counters();
       cluster.run(harness::Experiment("warm_idle")
-                      .cycles(10, bench::env_cycle_options()));
+                      .cycles(10));
       const double idle_dials =
           static_cast<double>(sim.connections_opened()) /
           static_cast<double>(net.alive_count()) / 10.0;

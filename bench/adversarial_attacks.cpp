@@ -49,15 +49,11 @@ std::string lower_name(harness::ProtocolKind kind) {
 /// scale-dependent knobs are patched per leg.
 harness::Experiment attack_spec(harness::AttackKind attack,
                                 std::size_t sybils_per_burst,
-                                std::size_t probes,
-                                const harness::CycleOptions& options) {
+                                std::size_t probes) {
   harness::Experiment spec = bench::load_spec_experiment(
       std::string("adversarial_") + harness::attack_name(attack));
   for (auto& phase : spec.mutable_phases()) {
     switch (phase.kind) {
-      case harness::Experiment::PhaseKind::kCycles:
-        phase.cycle_options = options;
-        break;
       case harness::Experiment::PhaseKind::kBroadcast:
         phase.count = probes;
         break;
@@ -75,13 +71,13 @@ AttackOutcome run_attack_sim(harness::ProtocolKind kind,
                              harness::AttackKind attack,
                              const harness::BenchScale& scale,
                              std::size_t probes) {
-  auto cfg = bench::sim_config(kind, scale.nodes, scale.seed);
+  auto cfg =
+      harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed);
   cfg.adversary.attack = attack;
   cfg.adversary.fraction = 0.10;
   auto cluster = harness::Cluster::sim(cfg);
-  const auto result = cluster.run(attack_spec(
-      attack, cfg.adversary.sybils_per_burst, probes,
-      bench::env_cycle_options()));
+  const auto result = cluster.run(
+      attack_spec(attack, cfg.adversary.sybils_per_burst, probes));
 
   const auto health = harness::collect_overlay_health(cluster.backend());
   return {health.eclipse_ratio(), health.backup_poison_ratio(),
@@ -94,14 +90,15 @@ AttackOutcome run_attack_sim(harness::ProtocolKind kind,
 /// shape, not misbehavior): avg probe reliability doubles as the outcome.
 AttackOutcome run_heavy_churn_sim(harness::ProtocolKind kind,
                                   const harness::BenchScale& scale) {
-  auto cfg = bench::sim_config(kind, scale.nodes, scale.seed);
+  auto cfg =
+      harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed);
   auto cluster = harness::Cluster::sim(cfg);
   harness::HeavyChurnConfig churn;
   churn.cycles = 20;
   churn.joins_per_cycle = std::max<std::size_t>(1, scale.nodes / 100);
   const auto result =
       cluster.run(harness::Experiment("heavy_churn")
-                      .stabilize(20, bench::env_cycle_options())
+                      .stabilize(20)
                       .heavy_churn(churn));
   const auto health = harness::collect_overlay_health(cluster.backend());
   const auto& heavy = result.phase("heavy_churn").heavy;
@@ -203,7 +200,7 @@ int main() {
     cfg.adversary.fraction = 0.10;
     auto cluster = harness::Cluster::tcp(cfg);
     const auto result = cluster.run(attack_spec(
-        attack, cfg.adversary.sybils_per_burst, /*probes=*/10, {}));
+        attack, cfg.adversary.sybils_per_burst, /*probes=*/10));
     const auto health = harness::collect_overlay_health(cluster.backend());
     const std::string label =
         std::string("tcp_hyparview_") + harness::attack_name(attack);

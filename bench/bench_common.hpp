@@ -47,44 +47,21 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Standard sim config for a figure driver. HPV_JOIN_BATCH > 1 opts into
-/// the batched bootstrap (overlapped join traffic per incremental drain — a
-/// bench-scale mode; the default 1 is the paper's serial join-then-drain
-/// methodology).
-inline harness::NetworkConfig sim_config(harness::ProtocolKind kind,
-                                         std::size_t nodes,
-                                         std::uint64_t seed) {
-  auto cfg = harness::NetworkConfig::defaults_for(kind, nodes, seed);
-  cfg.build_options.join_batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, env_int("HPV_JOIN_BATCH", 1)));
-  return cfg;
-}
-
-/// A sim Cluster ready for Experiment specs (env-tuned bootstrap).
+/// A sim Cluster with the protocol's §5 defaults, ready for Experiment specs.
 inline harness::Cluster sim_cluster(harness::ProtocolKind kind,
                                     std::size_t nodes, std::uint64_t seed) {
-  return harness::Cluster::sim(sim_config(kind, nodes, seed));
+  return harness::Cluster::sim(
+      harness::NetworkConfig::defaults_for(kind, nodes, seed));
 }
 
 /// Loads a committed experiment spec (specs/<name>.json; HPV_SPEC_DIR
 /// overrides the directory) and returns its phase program. The committed
 /// file pins the program's *shape*; drivers patch the scale-dependent knobs
-/// (broadcast counts, cycle batching, crash fractions) through
+/// (broadcast counts, crash fractions) through
 /// mutable_phases(), so env-scaled runs stay bit-identical to the
 /// historical hand-built specs.
 inline harness::Experiment load_spec_experiment(const std::string& name) {
   return harness::load_spec_file(harness::spec_path(name)).experiment;
-}
-
-/// Membership-round drain batching for the stabilize/heal phases.
-/// HPV_CYCLE_BATCH > 1 opts into whole-round (or, above the node count,
-/// multi-round) event batches; the default 1 is the paper's PeerSim
-/// semantics, bit-identical to the historical per-node drain.
-inline harness::CycleOptions env_cycle_options() {
-  harness::CycleOptions options;
-  options.batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, env_int("HPV_CYCLE_BATCH", 1)));
-  return options;
 }
 
 /// Machine-readable benchmark record, written as BENCH_<name>.json in the
@@ -174,7 +151,7 @@ class JsonRecorder {
 /// ablations): announces the fan-out, runs the jobs on a SweepRunner
 /// (HPV_THREADS), records the resolved thread count on `rec`, and returns
 /// per-job wall seconds for the drivers' point_seconds_* metrics. Jobs must
-/// follow the SweepRunner determinism contract (own Network, own result
+/// follow the SweepRunner determinism contract (own SimBackend, own result
 /// slot); guard worker-side progress prints with sweep_print_mutex().
 inline std::vector<double> run_sweep(
     const std::vector<std::function<void()>>& jobs, JsonRecorder& rec) {

@@ -23,11 +23,10 @@ drop the record out of the gate (an old-named baseline whose new-named fresh
 record exists is compared under the new name).
 
 Per-phase timing fields (phase_seconds_*, emitted by the Experiment-driven
-drivers) and A/B ratio fields (speedup_*, emitted by the calendar_queue
-scheduler driver) are informational: they are reported when both records
-carry them but never gate — walls and ratios of walls are too machine-noisy
-to fail on. Per-structure throughputs (*_events_per_second, e.g. the
-scheduler A/B's heap/calendar rates) gate exactly like the aggregate.
+drivers) are informational: they are reported when both records carry them
+but never gate — walls are too machine-noisy to fail on. Per-workload
+throughputs (*_events_per_second, e.g. micro_sim_events' deliver/timer
+rates) gate exactly like the aggregate.
 
 Baselines are machine-relative. Refresh them on the reference machine with:
 
@@ -52,8 +51,7 @@ SCALE_KEYS = ("nodes", "messages", "runs", "seed", "quick")
 RENAMED_BENCHES = {}
 
 # Informational per-record fields: reported, never gated. phase_seconds_*
-# are too machine-noisy to fail on; speedup_* (the scheduler A/B driver's
-# calendar-vs-heap and drain-batching ratios) are ratios of two noisy walls.
+# are too machine-noisy to fail on.
 # The adversarial driver's overlay-health fields (eclipse_*,
 # honest_component_*, reliability_*) are deterministic measurements, not
 # throughputs — drift there is a behavior change to investigate, not a perf
@@ -61,14 +59,14 @@ RENAMED_BENCHES = {}
 # (bytes_on_wire_*, latency_to_last_*): the hard gate for those lives in
 # the driver itself (Plumtree-vs-eager reduction check) and in the exact
 # *_events comparison below.
-INFO_FIELD_PREFIXES = ("phase_seconds_", "speedup_", "eclipse_",
+INFO_FIELD_PREFIXES = ("phase_seconds_", "eclipse_",
                        "honest_component_", "reliability_",
                        "bytes_on_wire_", "latency_to_last_")
 PHASE_FIELD_PREFIX = "phase_seconds_"
 
-# Per-structure throughput fields (e.g. the calendar_queue driver's
-# heap_events_per_second / calendar_events_per_second) gate exactly like the
-# aggregate events_per_second: a regression in one scheduler must not hide
+# Per-workload throughput fields (e.g. micro_sim_events'
+# deliver_events_per_second / timer_events_per_second) gate exactly like the
+# aggregate events_per_second: a regression in one workload must not hide
 # inside a combined-run aggregate.
 RATE_FIELD_SUFFIX = "_events_per_second"
 
@@ -162,7 +160,7 @@ def main() -> int:
             print(f"bench_compare: {verdict} {name}: {rate_key} "
                   f"{base_eps:,.0f} → {new_eps:,.0f} ({ratio:.2f}x)")
 
-        # Informational fields (phase walls, A/B speedup ratios): reported
+        # Informational fields (phase walls, overlay health): reported
         # when both records carry them, never gated.
         info_keys = sorted(k for k in new
                            if k.startswith(INFO_FIELD_PREFIXES) and k in base)

@@ -41,7 +41,7 @@ int main() {
       auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
       const auto result =
           cluster.run(harness::Experiment("churn_stability")
-                          .stabilize(50, bench::env_cycle_options())
+                          .stabilize(50)
                           .churn(churn, "churn"));
       const harness::ChurnStats& stats = result.phase("churn").churn;
 

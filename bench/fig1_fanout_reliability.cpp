@@ -25,14 +25,12 @@ std::string fanout_label(std::size_t fanout) {
 }
 
 /// Loads specs/<name>.json and rescales it: broadcast counts follow
-/// HPV_MSGS, membership rounds follow HPV_CYCLE_BATCH.
+/// HPV_MSGS.
 harness::Experiment scaled_spec(const std::string& name,
                                 std::size_t messages) {
   harness::Experiment spec = bench::load_spec_experiment(name);
   for (auto& phase : spec.mutable_phases()) {
-    if (phase.kind == harness::Experiment::PhaseKind::kCycles) {
-      phase.cycle_options = bench::env_cycle_options();
-    } else if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
+    if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
       phase.count = messages;
     }
   }

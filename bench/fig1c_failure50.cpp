@@ -25,7 +25,7 @@ int main() {
     auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
     const auto result =
         cluster.run(harness::Experiment("fig1c")
-                        .stabilize(50, bench::env_cycle_options())
+                        .stabilize(50)
                         .crash(0.5)
                         .broadcast(scale.messages, "measure"));
     columns.push_back(result.phase("measure").reliabilities);

@@ -14,7 +14,7 @@
 //
 // The phase program loads from the committed specs/fig2.json; each point
 // copies the template and rewrites the crash fraction (plus the env-scaled
-// broadcast count and cycle batching).
+// broadcast count).
 #include "bench_common.hpp"
 
 using namespace hyparview;
@@ -58,9 +58,7 @@ int main() {
   // crash fraction (SweepRunner jobs own their Experiment copy).
   harness::Experiment spec_template = bench::load_spec_experiment("fig2");
   for (auto& phase : spec_template.mutable_phases()) {
-    if (phase.kind == harness::Experiment::PhaseKind::kCycles) {
-      phase.cycle_options = bench::env_cycle_options();
-    } else if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
+    if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
       phase.count = scale.messages;
     }
   }

@@ -57,7 +57,7 @@ int main() {
           scale.seed + static_cast<std::uint64_t>(p->fraction * 100));
       const auto result =
           cluster.run(harness::Experiment("fig3_series")
-                          .stabilize(50, bench::env_cycle_options())
+                          .stabilize(50)
                           .crash(p->fraction)
                           .broadcast(scale.messages, "evolution"));
       p->rels = result.phase("evolution").reliabilities;

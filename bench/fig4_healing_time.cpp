@@ -6,7 +6,7 @@
 // Scamp is omitted (healing depends on its lease).
 //
 // The (failure-fraction × protocol) healing repetitions are statistically
-// independent — each builds its own Network from a (config, seed) pair — so
+// independent — each builds its own SimBackend from a (config, seed) pair — so
 // they shard across the harness::SweepRunner thread pool (HPV_THREADS).
 // Results land in pre-sized slots and are aggregated in index order, which
 // makes the threaded run bit-identical to the serial loop (tested by
@@ -47,7 +47,7 @@ int main() {
         bench::Stopwatch watch;
         // run_healing_experiment is itself a declarative Experiment spec on
         // a sim Cluster (stabilize → baseline → crash → heal_until).
-        auto cfg = bench::sim_config(
+        auto cfg = harness::NetworkConfig::defaults_for(
             kind, scale.nodes,
             scale.seed + static_cast<std::uint64_t>(fraction * 100));
         harness::HealingConfig hcfg;

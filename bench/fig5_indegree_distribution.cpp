@@ -19,7 +19,7 @@ int main() {
     bench::Stopwatch watch;
     auto cluster = bench::sim_cluster(kind, scale.nodes, scale.seed);
     cluster.run(harness::Experiment("fig5_stabilize")
-                    .stabilize(50, bench::env_cycle_options()));
+                    .stabilize(50));
     const auto g = cluster->dissemination_graph(false);
     const auto hist = graph::in_degree_histogram(g);
     std::printf("\n%s (built in %.1fs):\n", harness::kind_name(kind),

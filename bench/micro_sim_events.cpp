@@ -33,7 +33,7 @@
 #include <new>
 
 #include "bench_common.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 #include "hyparview/sim/simulator.hpp"
 
 namespace {
@@ -218,7 +218,7 @@ int run() {
   auto netcfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 64, scale.seed);
   netcfg.gossip.dedup_window = 256;  // < warm-up: evictions in steady state
-  harness::Network net(netcfg);
+  harness::SimBackend net(netcfg);
   net.build();
   net.run_cycles(10);
   net.recorder().reserve(bcast_warmup + bcast_messages);
@@ -288,7 +288,7 @@ int run() {
   // the allocator.
   auto memcfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 64, scale.seed);
-  harness::Network memnet(memcfg);
+  harness::SimBackend memnet(memcfg);
   memnet.build();
   memnet.run_cycles(10);
 
@@ -321,7 +321,7 @@ int run() {
   treecfg.gossip.engine = gossip::Engine::kPlumtree;
   treecfg.gossip.dedup_window = 256;  // < warm-up: evictions in steady state
   treecfg.gossip.cache_window = 256;
-  harness::Network treenet(treecfg);
+  harness::SimBackend treenet(treecfg);
   treenet.build();
   treenet.run_cycles(10);
   const std::size_t tree_messages = scale.quick ? 1'000 : 5'000;

@@ -71,13 +71,14 @@ int main() {
 
   for (const auto kind : harness::all_protocol_kinds()) {
     bench::Stopwatch watch;
-    auto cfg = bench::sim_config(kind, scale.nodes, scale.seed);
+    auto cfg =
+        harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed);
     // This experiment meters wire cost, so CyclonAcked ships its ack frames
     // for real instead of the implicit transport-level modeling.
     cfg.gossip.explicit_acks = true;
     auto cluster = harness::Cluster::sim(cfg);
     cluster.run(harness::Experiment("overhead_stabilize")
-                    .stabilize(50, bench::env_cycle_options()));
+                    .stabilize(50));
     harness::SimBackend& net = *cluster.sim_backend();
     auto& sim = net.simulator();
 
@@ -85,7 +86,7 @@ int main() {
     // metered Experiment phases — runs compose on one Cluster).
     sim.reset_counters();
     cluster.run(harness::Experiment("overhead_maintenance")
-                    .cycles(kMaintenanceCycles, bench::env_cycle_options()));
+                    .cycles(kMaintenanceCycles));
     const auto maintenance =
         snapshot(sim, net.alive_count(), kMaintenanceCycles);
     maint.add_row({harness::kind_name(kind),

@@ -69,16 +69,10 @@ PubSubOutcome run_leg(const std::string& spec_name,
   spec.net.node_count = scale.nodes;
   spec.net.seed = scale.seed;
   spec.net.sim.seed = scale.seed;
-  spec.net.build_options.join_batch =
-      bench::sim_config(spec.net.kind, scale.nodes, scale.seed)
-          .build_options.join_batch;
 
   harness::Experiment exp = spec.experiment;
   for (auto& phase : exp.mutable_phases()) {
     switch (phase.kind) {
-      case harness::Experiment::PhaseKind::kCycles:
-        phase.cycle_options = bench::env_cycle_options();
-        break;
       case harness::Experiment::PhaseKind::kPubSub:
         phase.pubsub.ticks =
             phase.label == "steady" ? steady_ticks : churn_ticks;

@@ -37,7 +37,7 @@ int main() {
     bench::Stopwatch watch;
     auto cluster = bench::sim_cluster(row.kind, scale.nodes, scale.seed);
     cluster.run(harness::Experiment("table1_stabilize")
-                    .stabilize(50, bench::env_cycle_options()));
+                    .stabilize(50));
 
     const auto g = cluster->dissemination_graph(false);
     const double clustering =

@@ -14,7 +14,7 @@
 #include "hyparview/common/options.hpp"
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 using namespace hyparview;
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // 10% beefy nodes carry ~3x the links of the fleet's small instances.
   config.hyparview_classes = {{0.10, 13, 60}, {0.90, 4, 30}};
 
-  harness::Network net(config);
+  harness::SimBackend net(config);
   std::printf("building a %zu-node two-class overlay (warm cache %zu)...\n",
               nodes, warm);
   net.build();

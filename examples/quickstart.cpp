@@ -8,7 +8,7 @@
 
 #include "hyparview/common/options.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 using namespace hyparview;
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   //    passive view 30, ARWL 6, PRWL 3).
   auto config = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, nodes, seed);
-  harness::Network net(config);
+  harness::SimBackend net(config);
 
   // 2. Everyone joins through a contact node, then a few shuffle rounds run.
   net.build();

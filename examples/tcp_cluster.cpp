@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   if (kill_one && node_count > 3) {
     spec.leave(1, /*graceful_fraction=*/0.0, "hard_kill")
         .broadcast(4, "post_crash")
-        .cycles(2, {}, "repair_rounds");
+        .cycles(2, "repair_rounds");
   }
   const harness::ExperimentResult result = cluster.run(spec);
 

@@ -11,7 +11,7 @@
 
 #include "hyparview/common/options.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 using namespace hyparview;
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   auto config = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, nodes, seed);
-  harness::Network net(config);
+  harness::SimBackend net(config);
 
   std::printf("building %zu-node HyParView overlay...\n", nodes);
   net.build();

@@ -46,20 +46,6 @@ enum class ProtocolKind : std::uint8_t {
 /// All four protocols, in the order the paper reports them.
 [[nodiscard]] const std::vector<ProtocolKind>& all_protocol_kinds();
 
-/// Tuning for Backend::run_cycles.
-struct CycleOptions {
-  /// Periodic node actions injected per quiescence drain (sim backend).
-  /// 1 (default) reproduces PeerSim cycle semantics — each node's round
-  /// traffic settles before the next node acts — and is pinned
-  /// bit-identical to the historical per-node-drain path. Larger batches
-  /// let the traffic of `batch` actions (possibly spanning round
-  /// boundaries) interleave under one drain: statistically equivalent
-  /// rounds, different (still deterministic) event orders — a bench-scale
-  /// mode, not the §5 methodology. The TCP backend has no quiescence
-  /// notion and always settles once per round.
-  std::size_t batch = 1;
-};
-
 /// Continuous-churn workload: every cycle some nodes join, some leave
 /// (gracefully or by crashing), one membership round runs, and probe
 /// broadcasts measure the reliability the application sees meanwhile.
@@ -204,11 +190,10 @@ class Backend {
   // --- Driving ----------------------------------------------------------------
 
   /// Runs `n` membership rounds. In each round every alive node executes
-  /// its periodic action once, in random order; see CycleOptions for how
-  /// the resulting traffic is drained.
-  virtual void run_cycles(std::size_t n, const CycleOptions& options) = 0;
-
-  void run_cycles(std::size_t n) { run_cycles(n, CycleOptions{}); }
+  /// its periodic action once, in random order. The simulator drains each
+  /// node's traffic before the next node acts (PeerSim cycle semantics);
+  /// the TCP backend has no quiescence notion and settles once per round.
+  virtual void run_cycles(std::size_t n) = 0;
 
   /// Lets in-flight traffic finish: run_until_quiescent on the simulator, a
   /// bounded real-time wait on the TCP backend.

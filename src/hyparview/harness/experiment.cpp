@@ -25,20 +25,17 @@ double average(const std::vector<double>& values) {
 
 }  // namespace
 
-Experiment& Experiment::stabilize(std::size_t n, CycleOptions options,
-                                  std::string label) {
+Experiment& Experiment::stabilize(std::size_t n, std::string label) {
   Phase p;
   p.kind = PhaseKind::kCycles;
   p.label = std::move(label);
   p.cycles = n;
-  p.cycle_options = options;
   phases_.push_back(std::move(p));
   return *this;
 }
 
-Experiment& Experiment::cycles(std::size_t n, CycleOptions options,
-                               std::string label) {
-  return stabilize(n, options, std::move(label));
+Experiment& Experiment::cycles(std::size_t n, std::string label) {
+  return stabilize(n, std::move(label));
 }
 
 Experiment& Experiment::set_fanout(std::size_t fanout, std::string label) {
@@ -82,14 +79,13 @@ Experiment& Experiment::broadcast(std::size_t count, std::string label) {
 Experiment& Experiment::heal_until(std::string baseline_label,
                                    std::size_t max_cycles,
                                    std::size_t probes_per_cycle,
-                                   CycleOptions options, std::string label) {
+                                   std::string label) {
   HPV_CHECK_THROW(probes_per_cycle > 0,
                   "heal_until needs at least one probe per cycle");
   Phase p;
   p.kind = PhaseKind::kHealUntil;
   p.label = std::move(label);
   p.cycles = max_cycles;
-  p.cycle_options = options;
   p.count = probes_per_cycle;
   p.baseline_label = std::move(baseline_label);
   phases_.push_back(std::move(p));
@@ -221,7 +217,7 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
 
     switch (phase.kind) {
       case Experiment::PhaseKind::kCycles:
-        backend.run_cycles(phase.cycles, phase.cycle_options);
+        backend.run_cycles(phase.cycles);
         break;
       case Experiment::PhaseKind::kSetFanout:
         backend.set_fanout(phase.fanout);
@@ -255,7 +251,7 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
         HPV_CHECK_THROW(found,
                         "heal_until references an unknown baseline phase");
         for (std::size_t cycle = 1; cycle <= phase.cycles; ++cycle) {
-          backend.run_cycles(1, phase.cycle_options);
+          backend.run_cycles(1);
           double sum = 0.0;
           for (std::size_t i = 0; i < phase.count; ++i) {
             sum += backend.broadcast_one().reliability();
@@ -324,8 +320,7 @@ HealingResult run_healing_experiment(const NetworkConfig& netcfg,
   spec.stabilize(cfg.stabilization_cycles)
       .broadcast(cfg.probes_per_cycle, "baseline")
       .crash(cfg.fail_fraction)
-      .heal_until("baseline", cfg.max_cycles, cfg.probes_per_cycle,
-                  CycleOptions{}, "heal");
+      .heal_until("baseline", cfg.max_cycles, cfg.probes_per_cycle, "heal");
   const ExperimentResult run = cluster.run(spec);
 
   HealingResult result;

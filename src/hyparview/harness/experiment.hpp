@@ -62,7 +62,6 @@ class Experiment {
     PhaseKind kind = PhaseKind::kCycles;
     std::string label;
     std::size_t cycles = 0;        ///< kCycles; max cycles for kHealUntil
-    CycleOptions cycle_options{};  ///< kCycles / kHealUntil
     std::size_t fanout = 0;        ///< kSetFanout
     double fraction = 0.0;         ///< kCrash; graceful fraction for kLeave
     std::size_t count = 0;         ///< kBroadcast; departures for kLeave;
@@ -77,11 +76,9 @@ class Experiment {
   explicit Experiment(std::string name) : name_(std::move(name)) {}
 
   /// `n` membership rounds (the paper's stabilization uses 50).
-  Experiment& stabilize(std::size_t n, CycleOptions options = {},
-                        std::string label = "stabilize");
+  Experiment& stabilize(std::size_t n, std::string label = "stabilize");
   /// Alias of stabilize with a healing-flavored default label.
-  Experiment& cycles(std::size_t n, CycleOptions options = {},
-                     std::string label = "cycles");
+  Experiment& cycles(std::size_t n, std::string label = "cycles");
   Experiment& set_fanout(std::size_t fanout, std::string label = "fanout");
   Experiment& crash(double fraction, std::string label = "crash");
   /// `count` departures of random alive nodes; each is graceful with
@@ -97,7 +94,6 @@ class Experiment {
   /// resolve across separate run() calls.
   Experiment& heal_until(std::string baseline_label, std::size_t max_cycles,
                          std::size_t probes_per_cycle,
-                         CycleOptions options = {},
                          std::string label = "heal");
   Experiment& churn(const ChurnConfig& cfg, std::string label = "churn");
   /// Every alive adversarial node injects `per_adversary` fabricated joins

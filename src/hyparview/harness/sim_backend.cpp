@@ -1,6 +1,5 @@
 #include "hyparview/harness/sim_backend.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "hyparview/common/assert.hpp"
@@ -117,9 +116,8 @@ std::unique_ptr<membership::Protocol> SimBackend::make_protocol(
                                 std::move(inner));
 }
 
-void SimBackend::build(const BuildOptions& options) {
+void SimBackend::build() {
   HPV_CHECK(!built_);
-  HPV_CHECK_THROW(options.join_batch >= 1, "join_batch must be >= 1");
   built_ = true;
   runtimes_.reserve(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
@@ -132,19 +130,14 @@ void SimBackend::build(const BuildOptions& options) {
     sim_.set_handler(id, runtime.get());
     runtimes_.push_back(std::move(runtime));
   }
-  // Joins happen with no membership rounds in between (§5); each drain is
-  // bounded by the watermark taken before the batch, so only the joins'
-  // own traffic (and its cascades) is retired.
-  {
+  // Joins happen one by one with no membership rounds in between (§5); each
+  // drain is bounded by the watermark taken before the join, so only that
+  // join's own traffic (and its cascades) is retired.
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
     const std::uint64_t mark = sim_.next_event_seq();
-    runtimes_[0]->protocol().start(std::nullopt);
-    sim_.run_until_quiescent_from(mark);
-  }
-  for (std::size_t i = 1; i < runtimes_.size();) {
-    const std::size_t batch_end =
-        std::min(runtimes_.size(), i + options.join_batch);
-    const std::uint64_t mark = sim_.next_event_seq();
-    for (; i < batch_end; ++i) {
+    if (i == 0) {
+      runtimes_[0]->protocol().start(std::nullopt);
+    } else {
       std::size_t contact = 0;
       if (config_.kind == ProtocolKind::kScamp) {
         // Scamp joins through a random node already in the overlay.
@@ -156,31 +149,22 @@ void SimBackend::build(const BuildOptions& options) {
   }
 }
 
-void SimBackend::run_cycles(std::size_t n, const CycleOptions& options) {
-  HPV_CHECK_THROW(options.batch >= 1, "cycle batch must be >= 1");
+void SimBackend::run_cycles(std::size_t n) {
   // Reused member scratch: run_cycles sits inside the membership-phase
   // steady state (micro_sim_events gates it allocation-free), so the random
   // round order must not cost a vector per call.
   cycle_order_.resize(runtimes_.size());
   std::iota(cycle_order_.begin(), cycle_order_.end(), 0);
-  // batch == 1 is the PeerSim semantics the figures use: each node's round
-  // traffic settles before the next node acts — one quiescence drain per
-  // alive node per round, exactly the historical loop. Larger batches
-  // amortize the drain over `batch` periodic actions; the counter carries
-  // across round boundaries, so batch > node_count overlaps whole rounds.
-  std::size_t pending = 0;
+  // PeerSim cycle semantics: each node's round traffic settles before the
+  // next node acts.
   for (std::size_t round = 0; round < n; ++round) {
     sim_.rng().shuffle(cycle_order_);
     for (const std::size_t i : cycle_order_) {
       if (!alive(i)) continue;
       runtimes_[i]->protocol().on_cycle();
-      if (++pending >= options.batch) {
-        sim_.run_until_quiescent();
-        pending = 0;
-      }
+      sim_.run_until_quiescent();
     }
   }
-  if (pending > 0) sim_.run_until_quiescent();
 }
 
 void SimBackend::kill_node(std::size_t i) {

@@ -6,9 +6,6 @@
 //   → fail_random_fraction (massive simultaneous crash)
 //   → broadcast_* (reliability measurements; reactive steps still execute)
 //   → run_cycles + probes (healing measurements).
-//
-// `Network` remains as an alias: the class grew out of the original sim-only
-// harness and most tests/drivers still use that name.
 #pragma once
 
 #include <cstdint>
@@ -39,17 +36,6 @@ struct HyParViewClass {
   std::size_t passive_capacity = 30;
 };
 
-/// Bootstrap tuning for SimBackend::build().
-struct BuildOptions {
-  /// Joins started per drain. 1 (default) reproduces the paper's serial
-  /// bootstrap — each join's traffic settles before the next node joins.
-  /// Larger batches overlap the join traffic of `join_batch` nodes under
-  /// one incremental drain: statistically equivalent overlays, different
-  /// (still deterministic) event interleaving — a bench-scale mode, not the
-  /// §5 methodology.
-  std::size_t join_batch = 1;
-};
-
 struct NetworkConfig {
   ProtocolKind kind = ProtocolKind::kHyParView;
   std::size_t node_count = 10'000;
@@ -63,10 +49,6 @@ struct NetworkConfig {
   baselines::ScampConfig scamp;        // c = 4
   gossip::GossipConfig gossip;         // mode derived from `kind`
   sim::SimConfig sim;
-
-  /// Bootstrap tuning used by the no-argument Backend::build() entry point
-  /// (the Cluster/Experiment path).
-  BuildOptions build_options;
 
   /// Heterogeneous capacity classes for HyParView (empty = homogeneous,
   /// i.e. `hyparview` everywhere). Assignment is random per node, seeded.
@@ -93,27 +75,19 @@ class SimBackend final : public Backend {
 
   [[nodiscard]] const char* backend_name() const override { return "sim"; }
 
-  /// Builds with config().build_options (see the overload below).
-  void build() override { build(config_.build_options); }
-
-  /// Creates all nodes and joins them (serially by default; see
-  /// BuildOptions), without membership rounds. Each drain is incremental:
-  /// only the events caused by the batch being joined are retired
-  /// (Simulator::run_until_quiescent_from), so pending unrelated work —
-  /// e.g. long-delay timers once protocols schedule them — cannot inflate
-  /// the bootstrap.
-  void build(const BuildOptions& options);
+  /// Creates all nodes and joins them one by one, without membership
+  /// rounds. Each drain is incremental: only the events caused by the node
+  /// being joined are retired (Simulator::run_until_quiescent_from), so
+  /// pending unrelated work — e.g. long-delay timers once protocols
+  /// schedule them — cannot inflate the bootstrap.
+  void build() override;
 
   [[nodiscard]] bool built() const override { return built_; }
 
-  using Backend::run_cycles;
   /// Runs `n` membership rounds. In each round every alive node executes
-  /// its periodic action once, in random order. With options.batch == 1
-  /// (default) the resulting traffic drains before the next node acts
-  /// (PeerSim cycle semantics, the historical path, bit-identical); larger
-  /// batches retire one quiescence drain per `batch` actions — whole-round
-  /// and multi-round event batches for bench-scale runs.
-  void run_cycles(std::size_t n, const CycleOptions& options) override;
+  /// its periodic action once, in random order, and its traffic drains
+  /// before the next node acts (PeerSim cycle semantics).
+  void run_cycles(std::size_t n) override;
 
   /// Crashes node `i` in place (no failure notifications — detect-on-send).
   void kill_node(std::size_t i) override;
@@ -194,8 +168,5 @@ class SimBackend final : public Backend {
   std::uint64_t next_msg_id_ = 1;
   bool built_ = false;
 };
-
-/// Historical name of the sim backend (the original sim-only harness class).
-using Network = SimBackend;
 
 }  // namespace hyparview::harness

@@ -57,12 +57,17 @@ class ObjectReader {
     return v->as_int();
   }
 
-  /// Non-negative integer as size_t (counts, capacities, cycles).
+  /// Integer >= `min` as size_t (counts, capacities, cycles).
   [[nodiscard]] std::size_t get_size(std::string_view key,
-                                     std::size_t fallback) {
+                                     std::size_t fallback,
+                                     std::size_t min = 0) {
     const json::Value* v = get(key);
     if (v == nullptr) return fallback;
-    return to_size(*v, key);
+    const std::size_t n = to_size(*v, key);
+    HPV_CHECK_THROW(n >= min, "spec: " + key_path(key) +
+                                  ": expected an integer >= " +
+                                  std::to_string(min));
+    return n;
   }
 
   [[nodiscard]] std::size_t require_size(std::string_view key) {
@@ -76,6 +81,20 @@ class ObjectReader {
     HPV_CHECK_THROW(v->is_int() && v->as_int() >= 0 && v->as_int() <= 255,
                     "spec: " + key_path(key) + ": expected 0..255");
     return static_cast<std::uint8_t>(v->as_int());
+  }
+
+  /// A `*_ms` key: non-negative milliseconds whose microsecond Duration
+  /// fits int64.
+  [[nodiscard]] Duration get_duration_ms(std::string_view key,
+                                         Duration fallback) {
+    const json::Value* v = get(key);
+    if (v == nullptr) return fallback;
+    HPV_CHECK_THROW(v->is_int() && v->as_int() >= 0 &&
+                        v->as_int() <= std::numeric_limits<Duration>::max() /
+                                           milliseconds(1),
+                    "spec: " + key_path(key) +
+                        ": expected a non-negative millisecond count");
+    return milliseconds(v->as_int());
   }
 
   [[nodiscard]] double get_double(std::string_view key, double fallback) {
@@ -248,10 +267,9 @@ void load_gossip(const json::Value& v, const std::string& path,
                       payload <= std::numeric_limits<std::uint32_t>::max(),
                   "spec: " + path + ".payload_size: out of range");
   cfg.payload_size = static_cast<std::uint32_t>(payload);
-  cfg.dedup_window = r.get_size("dedup_window", cfg.dedup_window);
-  cfg.cache_window = r.get_size("cache_window", cfg.cache_window);
-  cfg.graft_timeout = milliseconds(
-      r.get_int("graft_timeout_ms", cfg.graft_timeout / 1000));
+  cfg.dedup_window = r.get_size("dedup_window", cfg.dedup_window, 1);
+  cfg.cache_window = r.get_size("cache_window", cfg.cache_window, 1);
+  cfg.graft_timeout = r.get_duration_ms("graft_timeout_ms", cfg.graft_timeout);
   cfg.reroute_on_failure =
       r.get_bool("reroute_on_failure", cfg.reroute_on_failure);
   cfg.explicit_acks = r.get_bool("explicit_acks", cfg.explicit_acks);
@@ -292,8 +310,6 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
       kind, nodes, static_cast<std::uint64_t>(seed));
   cfg.fanout = r.get_size("fanout", cfg.fanout);
   cfg.gossip.fanout = cfg.fanout;
-  cfg.build_options.join_batch =
-      r.get_size("join_batch", cfg.build_options.join_batch);
   if (const json::Value* sub = r.get("hyparview")) {
     load_hyparview(*sub, r.key_path("hyparview"), cfg.hyparview);
   }
@@ -341,18 +357,15 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   cfg.adversary = net.adversary;
 
   if (r) {
-    cfg.join_settle =
-        milliseconds(r->get_int("join_settle_ms", cfg.join_settle / 1000));
-    cfg.cycle_settle =
-        milliseconds(r->get_int("cycle_settle_ms", cfg.cycle_settle / 1000));
-    cfg.leave_settle =
-        milliseconds(r->get_int("leave_settle_ms", cfg.leave_settle / 1000));
+    cfg.join_settle = r->get_duration_ms("join_settle_ms", cfg.join_settle);
+    cfg.cycle_settle = r->get_duration_ms("cycle_settle_ms", cfg.cycle_settle);
+    cfg.leave_settle = r->get_duration_ms("leave_settle_ms", cfg.leave_settle);
     cfg.settle_window =
-        milliseconds(r->get_int("settle_window_ms", cfg.settle_window / 1000));
-    cfg.broadcast_timeout = milliseconds(
-        r->get_int("broadcast_timeout_ms", cfg.broadcast_timeout / 1000));
-    cfg.broadcast_quiet_window = milliseconds(r->get_int(
-        "broadcast_quiet_window_ms", cfg.broadcast_quiet_window / 1000));
+        r->get_duration_ms("settle_window_ms", cfg.settle_window);
+    cfg.broadcast_timeout =
+        r->get_duration_ms("broadcast_timeout_ms", cfg.broadcast_timeout);
+    cfg.broadcast_quiet_window = r->get_duration_ms(
+        "broadcast_quiet_window_ms", cfg.broadcast_quiet_window);
     const std::int64_t port = r->get_int("stats_port", cfg.stats_port);
     HPV_CHECK_THROW(port >= -1 && port <= 65535,
                     "spec: " + path + ".stats_port: expected -1..65535");
@@ -387,9 +400,7 @@ void load_phase(Experiment& spec, const json::Value& v,
   // Phases go through the same builder calls the C++ drivers make, so a
   // loaded spec is *constructed* identically, not merely equal.
   if (kind == "stabilize" || kind == "cycles") {
-    CycleOptions options;
-    options.batch = r.get_size("batch", options.batch);
-    spec.cycles(r.require_size("cycles"), options,
+    spec.cycles(r.require_size("cycles"),
                 r.get_string("label", kind == "stabilize" ? "stabilize"
                                                           : "cycles"));
   } else if (kind == "set_fanout") {
@@ -402,10 +413,8 @@ void load_phase(Experiment& spec, const json::Value& v,
   } else if (kind == "broadcast") {
     spec.broadcast(r.require_size("count"), r.get_string("label", "broadcast"));
   } else if (kind == "heal_until") {
-    CycleOptions options;
-    options.batch = r.get_size("batch", options.batch);
     spec.heal_until(r.require_string("baseline"), r.require_size("max_cycles"),
-                    r.require_size("probes_per_cycle"), options,
+                    r.require_size("probes_per_cycle"),
                     r.get_string("label", "heal"));
   } else if (kind == "churn") {
     ChurnConfig cfg;
@@ -466,7 +475,6 @@ json::Value phase_to_json(const Experiment::Phase& p) {
   switch (p.kind) {
     case PK::kCycles:
       o.set("cycles", p.cycles);
-      o.set("batch", p.cycle_options.batch);
       break;
     case PK::kSetFanout:
       o.set("fanout", p.fanout);
@@ -485,7 +493,6 @@ json::Value phase_to_json(const Experiment::Phase& p) {
       o.set("baseline", p.baseline_label);
       o.set("max_cycles", p.cycles);
       o.set("probes_per_cycle", p.count);
-      o.set("batch", p.cycle_options.batch);
       break;
     case PK::kChurn:
       o.set("cycles", p.churn.cycles);
@@ -530,7 +537,6 @@ json::Value network_to_json(const NetworkConfig& cfg) {
   net.set("nodes", cfg.node_count);
   net.set("seed", cfg.seed);
   net.set("fanout", cfg.fanout);
-  net.set("join_batch", cfg.build_options.join_batch);
 
   json::Value hv = json::Value::object();
   hv.set("active_capacity", cfg.hyparview.active_capacity);
@@ -715,7 +721,7 @@ RunSpec adversarial_builtin(AttackKind attack) {
   if (attack == AttackKind::kSybil) {
     exp.sybil_burst(spec.net.adversary.sybils_per_burst);
   }
-  exp.cycles(10, {}, "pressure");
+  exp.cycles(10, "pressure");
   exp.broadcast(100, "after");
   spec.experiment = std::move(exp);
   return spec;

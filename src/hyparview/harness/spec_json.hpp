@@ -16,7 +16,6 @@
 //     "network": {                       // sim substrate + protocol params
 //       "protocol": "HyParView" | "Cyclon" | "CyclonAcked" | "Scamp",
 //       "nodes": 10000, "seed": 42, "fanout": 4,
-//       "join_batch": 1,                 // bootstrap batching (bench mode)
 //       "hyparview":  { active_capacity, passive_capacity, arwl, prwl,
 //                       shuffle_ka, shuffle_kp, shuffle_ttl,
 //                       promote_on_any_slot, warm_cache_size },
@@ -26,8 +25,9 @@
 //       "scamp":      { c, forward_ttl, lease_cycles,
 //                       heartbeat_period_cycles, isolation_timeout_cycles,
 //                       purge_on_unreachable },
-//       "gossip":     { payload_size, dedup_window, reroute_on_failure,
-//                       explicit_acks },
+//       "gossip":     { engine, payload_size, dedup_window (>= 1),
+//                       cache_window (>= 1), graft_timeout_ms,
+//                       reroute_on_failure, explicit_acks },
 //       "adversary":  { "attack": "none"|"poison"|"drop"|"sybil",
 //                       fraction, poison_per_cycle, poison_entries,
 //                       fabricated_fraction, sybils_per_burst, sybil_ttl }
@@ -38,15 +38,15 @@
 //       "settle_window_ms": 30, "broadcast_timeout_ms": 5000,
 //       "broadcast_quiet_window_ms": 150,
 //       "stats_port": -1                 // -1 off, 0 ephemeral, else fixed
-//     },
+//     },                                 // every *_ms key: >= 0
 //     "phases": [                        // required; Experiment::from_json
-//       {"kind": "stabilize"|"cycles", "cycles": 50, "batch": 1, "label": ...},
+//       {"kind": "stabilize"|"cycles", "cycles": 50, "label": ...},
 //       {"kind": "set_fanout", "fanout": 4, ...},
 //       {"kind": "crash", "fraction": 0.5, ...},
 //       {"kind": "leave", "count": 10, "graceful_fraction": 0.5, ...},
 //       {"kind": "broadcast", "count": 1000, ...},
 //       {"kind": "heal_until", "baseline": "measure", "max_cycles": 60,
-//        "probes_per_cycle": 10, "batch": 1, ...},
+//        "probes_per_cycle": 10, ...},
 //       {"kind": "churn", "cycles": 50, "joins_per_cycle": 10,
 //        "leaves_per_cycle": 10, "graceful_fraction": 0.5,
 //        "probes_per_cycle": 2, ...},

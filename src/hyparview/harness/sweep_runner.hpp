@@ -2,7 +2,7 @@
 //
 // The paper's figure sweeps (fig2/fig3: protocol × failure-fraction × seed,
 // the ablation grids: variant × parameter) are embarrassingly parallel: each
-// point builds its own Network — simulator, RNG streams, recorder and all —
+// point builds its own SimBackend — simulator, RNG streams, recorder and all —
 // from a (config, seed) pair and never touches another point's state. The
 // SweepRunner claims points off a shared atomic counter with a small
 // std::thread pool.
@@ -10,7 +10,7 @@
 // Determinism contract: a point's result is a pure function of its
 // (config, seed), so the threaded sweep is bit-identical to the serial loop
 // per point — only wall-clock order changes. Callers must (a) give every
-// job its own Network and result slot (index into a pre-sized vector), and
+// job its own SimBackend and result slot (index into a pre-sized vector), and
 // (b) aggregate in index order after run() returns. A SweepRunner with
 // one thread executes the jobs inline in index order: that *is* the serial
 // path, not an emulation of it.

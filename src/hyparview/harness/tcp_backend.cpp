@@ -171,8 +171,7 @@ void TcpBackend::leave_node(std::size_t i, bool graceful) {
   settle();
 }
 
-void TcpBackend::run_cycles(std::size_t n, const CycleOptions& options) {
-  (void)options;  // quiescence batching is a sim concept; see header.
+void TcpBackend::run_cycles(std::size_t n) {
   cycle_order_.resize(nodes_.size());
   std::iota(cycle_order_.begin(), cycle_order_.end(), 0);
   for (std::size_t round = 0; round < n; ++round) {

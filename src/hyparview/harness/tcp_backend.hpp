@@ -112,10 +112,8 @@ class TcpBackend final : public Backend {
   /// Protocol::leave and the socket teardown) before the process "exits".
   void leave_node(std::size_t i, bool graceful) override;
 
-  using Backend::run_cycles;
-  /// One settle window per round — real time has no quiescence, so
-  /// CycleOptions::batch (a sim-drain concept) is accepted but moot.
-  void run_cycles(std::size_t n, const CycleOptions& options) override;
+  /// One settle window per round — real time has no quiescence.
+  void run_cycles(std::size_t n) override;
 
   void settle() override { wait(config_.settle_window); }
 

@@ -32,7 +32,7 @@
 // the cursor only takes events inside its current window, and every event
 // in a later bucket or the far list is provably later in (at, seq). A run
 // is therefore bit-identical to the MinHeap at a fixed seed — pinned by
-// event_queue_property_test and the cross-structure bench gate.
+// event_queue_property_test.
 //
 // Allocation discipline: buckets, the far list, and the rebuild scratch are
 // plain vectors that grow to their steady-state footprint during warm-up
@@ -74,15 +74,6 @@ class CalendarQueue {
   static constexpr std::size_t kBucketSeedCapacity = 16;
   static constexpr std::size_t kSeedableBuckets = std::size_t{1} << 14;
 
-  CalendarQueue()
-      : buckets_(kMinBuckets),
-        heads_(kMinBuckets, 0u),
-        dirty_(kMinBuckets, 0),
-        live_(kMinBuckets / 64, 0u) {
-    set_band(0, 0);
-    seed_buckets();
-  }
-
   /// `band_max` is the upper edge of the live latency band; the bucket
   /// width is sized so the wheel year covers ~2x the band (messages plus
   /// the failure-detection delays that ride just behind them).
@@ -91,7 +82,7 @@ class CalendarQueue {
         heads_(kMinBuckets, 0u),
         dirty_(kMinBuckets, 0),
         live_(kMinBuckets / 64, 0u) {
-    set_band(0, band_max);
+    set_band(band_max);
     seed_buckets();
   }
 
@@ -136,25 +127,11 @@ class CalendarQueue {
     return width_ == 1 ? pop_tick() : pop_scan();
   }
 
-  void clear() {
-    for (auto& bucket : buckets_) bucket.clear();
-    std::fill(heads_.begin(), heads_.end(), 0u);
-    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-    std::fill(live_.begin(), live_.end(), std::uint64_t{0});
-    far_.clear();
-    size_ = 0;
-    empty_steps_ = 0;
-    floor_ = 0;
-    cur_ = 0;
-    window_end_ = width_;
-  }
-
-  /// Re-derives the bucket width from a new latency band and re-buckets
-  /// every pending event (latency-spike fault injection widens the arrival
-  /// horizon; keeping the old width would pile the spike's events into a
-  /// few buckets and degrade toward O(n) scans).
-  void set_band(Duration band_min, Duration band_max) {
-    (void)band_min;  // the width keys off the band's far edge only
+  /// Re-derives the bucket width from the far edge of a new latency band
+  /// and re-buckets every pending event (latency-spike fault injection
+  /// widens the arrival horizon; keeping the old width would pile the
+  /// spike's events into a few buckets and degrade toward O(n) scans).
+  void set_band(Duration band_max) {
     band_max_ = band_max;
     const Duration width = derive_width(band_max_, nbuckets_);
     if (width == width_ && size_ == 0) {

@@ -1,8 +1,9 @@
 // Binary min-heap with move-aware pop.
 //
-// std::priority_queue cannot move elements out of top(); event payloads
-// (wire messages with vectors, task closures) make that copy expensive, so
-// the simulator uses this small heap instead.
+// std::priority_queue cannot move elements out of top(); timer payloads
+// (task closures) make that copy expensive, so net::EventLoop uses this
+// small heap instead. The simulator schedules on calendar_queue.hpp, and
+// the tests use this heap as its ordering oracle.
 #pragma once
 
 #include <utility>

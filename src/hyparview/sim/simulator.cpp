@@ -73,12 +73,11 @@ Simulator::Simulator(SimConfig config)
       // The wheel year must cover the failure-detection delay too: those
       // events ride just behind the message band, and parking them in the
       // far list would make every crash wave pay the overflow sweep.
-      queue_(config_.event_queue,
-             std::max(config_.latency_max, config_.failure_detect_delay)),
+      queue_(std::max(config_.latency_max, config_.failure_detect_delay)),
       sent_by_type_(std::variant_size_v<wire::Message>, 0),
       bytes_by_type_(std::variant_size_v<wire::Message>, 0) {
   // Pre-size the hot containers once: after warm-up, pushing an event is a
-  // POD store plus sift, never a reallocation.
+  // POD store plus bucket append, never a reallocation.
   queue_.reserve(config_.initial_event_capacity);
   messages_.reserve(config_.initial_event_capacity);
   gossips_.reserve(config_.initial_event_capacity);
@@ -247,8 +246,8 @@ void Simulator::set_latency(Duration min, Duration max) {
   config_.latency_max = max;
   // A spike stretches the arrival horizon: re-derive the calendar's bucket
   // width so the new band spreads across the wheel instead of piling into
-  // a few buckets (no-op on the heap).
-  queue_.set_band(min, std::max(max, config_.failure_detect_delay));
+  // a few buckets.
+  queue_.set_band(std::max(max, config_.failure_detect_delay));
 }
 
 membership::Env& Simulator::env(const NodeId& id) {

@@ -30,7 +30,7 @@
 #include "hyparview/membership/endpoint.hpp"
 #include "hyparview/membership/env.hpp"
 #include "hyparview/membership/wire.hpp"
-#include "hyparview/sim/event_queue.hpp"
+#include "hyparview/sim/calendar_queue.hpp"
 #include "hyparview/sim/slot_pool.hpp"
 
 namespace hyparview::sim {
@@ -56,10 +56,6 @@ struct SimConfig {
   /// Events (and payload slots) pre-reserved at construction so steady-state
   /// runs never grow the queue or the payload slabs.
   std::size_t initial_event_capacity = 4096;
-  /// Pending-event structure: kAuto resolves HPV_EVENT_QUEUE (default
-  /// calendar; heap kept for A/B). Either pops the same strict (at, seq)
-  /// order, so runs are bit-identical at a fixed seed.
-  EventQueueKind event_queue = EventQueueKind::kAuto;
 };
 
 /// Per-node upcall interface; implemented by gossip::NodeRuntime.
@@ -122,10 +118,6 @@ class Simulator {
   /// they were scheduled with. Throws CheckError on an inverted band
   /// (min > max) or a negative minimum; min == max (fixed latency) is valid.
   void set_latency(Duration min, Duration max);
-
-  /// Which pending-event structure this simulator runs on ("heap" or
-  /// "calendar") — bench records tag their measurements with it.
-  [[nodiscard]] const char* event_queue_name() const { return queue_.name(); }
 
   /// Total events dispatched since construction (perf accounting).
   [[nodiscard]] std::uint64_t events_processed() const {
@@ -203,9 +195,10 @@ class Simulator {
     kLinkClosed,
   };
 
-  /// 40-byte POD: the MinHeap sifts only this. Fat payloads (wire messages,
-  /// callbacks) live in the slot pools below, addressed by `payload`, so
-  /// pushing and sifting an event never allocates or runs a move ctor.
+  /// 40-byte POD: the calendar queue moves only this. Fat payloads (wire
+  /// messages, callbacks) live in the slot pools below, addressed by
+  /// `payload`, so pushing and popping an event never allocates or runs a
+  /// move ctor.
   struct Event {
     TimePoint at = 0;
     std::uint64_t seq = 0;
@@ -334,11 +327,9 @@ class Simulator {
   Rng master_rng_;
   Rng latency_rng_;
   std::vector<SimNode> nodes_;
-  /// Pending events, popped in strict (at, seq) order regardless of the
-  /// selected structure (heap for A/B, calendar by default — see
-  /// event_queue.hpp). The calendar's bucket width tracks the latency band
-  /// (set_latency re-buckets).
-  EventQueue<Event> queue_;
+  /// Pending events, popped in strict (at, seq) order. The calendar's
+  /// bucket width tracks the latency band (set_latency re-buckets).
+  CalendarQueue<Event> queue_;
   /// Payload slabs, free-list recycled (see slot_pool.hpp). One per payload
   /// kind so slots are homogeneous and reuse is exact. Gossip frames get
   /// their own compact slab (Event::gossip) — they dominate broadcast

@@ -8,7 +8,7 @@
 
 #include "../support/fake_env.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::baselines {
 namespace {
@@ -264,7 +264,7 @@ TEST(CyclonNetworkTest, JoinKeepsInDegreesBoundedAndViewsFull) {
       harness::ProtocolKind::kCyclon, 300, 5);
   cfg.cyclon.view_capacity = 8;
   cfg.cyclon.shuffle_length = 4;
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   const auto g = net.dissemination_graph(false);
   const auto indeg = g.in_degrees();
@@ -282,7 +282,7 @@ TEST(CyclonNetworkTest, ShufflingConvergesAgesAndKeepsConnectivity) {
       harness::ProtocolKind::kCyclon, 200, 7);
   cfg.cyclon.view_capacity = 8;
   cfg.cyclon.shuffle_length = 4;
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(15);
   EXPECT_TRUE(graph::is_weakly_connected(net.dissemination_graph(false)));

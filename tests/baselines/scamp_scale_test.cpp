@@ -13,7 +13,7 @@
 
 #include <algorithm>
 
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 #include "support/fake_env.hpp"
 
 namespace hyparview::baselines {
@@ -142,7 +142,7 @@ TEST(ScampScaleTest, BootstrapDeterministicViewsAndEventCounts) {
   auto build = [](std::uint64_t seed) {
     auto cfg = harness::NetworkConfig::defaults_for(
         harness::ProtocolKind::kScamp, 600, seed);
-    auto net = std::make_unique<harness::Network>(cfg);
+    auto net = std::make_unique<harness::SimBackend>(cfg);
     net->build();
     return net;
   };
@@ -166,7 +166,7 @@ TEST(ScampScaleTest, BootstrapDeterministicViewsAndEventCounts) {
 TEST(ScampScaleTest, BootstrapEventCountStaysBounded) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kScamp, 2000, 42);
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   const std::uint64_t events = net.simulator().events_processed();
   // Measured at this seed: ~1.34M events for 2000 joins. Bound with ~1.9x

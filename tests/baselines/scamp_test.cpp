@@ -7,7 +7,7 @@
 
 #include "../support/fake_env.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::baselines {
 namespace {
@@ -258,7 +258,7 @@ TEST_F(ScampUnitTest, BroadcastTargetsSampledFromPartialView) {
 TEST(ScampNetworkTest, MeanViewSizeGrowsLogarithmically) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kScamp, 600, 11);
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   double total = 0.0;
   for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -276,7 +276,7 @@ TEST(ScampNetworkTest, MeanViewSizeGrowsLogarithmically) {
 TEST(ScampNetworkTest, OverlayConnectedAfterJoins) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kScamp, 400, 13);
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   EXPECT_TRUE(graph::is_weakly_connected(net.dissemination_graph(false)));
 }

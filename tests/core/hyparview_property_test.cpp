@@ -8,7 +8,7 @@
 #include "../support/fake_env.hpp"
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::core {
 namespace {
@@ -140,7 +140,7 @@ class HyParViewNetworkProperties
 TEST_P(HyParViewNetworkProperties, StabilizedOverlayIsSymmetricAndConnected) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 128, GetParam());
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(10);
 
@@ -171,7 +171,7 @@ TEST_P(HyParViewNetworkProperties, StabilizedOverlayIsSymmetricAndConnected) {
 TEST_P(HyParViewNetworkProperties, BroadcastReachesEveryNodeWhenStable) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 128, GetParam());
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   for (int i = 0; i < 10; ++i) {
@@ -184,7 +184,7 @@ TEST_P(HyParViewNetworkProperties, BroadcastReachesEveryNodeWhenStable) {
 TEST_P(HyParViewNetworkProperties, ActivePassiveDisjointAcrossNetwork) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 96, GetParam());
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(8);
   for (std::size_t i = 0; i < net.node_count(); ++i) {

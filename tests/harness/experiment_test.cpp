@@ -1,13 +1,11 @@
 // Declarative Experiment specs vs the hand-rolled legacy loops, and the
-// batched run_cycles contract.
+// run_cycles contract.
 //
 // The experiment runner promises that a spec executed on the sim backend is
 // *bit-identical* to the historical driver loop it replaced at a fixed seed
 // (same RNG draws, same event sequence). These tests pin that promise for
 // fig1- and fig2-shaped pipelines, for the healing experiment, and pin
-// CycleOptions::batch: batch == 1 is event-for-event the per-node-drain
-// path; batch > 1 (whole-round and multi-round) stays deterministic and
-// semantically healthy.
+// run_cycles event-for-event to the PeerSim per-node-drain loop.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -32,7 +30,7 @@ TEST(ExperimentSpecTest, Fig1SpecBitIdenticalToLegacyLoop) {
   constexpr std::size_t kMsgs = 6;
 
   // The hand-rolled fig1 pipeline, exactly as the legacy driver wrote it.
-  Network legacy(
+  SimBackend legacy(
       NetworkConfig::defaults_for(ProtocolKind::kCyclon, kNodes, kSeed));
   legacy.build();
   legacy.run_cycles(10);
@@ -71,7 +69,7 @@ TEST(ExperimentSpecTest, Fig2SpecBitIdenticalToLegacyLoop) {
   constexpr double kFraction = 0.5;
 
   // Legacy fig2 point: stabilized network, reserve, crash, measure.
-  Network legacy(
+  SimBackend legacy(
       NetworkConfig::defaults_for(ProtocolKind::kHyParView, kNodes, kSeed));
   legacy.build();
   legacy.run_cycles(10);
@@ -115,7 +113,7 @@ TEST(ExperimentSpecTest, HealingExperimentBitIdenticalToLegacyLoop) {
   // used to be before it became an Experiment spec).
   HealingResult legacy;
   {
-    Network net(cfg);
+    SimBackend net(cfg);
     net.build();
     net.run_cycles(hcfg.stabilization_cycles);
     double sum = 0.0;
@@ -189,7 +187,7 @@ TEST(ExperimentSpecTest, ConsecutiveRunsComposeOnOneCluster) {
   (void)first;
 }
 
-// --- CycleOptions::batch ----------------------------------------------------
+// --- run_cycles ----------------------------------------------------------------
 
 struct CycleFingerprint {
   std::uint64_t events = 0;
@@ -200,7 +198,7 @@ struct CycleFingerprint {
                          const CycleFingerprint&) = default;
 };
 
-CycleFingerprint fingerprint(Network& net, std::size_t probes) {
+CycleFingerprint fingerprint(SimBackend& net, std::size_t probes) {
   CycleFingerprint fp;
   fp.events = net.simulator().events_processed();
   fp.in_degrees = net.dissemination_graph(false).in_degrees();
@@ -210,17 +208,17 @@ CycleFingerprint fingerprint(Network& net, std::size_t probes) {
   return fp;
 }
 
-TEST(BatchedCyclesTest, BatchOneBitIdenticalToPerNodeDrainLoop) {
+TEST(RunCyclesTest, BitIdenticalToPerNodeDrainLoop) {
   const auto cfg =
       NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 21);
 
-  Network batched(cfg);
-  batched.build();
-  batched.run_cycles(3, CycleOptions{.batch = 1});
+  SimBackend cycled(cfg);
+  cycled.build();
+  cycled.run_cycles(3);
 
-  // The historical loop, emulated verbatim: one iota before the rounds,
-  // one master-RNG shuffle per round, one quiescence drain per alive node.
-  Network manual(cfg);
+  // The PeerSim loop, emulated verbatim: one iota before the rounds, one
+  // master-RNG shuffle per round, one quiescence drain per alive node.
+  SimBackend manual(cfg);
   manual.build();
   std::vector<std::size_t> order(manual.node_count());
   std::iota(order.begin(), order.end(), 0);
@@ -233,35 +231,7 @@ TEST(BatchedCyclesTest, BatchOneBitIdenticalToPerNodeDrainLoop) {
     }
   }
 
-  EXPECT_EQ(fingerprint(batched, 4), fingerprint(manual, 4));
-}
-
-TEST(BatchedCyclesTest, WholeRoundAndMultiRoundBatchesDeterministic) {
-  for (const std::size_t batch : {std::size_t{16}, std::size_t{10'000}}) {
-    const auto run_once = [batch] {
-      Network net(
-          NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 9));
-      net.build();
-      net.run_cycles(4, CycleOptions{.batch = batch});
-      return fingerprint(net, 4);
-    };
-    const CycleFingerprint a = run_once();
-    const CycleFingerprint b = run_once();
-    EXPECT_EQ(a, b) << "batch=" << batch;
-    // Whole-round batching changes event interleaving, not semantics: the
-    // stable overlay still floods losslessly.
-    for (const double rel : a.probe_rels) EXPECT_EQ(rel, 1.0);
-  }
-}
-
-TEST(BatchedCyclesTest, BatchedCyclesViaExperimentSpec) {
-  auto cluster = Cluster::sim(
-      NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 13));
-  const auto result =
-      cluster.run(Experiment("batched")
-                      .stabilize(4, CycleOptions{.batch = 128})
-                      .broadcast(3, "probe"));
-  EXPECT_EQ(result.phase("probe").min_reliability(), 1.0);
+  EXPECT_EQ(fingerprint(cycled, 4), fingerprint(manual, 4));
 }
 
 }  // namespace

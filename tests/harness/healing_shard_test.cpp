@@ -1,7 +1,7 @@
 // fig4 sharding contract: run_healing_experiment points fanned out across
 // the SweepRunner thread pool must be bit-identical to the serial loop.
 //
-// Each healing repetition builds its own Network from a (config, seed)
+// Each healing repetition builds its own SimBackend from a (config, seed)
 // pair and never touches another point's state, so the result is a pure
 // function of its inputs — the sharded sweep may only change wall-clock
 // order. This is the same determinism contract sweep_runner_test pins for
@@ -13,7 +13,7 @@
 
 #include <functional>
 
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/experiment.hpp"
 #include "hyparview/harness/sweep_runner.hpp"
 
 namespace hyparview::harness {

@@ -1,4 +1,4 @@
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 #include <gtest/gtest.h>
 
@@ -41,9 +41,9 @@ TEST(NetworkConfigTest, GossipModePerProtocol) {
             gossip::Mode::kRandomFanout);
 }
 
-TEST(NetworkTest, BuildJoinsEveryNode) {
+TEST(SimBackendTest, BuildJoinsEveryNode) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 1);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   EXPECT_EQ(net.node_count(), 100u);
   EXPECT_EQ(net.alive_count(), 100u);
@@ -53,9 +53,9 @@ TEST(NetworkTest, BuildJoinsEveryNode) {
   }
 }
 
-TEST(NetworkTest, FailRandomFractionCrashesExactCount) {
+TEST(SimBackendTest, FailRandomFractionCrashesExactCount) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 2);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.3);
   EXPECT_EQ(net.alive_count(), 70u);
@@ -63,18 +63,18 @@ TEST(NetworkTest, FailRandomFractionCrashesExactCount) {
   EXPECT_EQ(net.alive_count(), 35u);
 }
 
-TEST(NetworkTest, FailZeroAndValidation) {
+TEST(SimBackendTest, FailZeroAndValidation) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.0);
   EXPECT_EQ(net.alive_count(), 64u);
   EXPECT_THROW(net.fail_random_fraction(1.5), CheckError);
 }
 
-TEST(NetworkTest, BroadcastRecordsReliability) {
+TEST(SimBackendTest, BroadcastRecordsReliability) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 4);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   const auto result = net.broadcast_one();
@@ -84,9 +84,9 @@ TEST(NetworkTest, BroadcastRecordsReliability) {
   EXPECT_GT(result.max_hops, 0u);
 }
 
-TEST(NetworkTest, BroadcastManyCollectsSequentialResults) {
+TEST(SimBackendTest, BroadcastManyCollectsSequentialResults) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 128, 5);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   const auto results = net.broadcast_many(5);
@@ -97,9 +97,9 @@ TEST(NetworkTest, BroadcastManyCollectsSequentialResults) {
   }
 }
 
-TEST(NetworkTest, DissemGraphAliveOnlyFiltersDead) {
+TEST(SimBackendTest, DissemGraphAliveOnlyFiltersDead) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 6);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.5);
   const auto full = net.dissemination_graph(false);
@@ -109,9 +109,9 @@ TEST(NetworkTest, DissemGraphAliveOnlyFiltersDead) {
   EXPECT_LT(alive.edge_count(), full.edge_count());
 }
 
-TEST(NetworkTest, ViewAccuracyDropsAfterFailures) {
+TEST(SimBackendTest, ViewAccuracyDropsAfterFailures) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 128, 7);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   EXPECT_NEAR(net.view_accuracy(), 1.0, 1e-9);
@@ -121,9 +121,9 @@ TEST(NetworkTest, ViewAccuracyDropsAfterFailures) {
   EXPECT_NEAR(acc, 0.5, 0.12);
 }
 
-TEST(NetworkTest, AliveMaskMatchesSimulator) {
+TEST(SimBackendTest, AliveMaskMatchesSimulator) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 32, 8);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(0.25);
   const auto mask = net.alive_mask();
@@ -132,12 +132,12 @@ TEST(NetworkTest, AliveMaskMatchesSimulator) {
   EXPECT_EQ(alive, net.alive_count());
 }
 
-TEST(NetworkTest, AddNodeFailsFastWhenNoAliveContactExists) {
+TEST(SimBackendTest, AddNodeFailsFastWhenNoAliveContactExists) {
   // Regression: add_node used to spin forever in its contact-selection
   // loop when the joiner was the only alive node (every draw came back as
   // the joiner itself). It must fail fast instead.
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 4, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.fail_random_fraction(1.0);
   ASSERT_EQ(net.alive_count(), 0u);
@@ -146,9 +146,9 @@ TEST(NetworkTest, AddNodeFailsFastWhenNoAliveContactExists) {
   EXPECT_EQ(net.node_count(), 4u);
 }
 
-TEST(NetworkTest, AddNodeStillWorksWithOneSurvivor) {
+TEST(SimBackendTest, AddNodeStillWorksWithOneSurvivor) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 4, 3);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   // Kill everyone but node 0: the joiner's only possible contact.
   for (std::size_t i = 1; i < net.node_count(); ++i) {
@@ -160,34 +160,9 @@ TEST(NetworkTest, AddNodeStillWorksWithOneSurvivor) {
       net.protocol(joined).dissemination_view().empty());
 }
 
-TEST(NetworkTest, BatchedBuildProducesAConnectedOverlay) {
-  // join_batch > 1 overlaps join traffic (bench mode): different event
-  // interleaving, same macroscopic result — every node joined, broadcast
-  // reaches everyone.
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 96, 11);
-  Network net(cfg);
-  net.build(BuildOptions{/*join_batch=*/16});
-  net.run_cycles(5);
-  EXPECT_EQ(net.alive_count(), 96u);
-  EXPECT_DOUBLE_EQ(net.broadcast_one().reliability(), 1.0);
-}
-
-TEST(NetworkTest, SerialBuildIsDefaultAndMatchesExplicitBatchOne) {
-  // build() and build({.join_batch = 1}) must be bit-identical: the
-  // watermark drains degenerate to full drains on an empty queue.
-  const auto digest = [](const BuildOptions& opts) {
-    auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 64, 5);
-    Network net(cfg);
-    net.build(opts);
-    return std::pair{net.simulator().events_processed(),
-                     net.simulator().bytes_sent()};
-  };
-  EXPECT_EQ(digest(BuildOptions{}), digest(BuildOptions{1}));
-}
-
-TEST(NetworkTest, RejectsTinyNetworks) {
+TEST(SimBackendTest, RejectsTinyNetworks) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 1, 9);
-  EXPECT_THROW(Network net(cfg), CheckError);
+  EXPECT_THROW(SimBackend net(cfg), CheckError);
 }
 
 TEST(HealingTest, HealthyNetworkHealsInstantly) {
@@ -224,9 +199,9 @@ TEST(HealingTest, CyclonAckedHealsWithinAFewCyclesAtModerateFailure) {
   EXPECT_LE(result.cycles_to_heal, 10u);
 }
 
-TEST(NetworkTest, SetFanoutRaisesRandomGossipReliability) {
+TEST(SimBackendTest, SetFanoutRaisesRandomGossipReliability) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 400, 13);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
 

@@ -102,7 +102,7 @@ Experiment random_experiment(std::mt19937& rng, int index) {
     label += std::to_string(i);
     switch (kind_dist(rng)) {
       case 0:
-        spec.stabilize(small(rng), {}, label);
+        spec.stabilize(small(rng), label);
         break;
       case 1:
         spec.set_fanout(small(rng), label);
@@ -214,6 +214,58 @@ TEST(SpecJsonTest, RejectsOutOfRangeValues) {
                   "fraction");
   expect_rejected(R"({"name":"x","tcp":{"stats_port":70000},"phases":[]})",
                   "stats_port");
+}
+
+TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
+  // Each of these used to pass validation and then trip an HPV_CHECK deep
+  // inside the run (negative timer delay, zero-capacity ring buffers).
+  const auto gossip = [](const std::string& member) {
+    return R"({"name":"x","network":{"gossip":{)" + member +
+           R"(}},"phases":[]})";
+  };
+  expect_rejected(gossip(R"("graft_timeout_ms":-1)"),
+                  "network.gossip.graft_timeout_ms");
+  // One past the largest millisecond count whose microseconds fit int64.
+  expect_rejected(gossip(R"("graft_timeout_ms":9223372036854776)"),
+                  "network.gossip.graft_timeout_ms");
+  expect_rejected(gossip(R"("dedup_window":0)"),
+                  "network.gossip.dedup_window");
+  expect_rejected(gossip(R"("cache_window":0)"),
+                  "network.gossip.cache_window");
+  for (const char* key :
+       {"join_settle_ms", "cycle_settle_ms", "leave_settle_ms",
+        "settle_window_ms", "broadcast_timeout_ms",
+        "broadcast_quiet_window_ms"}) {
+    const std::string k = key;
+    expect_rejected(R"({"name":"x","tcp":{")" + k + R"(":-1},"phases":[]})",
+                    "tcp." + k);
+    expect_rejected(R"({"name":"x","tcp":{")" + k +
+                        R"(":9223372036854776},"phases":[]})",
+                    "tcp." + k);
+  }
+  // The boundaries themselves load.
+  const RunSpec edge = spec_from_json(json::Value::parse(
+      R"({"name":"x","network":{"gossip":{"graft_timeout_ms":0,)"
+      R"("dedup_window":1,"cache_window":1}},)"
+      R"("tcp":{"settle_window_ms":9223372036854775},"phases":[]})"));
+  EXPECT_EQ(edge.net.gossip.graft_timeout, 0);
+  EXPECT_EQ(edge.net.gossip.dedup_window, 1u);
+  EXPECT_EQ(edge.net.gossip.cache_window, 1u);
+  EXPECT_EQ(edge.tcp.settle_window, milliseconds(9223372036854775));
+}
+
+TEST(SpecJsonTest, RejectsRemovedBatchingKeys) {
+  // The batching knobs are gone; an old spec carrying them must fail
+  // loudly instead of running with the key silently ignored.
+  expect_rejected(R"({"name":"x","network":{"join_batch":1},"phases":[]})",
+                  "network.join_batch");
+  expect_rejected(
+      R"({"name":"x","phases":[{"kind":"stabilize","cycles":5,"batch":1}]})",
+      "phases[0].batch");
+  expect_rejected(R"({"name":"x","phases":[{"kind":"heal_until",)"
+                  R"("baseline":"b","max_cycles":5,"probes_per_cycle":1,)"
+                  R"("batch":1}]})",
+                  "phases[0].batch");
 }
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {

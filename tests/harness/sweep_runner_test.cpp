@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -69,14 +69,14 @@ TEST(SweepRunnerTest, ThreadedNetworkSweepBitIdenticalToSerial) {
   }
 
   const auto sweep = [&](std::size_t threads) {
-    // One result slot per point; each job owns its Network.
+    // One result slot per point; each job owns its SimBackend.
     std::vector<std::vector<double>> results(points.size());
     std::vector<std::function<void()>> jobs;
     for (std::size_t i = 0; i < points.size(); ++i) {
       jobs.push_back([&, i] {
         const Point& p = points[i];
         auto cfg = NetworkConfig::defaults_for(p.kind, 48, p.seed);
-        Network net(cfg);
+        SimBackend net(cfg);
         net.build();
         net.run_cycles(5);
         net.fail_random_fraction(p.fraction);

@@ -8,7 +8,7 @@
 
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -19,7 +19,7 @@ bool contains(std::span<const NodeId> v, const NodeId& id) {
 
 TEST(AddNodeTest, NewcomerIsIntegratedAndReachable) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 31);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -42,7 +42,7 @@ TEST(AddNodeTest, NewcomerIsIntegratedAndReachable) {
 
 TEST(GracefulLeaveTest, HyParViewGoodbyeClearsActiveViewsImmediately) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 32);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -63,7 +63,7 @@ TEST(GracefulLeaveTest, HyParViewGoodbyeClearsActiveViewsImmediately) {
 TEST(GracefulLeaveTest, CrashLeaveKeepsStaleEntriesUntilDetected) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 33);
   cfg.sim.notify_on_crash = false;  // pure detect-on-send
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -91,7 +91,7 @@ TEST(GracefulLeaveTest, CrashLeaveKeepsStaleEntriesUntilDetected) {
 
 TEST(GracefulLeaveTest, ScampUnsubscribePatchesPartialViews) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kScamp, 100, 34);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -108,7 +108,7 @@ TEST(GracefulLeaveTest, ScampUnsubscribePatchesPartialViews) {
 
 TEST(GracefulLeaveTest, LeaveNodeIsIdempotentOnDeadNodes) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 50, 35);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.leave_node(3, true);
   const std::size_t alive_before = net.alive_count();
@@ -121,7 +121,7 @@ class ChurnAllProtocolsTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ChurnAllProtocolsTest, SystemSurvivesSustainedChurn) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 300, 36);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
 
@@ -156,7 +156,7 @@ TEST_P(ChurnAllProtocolsTest, SystemSurvivesSustainedChurn) {
 
 TEST_P(ChurnAllProtocolsTest, ViewInvariantsHoldAfterChurn) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 200, 37);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -191,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ChurnAllProtocolsTest,
 
 TEST(ChurnHyParViewTest, ActiveViewSymmetryHoldsAfterChurn) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 200, 38);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -221,7 +221,7 @@ TEST(ChurnHyParViewTest, ActiveViewSymmetryHoldsAfterChurn) {
 TEST(ChurnHyParViewTest, WarmCacheSurvivesChurn) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 200, 39);
   cfg.hyparview.warm_cache_size = 3;
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
 

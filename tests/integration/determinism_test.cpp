@@ -2,7 +2,7 @@
 // seeds give different (but statistically similar) ones.
 #include <gtest/gtest.h>
 
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -17,7 +17,7 @@ struct RunDigest {
 
 RunDigest run_experiment(ProtocolKind kind, std::uint64_t seed) {
   auto cfg = NetworkConfig::defaults_for(kind, 200, seed);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   net.fail_random_fraction(0.4);
@@ -64,7 +64,7 @@ TEST(DeterminismTest2, HealingExperimentReproducible) {
 TEST(DeterminismTest2, ChurnRunReproducible) {
   const auto run = [] {
     auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 150, 56);
-    Network net(cfg);
+    SimBackend net(cfg);
     net.build();
     net.run_cycles(3);
     ChurnConfig churn;
@@ -86,7 +86,7 @@ TEST(DeterminismTest2, HeterogeneousClassAssignmentReproducible) {
   const auto classes = [] {
     auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 200, 57);
     cfg.hyparview_classes = {{0.10, 13, 60}, {0.90, 4, 30}};
-    Network net(cfg);
+    SimBackend net(cfg);
     net.build();
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -102,7 +102,7 @@ TEST(TrafficConservationTest, FloodFrameCountMatchesDeliveriesPlusDuplicates) {
   // either a first delivery or a counted duplicate; the source delivers
   // locally without a frame.
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 300, 58);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   auto& sim = net.simulator();
@@ -122,7 +122,7 @@ TEST(TrafficConservationTest, ExplicitAcksChangeTrafficButNotOutcomes) {
     auto cfg =
         NetworkConfig::defaults_for(ProtocolKind::kCyclonAcked, 300, 61);
     cfg.gossip.explicit_acks = explicit_acks;
-    Network net(cfg);
+    SimBackend net(cfg);
     net.build();
     net.run_cycles(5);
     net.fail_random_fraction(0.3);
@@ -162,7 +162,7 @@ TEST(TrafficConservationTest, ExplicitAcksChangeTrafficButNotOutcomes) {
 
 TEST(TrafficConservationTest, ByteCountersSumAcrossTypes) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 200, 59);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   for (int i = 0; i < 5; ++i) net.broadcast_one();

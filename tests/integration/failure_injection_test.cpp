@@ -7,18 +7,18 @@
 #include <gtest/gtest.h>
 
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 #include "support/test_tiers.hpp"
 
 namespace hyparview::harness {
 namespace {
 
 /// Builds + stabilizes a network of `n` nodes.
-std::unique_ptr<Network> make_stable(ProtocolKind kind, std::size_t n,
+std::unique_ptr<SimBackend> make_stable(ProtocolKind kind, std::size_t n,
                                      std::uint64_t seed,
                                      std::size_t cycles = 10) {
   auto cfg = NetworkConfig::defaults_for(kind, n, seed);
-  auto net = std::make_unique<Network>(cfg);
+  auto net = std::make_unique<SimBackend>(cfg);
   net->build();
   net->run_cycles(cycles);
   return net;
@@ -100,7 +100,7 @@ TEST(FailureInjectionTest, CrashedContactNodeDoesNotBlockJoins) {
   // Kill the bootstrap contact, then verify the overlay still serves joins
   // through other nodes (the contact is only a bootstrap convenience).
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 37);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   net.simulator().crash(net.id_of(0));
@@ -139,7 +139,7 @@ TEST(FailureInjectionTest, RepeatedFailureWavesSurvivable) {
 TEST(FailureInjectionTest, NotifyOnCrashModeHealsEvenFaster) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 300, 40);
   cfg.sim.notify_on_crash = true;
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   net.fail_random_fraction(0.5);

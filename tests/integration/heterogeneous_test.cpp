@@ -7,7 +7,7 @@
 
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -19,7 +19,7 @@ NetworkConfig hetero_config(std::size_t nodes, std::uint64_t seed) {
 }
 
 TEST(HeterogeneousTest, ClassAssignmentMatchesFractions) {
-  Network net(hetero_config(1000, 51));
+  SimBackend net(hetero_config(1000, 51));
   net.build();
   std::size_t hubs = 0;
   for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -31,7 +31,7 @@ TEST(HeterogeneousTest, ClassAssignmentMatchesFractions) {
 }
 
 TEST(HeterogeneousTest, NodesRunTheirClassCapacities) {
-  Network net(hetero_config(400, 52));
+  SimBackend net(hetero_config(400, 52));
   net.build();
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     const auto* hpv = dynamic_cast<const core::HyParView*>(&net.protocol(i));
@@ -44,7 +44,7 @@ TEST(HeterogeneousTest, NodesRunTheirClassCapacities) {
 
 TEST(HeterogeneousTest, HomogeneousNetworksReportClassZero) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 53);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     EXPECT_EQ(net.node_class(i), 0u);
@@ -52,7 +52,7 @@ TEST(HeterogeneousTest, HomogeneousNetworksReportClassZero) {
 }
 
 TEST(HeterogeneousTest, FloodStaysAtomicAcrossClasses) {
-  Network net(hetero_config(600, 54));
+  SimBackend net(hetero_config(600, 54));
   net.build();
   net.run_cycles(10);
   EXPECT_TRUE(graph::is_weakly_connected(net.dissemination_graph(false)));
@@ -62,7 +62,7 @@ TEST(HeterogeneousTest, FloodStaysAtomicAcrossClasses) {
 }
 
 TEST(HeterogeneousTest, SymmetryHoldsAcrossClassBorders) {
-  Network net(hetero_config(400, 55));
+  SimBackend net(hetero_config(400, 55));
   net.build();
   net.run_cycles(10);
   for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -76,7 +76,7 @@ TEST(HeterogeneousTest, SymmetryHoldsAcrossClassBorders) {
 }
 
 TEST(HeterogeneousTest, HubsCarryHigherDegreeAndLoad) {
-  Network net(hetero_config(800, 56));
+  SimBackend net(hetero_config(800, 56));
   net.build();
   net.run_cycles(20);
   for (int m = 0; m < 20; ++m) net.broadcast_one();
@@ -113,7 +113,7 @@ TEST(HeterogeneousTest, HubsCarryHigherDegreeAndLoad) {
 }
 
 TEST(HeterogeneousTest, SurvivesMassFailureIncludingHubs) {
-  Network net(hetero_config(800, 57));
+  SimBackend net(hetero_config(800, 57));
   net.build();
   net.run_cycles(20);
   net.fail_random_fraction(0.6);
@@ -124,7 +124,7 @@ TEST(HeterogeneousTest, SurvivesMassFailureIncludingHubs) {
 }
 
 TEST(HeterogeneousTest, ChurnedJoinersGetClassAssignments) {
-  Network net(hetero_config(300, 58));
+  SimBackend net(hetero_config(300, 58));
   net.build();
   net.run_cycles(3);
   ChurnConfig churn;

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -14,7 +14,7 @@ class AllProtocolsTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(AllProtocolsTest, OverlayConnectedAfterJoinAndStabilization) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 500, 21);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   const auto g = net.dissemination_graph(false);
@@ -25,7 +25,7 @@ TEST_P(AllProtocolsTest, OverlayConnectedAfterJoinAndStabilization) {
 
 TEST_P(AllProtocolsTest, StableBroadcastReachesAlmostEveryone) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 500, 22);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   double sum = 0.0;
@@ -41,7 +41,7 @@ TEST_P(AllProtocolsTest, StableBroadcastReachesAlmostEveryone) {
 
 TEST_P(AllProtocolsTest, NoSelfLoopsOrDuplicatesInViews) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 300, 23);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -59,7 +59,7 @@ TEST_P(AllProtocolsTest, NoSelfLoopsOrDuplicatesInViews) {
 
 TEST_P(AllProtocolsTest, HopCountsAreBoundedByLogDiameter) {
   auto cfg = NetworkConfig::defaults_for(GetParam(), 500, 24);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
   const auto result = net.broadcast_one();
@@ -78,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(HyParViewIntegrationTest, InDegreeConcentratesAtActiveCapacity) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 500, 25);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(10);
   const auto g = net.dissemination_graph(false);
@@ -94,11 +94,11 @@ TEST(HyParViewIntegrationTest, InDegreeConcentratesAtActiveCapacity) {
 
 TEST(HyParViewIntegrationTest, ClusteringFarBelowCyclon) {
   auto hv_cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 500, 26);
-  Network hv(hv_cfg);
+  SimBackend hv(hv_cfg);
   hv.build();
   hv.run_cycles(10);
   auto cy_cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclon, 500, 26);
-  Network cy(cy_cfg);
+  SimBackend cy(cy_cfg);
   cy.build();
   cy.run_cycles(10);
 
@@ -112,7 +112,7 @@ TEST(HyParViewIntegrationTest, ClusteringFarBelowCyclon) {
 
 TEST(HyParViewIntegrationTest, PassiveViewsFillDuringStabilization) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 300, 27);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(10);
   std::size_t total = 0;
@@ -125,7 +125,7 @@ TEST(HyParViewIntegrationTest, PassiveViewsFillDuringStabilization) {
 
 TEST(ScampIntegrationTest, StabilizationPreservesConnectivity) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kScamp, 300, 28);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(10);  // heartbeats + isolation recovery active
   EXPECT_TRUE(graph::is_weakly_connected(net.dissemination_graph(false)));
@@ -133,7 +133,7 @@ TEST(ScampIntegrationTest, StabilizationPreservesConnectivity) {
 
 TEST(TrafficTest, ShuffleTrafficFlowsEveryCycle) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 29);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.simulator().reset_counters();
   net.run_cycles(1);

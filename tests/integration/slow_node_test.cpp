@@ -6,7 +6,7 @@
 #include <algorithm>
 
 #include "hyparview/core/hyparview.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 #include "hyparview/sim/simulator.hpp"
 
 namespace hyparview {
@@ -142,7 +142,7 @@ TEST(SlowNodeExpulsionTest, SlowNodeExpelledFromAllActiveViews) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 64, 91);
   cfg.sim.link_send_buffer = 4;
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 
@@ -164,7 +164,7 @@ TEST(SlowNodeExpulsionTest, OverlayStaysLiveAroundSlowNode) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 64, 92);
   cfg.sim.link_send_buffer = 4;
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
   net.simulator().block(net.id_of(5));
@@ -179,7 +179,7 @@ TEST(SlowNodeExpulsionTest, UnblockedNodeReintegrates) {
   auto cfg = harness::NetworkConfig::defaults_for(
       harness::ProtocolKind::kHyParView, 64, 93);
   cfg.sim.link_send_buffer = 4;
-  harness::Network net(cfg);
+  harness::SimBackend net(cfg);
   net.build();
   net.run_cycles(3);
 

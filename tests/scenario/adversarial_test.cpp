@@ -111,7 +111,7 @@ Experiment attack_spec(const AdversarialCase& c,
   Experiment spec("adversarial_" + std::string(attack_name(c.attack)));
   spec.stabilize(10).broadcast(10, "before");
   if (c.attack == AttackKind::kSybil) spec.sybil_burst(sybils_per_burst);
-  spec.cycles(10, {}, "pressure");
+  spec.cycles(10, "pressure");
   spec.broadcast(10, "after");
   return spec;
 }
@@ -185,7 +185,7 @@ TEST(AdversarialEclipsePressure, ColludingMinorityCannotCaptureMajority) {
   auto cluster = Cluster::sim(cfg);
   cluster.run(Experiment("eclipse_pressure")
                   .stabilize(10)
-                  .cycles(20, {}, "pressure"));
+                  .cycles(20, "pressure"));
 
   const auto health = collect_overlay_health(cluster.backend());
   ASSERT_GT(health.active.slots, 0u);

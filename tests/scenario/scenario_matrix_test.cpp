@@ -34,7 +34,7 @@
 
 #include "hyparview/common/options.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/network.hpp"
+#include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -145,7 +145,7 @@ class ScenarioMatrixTest : public ::testing::TestWithParam<ScenarioCase> {
   /// Applies the fault, drives the healing phase, and remembers which nodes
   /// should be excluded from the invariant checks (blocked slow nodes stay
   /// alive but cannot answer).
-  void run_scenario(Network& net, const ScenarioCase& c) {
+  void run_scenario(SimBackend& net, const ScenarioCase& c) {
     switch (c.fault) {
       case Fault::kChurn: {
         ChurnConfig churn;
@@ -286,7 +286,7 @@ class ScenarioMatrixTest : public ::testing::TestWithParam<ScenarioCase> {
 TEST_P(ScenarioMatrixTest, InvariantsHoldAfterFaultAndHealing) {
   const ScenarioCase c = GetParam();
   auto cfg = NetworkConfig::defaults_for(c.kind, c.nodes, c.seed);
-  Network net(cfg);
+  SimBackend net(cfg);
   net.build();
   net.run_cycles(10);
   run_scenario(net, c);
@@ -363,7 +363,7 @@ TEST_P(ScenarioMatrixTest, InvariantsHoldAfterFaultAndHealing) {
 TEST(ScenarioMatrixDeterminism, IdenticalRunsProduceIdenticalResults) {
   const auto run_once = [] {
     auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, 5);
-    Network net(cfg);
+    SimBackend net(cfg);
     net.build();
     net.run_cycles(5);
     net.fail_random_fraction(0.3);

@@ -499,7 +499,7 @@ TEST_F(SimulatorTest, BoundedDrainRunsEarlierEventsThatFallDueFirst) {
 
 TEST_F(SimulatorTest, BoundedDrainMatchesFullDrainOnEmptyQueue) {
   // With an empty pre-existing queue the bounded drain is event-for-event
-  // identical to run_until_quiescent() — the property Network::build relies
+  // identical to run_until_quiescent() — the property SimBackend::build relies
   // on to keep the serial bootstrap bit-identical.
   auto run_digest = [&](bool bounded) {
     Simulator sim(config_);
@@ -615,15 +615,6 @@ TEST_F(SimulatorTest, SetLatencyZeroWidthBandIsValid) {
   sim.run_until_quiescent();
   EXPECT_EQ(sim.now(), milliseconds(7));
   ASSERT_EQ(h.deliveries.size(), 1u);
-}
-
-TEST_F(SimulatorTest, EventQueueKindSelectableFromConfig) {
-  config_.event_queue = EventQueueKind::kHeap;
-  Simulator heap_sim(config_);
-  EXPECT_STREQ(heap_sim.event_queue_name(), "heap");
-  config_.event_queue = EventQueueKind::kCalendar;
-  Simulator cal_sim(config_);
-  EXPECT_STREQ(cal_sim.event_queue_name(), "calendar");
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 """determinism_lint.py — project-specific determinism linter for hyparview.
 
 Every verification gate in this repo (SweepRunner serial==threaded,
-calendar==heap A/B, adversarial determinism hard-fails, the fig-spec
-bit-identity pins) rests on a rule set that used to be unwritten:
+the bench event-count gate, adversarial determinism hard-fails, the
+fig-spec bit-identity pins) rests on a rule set that used to be unwritten:
 deterministic code must not iterate unordered containers, touch wall
 clocks, draw from unseeded entropy, key containers by pointer, wrap
 hot-path callables in std::function, or heap-allocate inside the
