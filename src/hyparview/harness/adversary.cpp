@@ -322,15 +322,6 @@ void AdversarialProtocol::sybil_burst(std::size_t count) {
 // Wiring helpers
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<membership::Protocol> maybe_wrap_adversarial(
-    Adversary* adversary, std::size_t index, membership::Env& env,
-    ProtocolKind kind, std::unique_ptr<membership::Protocol> inner) {
-  if (adversary == nullptr || !adversary->is_adversarial(index)) return inner;
-  adversary->add_colluder(env.self());
-  return std::make_unique<AdversarialProtocol>(env, std::move(inner), kind,
-                                               *adversary);
-}
-
 analysis::OverlayHealth collect_overlay_health(const Backend& backend) {
   const Adversary* adv = backend.adversary();
   analysis::OverlayHealth health;

@@ -16,8 +16,9 @@
 //    identities.
 //
 // The mechanism is a membership::Protocol decorator (AdversarialProtocol)
-// slotted between NodeRuntime and the real protocol by both backends, so
-// the identical adversarial spec runs on the simulator and on real sockets.
+// slotted between NodeRuntime and the real protocol by the node factory both
+// backends share (Backend::make_runtime), so the identical adversarial spec
+// runs on the simulator and on real sockets.
 //
 // Fabricated identities name no real process. On the simulator they use
 // out-of-range indices (the simulator fails sends to them back to the
@@ -176,14 +177,6 @@ class AdversarialProtocol final : public membership::Protocol {
   ProtocolKind kind_;
   Adversary& adversary_;
 };
-
-/// Wraps `inner` in an AdversarialProtocol when `adversary` is non-null and
-/// marks node `index` adversarial (registering env.self() as a colluder);
-/// returns `inner` unchanged otherwise. Both backends call this from their
-/// protocol factories.
-[[nodiscard]] std::unique_ptr<membership::Protocol> maybe_wrap_adversarial(
-    Adversary* adversary, std::size_t index, membership::Env& env,
-    ProtocolKind kind, std::unique_ptr<membership::Protocol> inner);
 
 /// Snapshots the overlay-survival metrics (analysis/overlay_health.hpp)
 /// from a backend: classifies every honest alive node's view slots against

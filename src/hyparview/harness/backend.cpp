@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 
+#include "hyparview/baselines/cyclon.hpp"
+#include "hyparview/baselines/scamp.hpp"
 #include "hyparview/common/assert.hpp"
 #include "hyparview/harness/adversary.hpp"
+#include "hyparview/harness/cluster_config.hpp"
 
 namespace hyparview::harness {
 
@@ -32,6 +36,13 @@ double draw_session(Rng& rng, const HeavyChurnConfig& cfg) {
   return 1.0;
 }
 
+double mean(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double total = 0.0;
+  for (const double v : values) total += v;
+  return total / static_cast<double>(values.size());
+}
+
 }  // namespace
 
 const char* kind_name(ProtocolKind kind) {
@@ -51,6 +62,161 @@ const std::vector<ProtocolKind>& all_protocol_kinds() {
   return kinds;
 }
 
+ClusterConfig ClusterConfig::defaults_for(ProtocolKind kind,
+                                          std::size_t nodes,
+                                          std::uint64_t seed) {
+  ClusterConfig cfg;
+  cfg.kind = kind;
+  cfg.node_count = nodes;
+  cfg.seed = seed;
+  // §5.1 parameters.
+  cfg.fanout = 4;
+  cfg.hyparview.active_capacity = 5;   // fanout + 1
+  cfg.hyparview.passive_capacity = 30;
+  cfg.hyparview.arwl = 6;
+  cfg.hyparview.prwl = 3;
+  cfg.hyparview.shuffle_ka = 3;
+  cfg.hyparview.shuffle_kp = 4;
+  cfg.hyparview.shuffle_ttl = 6;
+  cfg.cyclon.view_capacity = 35;       // HyParView active + passive
+  cfg.cyclon.shuffle_length = 14;
+  cfg.cyclon.join_walk_ttl = 5;
+  cfg.scamp.c = 4;
+  cfg.cyclon.purge_on_unreachable = (kind == ProtocolKind::kCyclonAcked);
+  switch (kind) {
+    case ProtocolKind::kHyParView:
+      cfg.gossip.mode = gossip::Mode::kFlood;
+      break;
+    case ProtocolKind::kCyclonAcked:
+      cfg.gossip.mode = gossip::Mode::kRandomFanoutAcked;
+      break;
+    case ProtocolKind::kCyclon:
+    case ProtocolKind::kScamp:
+      cfg.gossip.mode = gossip::Mode::kRandomFanout;
+      break;
+  }
+  cfg.gossip.fanout = cfg.fanout;
+  // The harness drains every broadcast before starting the next, so at most
+  // a handful of ids ever have copies in flight — 128 leaves two orders of
+  // magnitude of slack over that in-flight horizon. Keeping the per-node
+  // window small matters at paper scale: 10k windows are probed once per
+  // delivery, and their combined footprint decides whether the dedup path
+  // hits cache or DRAM.
+  cfg.gossip.dedup_window = 128;
+  return cfg;
+}
+
+Backend::Backend(const ClusterConfig& config, bool real_addresses) {
+  HPV_CHECK_THROW(config.node_count >= 2,
+                  "cluster needs at least two nodes");
+  if (config.adversary.enabled()) {
+    adversary_ = std::make_unique<Adversary>(config.adversary, config.seed,
+                                             real_addresses);
+    adversary_->select(config.node_count);
+  }
+  runtimes_.reserve(config.node_count);
+}
+
+Backend::~Backend() = default;
+
+gossip::NodeRuntime& Backend::runtime(std::size_t i) {
+  HPV_CHECK(i < runtimes_.size());
+  return *runtimes_[i];
+}
+
+const gossip::NodeRuntime& Backend::runtime(std::size_t i) const {
+  HPV_CHECK(i < runtimes_.size());
+  return *runtimes_[i];
+}
+
+std::unique_ptr<gossip::NodeRuntime> Backend::make_runtime(
+    membership::Env& env, std::size_t index, const core::Config& hyparview,
+    gossip::DeliveryObserver& observer) {
+  const ClusterConfig& cfg = cluster_config();
+  std::unique_ptr<membership::Protocol> inner;
+  switch (cfg.kind) {
+    case ProtocolKind::kHyParView:
+      inner = std::make_unique<core::HyParView>(env, hyparview);
+      break;
+    case ProtocolKind::kCyclon:
+    case ProtocolKind::kCyclonAcked:
+      inner = std::make_unique<baselines::Cyclon>(env, cfg.cyclon);
+      break;
+    case ProtocolKind::kScamp:
+      inner = std::make_unique<baselines::Scamp>(env, cfg.scamp);
+      break;
+  }
+  HPV_CHECK(inner != nullptr);
+  if (adversary_ != nullptr && adversary_->is_adversarial(index)) {
+    adversary_->add_colluder(env.self());
+    inner = std::make_unique<AdversarialProtocol>(env, std::move(inner),
+                                                  cfg.kind, *adversary_);
+  }
+  gossip::GossipConfig gcfg = cfg.gossip;
+  gcfg.fanout = cfg.fanout;
+  return std::make_unique<gossip::NodeRuntime>(env, std::move(inner), gcfg,
+                                               &observer);
+}
+
+void Backend::build() {
+  HPV_CHECK(!built_);
+  built_ = true;
+  const ClusterConfig& cfg = cluster_config();
+  for (std::size_t i = 0; i < cfg.node_count; ++i) {
+    runtimes_.push_back(spawn_node(i));
+  }
+  // Joins happen one by one with no membership rounds in between (§5);
+  // each join's traffic settles before the next node joins.
+  protocol(0).start(std::nullopt);
+  settle_join();
+  for (std::size_t i = 1; i < cfg.node_count; ++i) {
+    std::size_t contact = 0;
+    if (cfg.kind == ProtocolKind::kScamp) {
+      // Scamp joins through a random node already in the overlay.
+      contact = static_cast<std::size_t>(rng().below(i));
+    }
+    protocol(i).start(id_of(contact));
+    settle_join();
+  }
+}
+
+std::size_t Backend::add_node() {
+  HPV_CHECK(built_);
+  // Checked before the node is created: once the joiner exists it is itself
+  // alive, and the contact-selection loop below would otherwise spin
+  // forever drawing the joiner as its own contact.
+  HPV_CHECK_THROW(alive_count() > 0,
+                  "add_node: no alive node left to act as join contact");
+  const std::size_t index = node_count();
+  runtimes_.push_back(spawn_node(index));
+  std::size_t contact = index;
+  while (contact == index) contact = random_alive_node();
+  protocol(index).start(id_of(contact));
+  settle_join();
+  return index;
+}
+
+std::uint64_t Backend::inject_broadcast(std::size_t source) {
+  HPV_CHECK(source < node_count() && alive(source));
+  const std::uint64_t msg_id = next_msg_id_++;
+  recorder_.begin_message(msg_id, alive_count());
+  engine(source).broadcast(msg_id);
+  return msg_id;
+}
+
+analysis::MessageResult Backend::broadcast_from(std::size_t source) {
+  const std::uint64_t msg_id = inject_broadcast(source);
+  settle_broadcasts({&msg_id, 1});
+  return recorder_.result(msg_id);
+}
+
+void Backend::set_fanout(std::size_t fanout) {
+  cluster_config().fanout = fanout;
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    engine(i).set_fanout(fanout);
+  }
+}
+
 std::size_t Backend::random_alive_node() {
   HPV_CHECK(alive_count() > 0);
   while (true) {
@@ -62,11 +228,13 @@ std::size_t Backend::random_alive_node() {
 void Backend::leave_node(std::size_t i, bool graceful) {
   HPV_CHECK(i < node_count());
   if (!alive(i)) return;
-  if (graceful) protocol(i).leave();
+  if (graceful) {
+    protocol(i).leave();
+    flush_goodbyes();
+  }
   // The process exits right after writing its goodbyes: it must not keep
   // participating (e.g. accepting NEIGHBOR requests back into active
-  // views) while they are in flight. The writes themselves still flush —
-  // in-flight deliveries are unaffected by the sender's exit.
+  // views) while they are in flight.
   kill_node(i);
   settle();
 }
@@ -96,6 +264,13 @@ std::vector<analysis::MessageResult> Backend::broadcast_many(
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(broadcast_one());
   return out;
+}
+
+double Backend::probe_reliability(std::size_t count) {
+  HPV_CHECK(count > 0);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < count; ++i) sum += broadcast_one().reliability();
+  return sum / static_cast<double>(count);
 }
 
 LeaveWaveStats Backend::leave_random(std::size_t count,
@@ -158,22 +333,12 @@ ChurnStats Backend::run_churn(const ChurnConfig& cfg) {
     stats.crashes += wave.crashes;
     run_cycles(1);
     if (cfg.probes_per_cycle > 0) {
-      double sum = 0.0;
-      for (std::size_t p = 0; p < cfg.probes_per_cycle; ++p) {
-        sum += broadcast_one().reliability();
-      }
-      const double reliability =
-          sum / static_cast<double>(cfg.probes_per_cycle);
+      const double reliability = probe_reliability(cfg.probes_per_cycle);
       stats.per_cycle_reliability.push_back(reliability);
       stats.min_reliability = std::min(stats.min_reliability, reliability);
     }
   }
-  if (!stats.per_cycle_reliability.empty()) {
-    double total = 0.0;
-    for (const double r : stats.per_cycle_reliability) total += r;
-    stats.avg_reliability =
-        total / static_cast<double>(stats.per_cycle_reliability.size());
-  }
+  stats.avg_reliability = mean(stats.per_cycle_reliability);
   return stats;
 }
 
@@ -213,12 +378,7 @@ HeavyChurnStats Backend::run_heavy_churn(const HeavyChurnConfig& cfg) {
     sessions.resize(kept);
     run_cycles(1);
     if (cfg.probes_per_cycle > 0) {
-      double sum = 0.0;
-      for (std::size_t p = 0; p < cfg.probes_per_cycle; ++p) {
-        sum += broadcast_one().reliability();
-      }
-      const double reliability =
-          sum / static_cast<double>(cfg.probes_per_cycle);
+      const double reliability = probe_reliability(cfg.probes_per_cycle);
       stats.per_cycle_reliability.push_back(reliability);
       stats.min_reliability = std::min(stats.min_reliability, reliability);
     }
@@ -227,12 +387,7 @@ HeavyChurnStats Backend::run_heavy_churn(const HeavyChurnConfig& cfg) {
     stats.mean_session_cycles =
         session_sum / static_cast<double>(stats.joins);
   }
-  if (!stats.per_cycle_reliability.empty()) {
-    double total = 0.0;
-    for (const double r : stats.per_cycle_reliability) total += r;
-    stats.avg_reliability =
-        total / static_cast<double>(stats.per_cycle_reliability.size());
-  }
+  stats.avg_reliability = mean(stats.per_cycle_reliability);
   return stats;
 }
 

@@ -13,26 +13,34 @@
 //
 // Protocol code never sees the difference (it is written against
 // membership::Env); this interface makes the *experiment drivers* equally
-// substrate-blind. Workloads whose step sequence is already expressible in
-// the primitives — broadcast_one/many, run_churn, fail_random_fraction —
-// are implemented here once, so both backends share their exact RNG-draw
-// order (the foundation of the sim backend's bit-identical guarantees).
+// substrate-blind. Every §5 decision is made here once — the node factory,
+// the serial bootstrap and random-contact growth, message ids and the
+// delivery recorder, broadcast injection, and the workloads built on the
+// primitives (broadcast_one, run_churn, fail_random_fraction) — so
+// both backends share their exact RNG-draw order (the foundation of the sim
+// backend's bit-identical guarantees). A substrate implements only how a
+// node is spawned, killed, cycled and drained.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "hyparview/analysis/broadcast_recorder.hpp"
 #include "hyparview/common/node_id.hpp"
 #include "hyparview/common/rng.hpp"
+#include "hyparview/core/hyparview.hpp"
 #include "hyparview/gossip/broadcast_engine.hpp"
+#include "hyparview/gossip/node_runtime.hpp"
 #include "hyparview/graph/digraph.hpp"
+#include "hyparview/membership/env.hpp"
 #include "hyparview/membership/protocol.hpp"
 
 namespace hyparview::harness {
 
-class Adversary;  // adversary.hpp
+class Adversary;        // adversary.hpp
+struct ClusterConfig;   // cluster_config.hpp
 
 enum class ProtocolKind : std::uint8_t {
   kHyParView,
@@ -109,11 +117,11 @@ struct HeavyChurnStats {
 };
 
 /// Sustained pub/sub workload: `sources` publisher nodes each inject `rate`
-/// messages per tick for `ticks` ticks. Unlike the discrete broadcast waves
-/// of broadcast_many, every tick's messages are injected *before* the
-/// network settles, so sources × rate broadcasts are genuinely in flight
-/// concurrently — the regime Plumtree's lazy links and the configurable
-/// dedup window exist for.
+/// messages per tick for `ticks` ticks. Unlike broadcast phases, where each
+/// broadcast settles before the next, every tick's messages are injected
+/// *before* the network settles, so sources × rate broadcasts are genuinely
+/// in flight concurrently — the regime Plumtree's lazy links and the
+/// configurable dedup window exist for.
 struct PubSubConfig {
   std::size_t sources = 4;
   std::size_t ticks = 25;
@@ -152,9 +160,8 @@ struct PubSubStats {
 
 class Backend {
  public:
-  virtual ~Backend() = default;
+  virtual ~Backend();
 
-  Backend() = default;
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
@@ -163,29 +170,32 @@ class Backend {
 
   // --- Lifecycle --------------------------------------------------------------
 
-  /// Creates all configured nodes and joins them one by one (no membership
-  /// rounds in between — the §5 bootstrap).
-  virtual void build() = 0;
+  /// Creates all configured nodes, then joins them one by one with no
+  /// membership rounds in between — the §5 bootstrap: node 0 starts alone,
+  /// every later node joins through node 0 (Scamp: through a random node
+  /// already in the overlay), and each join settles before the next.
+  virtual void build();
 
-  [[nodiscard]] virtual bool built() const = 0;
+  [[nodiscard]] bool built() const { return built_; }
 
   /// Adds one node to the running system and joins it through a random
-  /// alive contact; the join traffic settles before returning. Returns the
+  /// alive contact (the single-contact bootstrap of build() is a
+  /// cold-start artifact); the join settles before returning. Returns the
   /// new node's index.
-  virtual std::size_t add_node() = 0;
+  std::size_t add_node();
 
   /// Crashes node `i` in place: no goodbyes, no settling — the §5 "massive
   /// failure" primitive (detect-on-send semantics are the backend's job).
   virtual void kill_node(std::size_t i) = 0;
 
   /// Removes node `i` from the system: gracefully (Protocol::leave, then
-  /// the goodbyes drain, then the process exits) or as a crash. Settles
+  /// the goodbyes flush, then the process exits) or as a crash. Settles
   /// before returning.
-  virtual void leave_node(std::size_t i, bool graceful);
+  void leave_node(std::size_t i, bool graceful);
 
   /// Crashes ⌊fraction · alive⌋ uniformly random alive nodes (no settling,
   /// no failure notifications — detect-on-send).
-  virtual void fail_random_fraction(double fraction);
+  void fail_random_fraction(double fraction);
 
   // --- Driving ----------------------------------------------------------------
 
@@ -201,15 +211,17 @@ class Backend {
 
   // --- Dissemination ----------------------------------------------------------
 
-  /// One broadcast from node `source` (must be alive); the broadcast (and
-  /// any reactive repair traffic it triggers) settles before returning.
-  virtual analysis::MessageResult broadcast_from(std::size_t source) = 0;
+  /// One broadcast from node `source` (must be alive): inject_broadcast,
+  /// then settle_broadcasts on its id. Reactive repair traffic the
+  /// broadcast triggers settles too. Scenarios pick responsive sources
+  /// explicitly — a blocked node initiates nothing.
+  analysis::MessageResult broadcast_from(std::size_t source);
 
   /// Starts a broadcast from node `source` WITHOUT settling: registers the
   /// message with the recorder and injects it, leaving its traffic in
   /// flight. The pub/sub workload uses this to put many messages on the
   /// wire concurrently before one settle. Returns the message id.
-  virtual std::uint64_t inject_broadcast(std::size_t source) = 0;
+  std::uint64_t inject_broadcast(std::size_t source);
 
   /// Waits for the injected broadcasts `ids` to finish: quiescence drain on
   /// the simulator (the default — timers included, so graft repair runs to
@@ -226,15 +238,20 @@ class Backend {
   /// `count` sequential broadcasts (each settles before the next).
   std::vector<analysis::MessageResult> broadcast_many(std::size_t count);
 
-  /// Changes the gossip fanout of every node (Figure 1 sweep).
-  virtual void set_fanout(std::size_t fanout) = 0;
+  /// Mean reliability of `count` (> 0) broadcast_one() probes — the
+  /// per-cycle measurement of the churn workloads and heal_until.
+  double probe_reliability(std::size_t count);
+
+  /// Changes the gossip fanout of every node, and of nodes added later
+  /// (Figure 1 sweep).
+  void set_fanout(std::size_t fanout);
 
   // --- Workloads (shared implementations) -------------------------------------
 
   /// Runs the continuous-churn workload (see ChurnConfig). Implemented on
   /// the primitives above, so both backends execute the identical step
   /// sequence.
-  virtual ChurnStats run_churn(const ChurnConfig& cfg);
+  ChurnStats run_churn(const ChurnConfig& cfg);
 
   /// Runs the trace-driven churn workload (see HeavyChurnConfig): every
   /// cycle `joins_per_cycle` nodes join, each with a heavy-tailed session
@@ -242,13 +259,13 @@ class Backend {
   /// cycle end (gracefully or by crashing); probes measure reliability.
   /// Shared implementation — both backends execute the identical draw
   /// sequence.
-  virtual HeavyChurnStats run_heavy_churn(const HeavyChurnConfig& cfg);
+  HeavyChurnStats run_heavy_churn(const HeavyChurnConfig& cfg);
 
   /// Runs the sustained pub/sub workload (see PubSubConfig). Shared
   /// implementation on inject_broadcast/settle_broadcasts, so both
   /// backends execute the identical source-selection and injection
   /// sequence.
-  virtual PubSubStats run_pubsub(const PubSubConfig& cfg);
+  PubSubStats run_pubsub(const PubSubConfig& cfg);
 
   /// Fires one sybil burst: every alive adversarial node injects
   /// `per_adversary` fabricated joins (AttackKind::kSybil; a no-op on
@@ -286,20 +303,28 @@ class Backend {
 
   // --- Access -----------------------------------------------------------------
 
-  [[nodiscard]] virtual std::size_t node_count() const = 0;
+  [[nodiscard]] std::size_t node_count() const { return runtimes_.size(); }
   [[nodiscard]] virtual std::size_t alive_count() const = 0;
   [[nodiscard]] virtual bool alive(std::size_t i) const = 0;
   [[nodiscard]] virtual NodeId id_of(std::size_t i) const = 0;
-  [[nodiscard]] virtual membership::Protocol& protocol(std::size_t i) = 0;
-  [[nodiscard]] virtual const membership::Protocol& protocol(
-      std::size_t i) const = 0;
+  /// Node `i`'s protocol + broadcast engine.
+  [[nodiscard]] gossip::NodeRuntime& runtime(std::size_t i);
+  [[nodiscard]] const gossip::NodeRuntime& runtime(std::size_t i) const;
+  [[nodiscard]] membership::Protocol& protocol(std::size_t i) {
+    return runtime(i).protocol();
+  }
+  [[nodiscard]] const membership::Protocol& protocol(std::size_t i) const {
+    return runtime(i).protocol();
+  }
   /// Node `i`'s broadcast engine (eager or Plumtree; traffic accounting).
-  [[nodiscard]] virtual gossip::BroadcastEngine& engine(std::size_t i) = 0;
-  [[nodiscard]] virtual analysis::BroadcastRecorder& recorder() = 0;
+  [[nodiscard]] gossip::BroadcastEngine& engine(std::size_t i) {
+    return runtime(i).gossip();
+  }
+  [[nodiscard]] analysis::BroadcastRecorder& recorder() { return recorder_; }
 
   /// The adversarial roster driving this backend's fault injection
   /// (adversary.hpp), or nullptr for an honest cluster.
-  [[nodiscard]] virtual const Adversary* adversary() const { return nullptr; }
+  [[nodiscard]] const Adversary* adversary() const { return adversary_.get(); }
 
   /// Harness-level random stream (failure selection, source selection...).
   [[nodiscard]] virtual Rng& rng() = 0;
@@ -309,6 +334,44 @@ class Backend {
   /// membership control frames are not metered). Perf accounting only; the
   /// two are not comparable across backends.
   [[nodiscard]] virtual std::uint64_t events_processed() const = 0;
+
+ protected:
+  /// Validates the shared config and selects the adversarial minority.
+  /// `real_addresses` picks the fabricated-identity scheme (adversary.hpp).
+  Backend(const ClusterConfig& config, bool real_addresses);
+
+  /// The substrate config's shared protocol block.
+  [[nodiscard]] virtual ClusterConfig& cluster_config() = 0;
+
+  /// Creates node `index`: its substrate endpoint, and through
+  /// make_runtime() the runtime bound to it (not started yet).
+  virtual std::unique_ptr<gossip::NodeRuntime> spawn_node(
+      std::size_t index) = 0;
+
+  /// Lets one join's traffic finish before the next node joins.
+  virtual void settle_join() = 0;
+
+  /// Gives a graceful leaver's goodbyes time to flush before its process
+  /// exits. A no-op where writes survive the sender's exit (the simulator).
+  virtual void flush_goodbyes() {}
+
+  /// The node factory: the configured protocol (HyParView on `hyparview`,
+  /// which the sim adjusts per heterogeneity class), adversarially wrapped
+  /// when node `index` is selected, inside a NodeRuntime whose engine
+  /// reports deliveries to `observer`.
+  [[nodiscard]] std::unique_ptr<gossip::NodeRuntime> make_runtime(
+      membership::Env& env, std::size_t index, const core::Config& hyparview,
+      gossip::DeliveryObserver& observer);
+
+ private:
+  /// Declared before the runtimes that report to and wrap around them.
+  std::unique_ptr<Adversary> adversary_;  ///< null for honest clusters
+  analysis::BroadcastRecorder recorder_;
+  /// Node table, indexed like the substrate's. Runtimes are torn down after
+  /// the substrate; protocol and engine destructors never call their Env.
+  std::vector<std::unique_ptr<gossip::NodeRuntime>> runtimes_;
+  std::uint64_t next_msg_id_ = 1;
+  bool built_ = false;
 };
 
 }  // namespace hyparview::harness

@@ -82,6 +82,9 @@ Experiment& Experiment::heal_until(std::string baseline_label,
                                    std::string label) {
   HPV_CHECK_THROW(probes_per_cycle > 0,
                   "heal_until needs at least one probe per cycle");
+  HPV_CHECK_THROW(has_broadcast_phase(baseline_label),
+                  "heal_until: baseline '" + baseline_label +
+                      "' names no earlier broadcast phase");
   Phase p;
   p.kind = PhaseKind::kHealUntil;
   p.label = std::move(label);
@@ -136,6 +139,12 @@ Experiment& Experiment::settle(std::string label) {
   p.label = std::move(label);
   phases_.push_back(std::move(p));
   return *this;
+}
+
+bool Experiment::has_broadcast_phase(const std::string& label) const {
+  return std::any_of(phases_.begin(), phases_.end(), [&](const Phase& p) {
+    return p.kind == PhaseKind::kBroadcast && p.label == label;
+  });
 }
 
 std::size_t Experiment::planned_broadcasts() const {
@@ -239,24 +248,19 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
       case Experiment::PhaseKind::kHealUntil: {
         // The recovery target: the average reliability the referenced
         // broadcast phase measured before the fault.
-        double baseline = 0.0;
-        bool found = false;
-        for (const PhaseResult& earlier : result.phases) {
-          if (earlier.label == phase.baseline_label) {
-            baseline = earlier.avg_reliability();
-            found = true;
-            break;
-          }
-        }
-        HPV_CHECK_THROW(found,
-                        "heal_until references an unknown baseline phase");
+        const auto earlier = std::find_if(
+            result.phases.begin(), result.phases.end(),
+            [&](const PhaseResult& p) {
+              return p.kind == Experiment::PhaseKind::kBroadcast &&
+                     p.label == phase.baseline_label;
+            });
+        HPV_CHECK_THROW(earlier != result.phases.end(),
+                        "heal_until: baseline '" + phase.baseline_label +
+                            "' names no earlier broadcast phase");
+        const double baseline = earlier->avg_reliability();
         for (std::size_t cycle = 1; cycle <= phase.cycles; ++cycle) {
           backend.run_cycles(1);
-          double sum = 0.0;
-          for (std::size_t i = 0; i < phase.count; ++i) {
-            sum += backend.broadcast_one().reliability();
-          }
-          const double reliability = sum / static_cast<double>(phase.count);
+          const double reliability = backend.probe_reliability(phase.count);
           pr.reliabilities.push_back(reliability);
           if (reliability >= baseline) {
             pr.cycles_to_heal = cycle;

@@ -21,7 +21,8 @@ struct BenchScale {
   bool quick = false;
 
   /// Reads the environment; `default_messages` is the paper's per-figure
-  /// message count.
+  /// message count. A negative HPV_NODES, HPV_MSGS, HPV_RUNS or HPV_SEED
+  /// throws CheckError naming the variable.
   [[nodiscard]] static BenchScale from_env(std::size_t default_messages);
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -329,49 +328,35 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
   return cfg;
 }
 
-/// The TCP substrate starts from its own defaults_for at the (possibly
-/// overridden) node count, inherits every protocol-level parameter from the
-/// already-loaded network config, then applies the real-time knobs.
+/// The TCP substrate inherits every protocol-level parameter from the
+/// already-loaded network config, then applies its own node count, seed
+/// and real-time knobs.
 TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
                           const NetworkConfig& net) {
-  std::optional<ObjectReader> r;
-  if (v != nullptr) r.emplace(*v, path);
+  TcpBackendConfig cfg;
+  static_cast<ClusterConfig&>(cfg) = net;
+  if (v == nullptr) return cfg;
 
-  // Node count and seed feed defaults_for, so they parse before the rest.
-  const std::size_t nodes =
-      r ? r->get_size("nodes", net.node_count) : net.node_count;
-  std::uint64_t seed = net.seed;
-  if (r) {
-    const std::int64_t s = r->get_int("seed", static_cast<std::int64_t>(seed));
-    HPV_CHECK_THROW(s >= 0,
-                    "spec: " + path + ".seed: expected a non-negative integer");
-    seed = static_cast<std::uint64_t>(s);
-  }
-
-  TcpBackendConfig cfg = TcpBackendConfig::defaults_for(net.kind, nodes, seed);
-  cfg.fanout = net.fanout;
-  cfg.hyparview = net.hyparview;
-  cfg.cyclon = net.cyclon;
-  cfg.scamp = net.scamp;
-  cfg.gossip = net.gossip;
-  cfg.adversary = net.adversary;
-
-  if (r) {
-    cfg.join_settle = r->get_duration_ms("join_settle_ms", cfg.join_settle);
-    cfg.cycle_settle = r->get_duration_ms("cycle_settle_ms", cfg.cycle_settle);
-    cfg.leave_settle = r->get_duration_ms("leave_settle_ms", cfg.leave_settle);
-    cfg.settle_window =
-        r->get_duration_ms("settle_window_ms", cfg.settle_window);
-    cfg.broadcast_timeout =
-        r->get_duration_ms("broadcast_timeout_ms", cfg.broadcast_timeout);
-    cfg.broadcast_quiet_window = r->get_duration_ms(
-        "broadcast_quiet_window_ms", cfg.broadcast_quiet_window);
-    const std::int64_t port = r->get_int("stats_port", cfg.stats_port);
-    HPV_CHECK_THROW(port >= -1 && port <= 65535,
-                    "spec: " + path + ".stats_port: expected -1..65535");
-    cfg.stats_port = static_cast<int>(port);
-    r->finish();
-  }
+  ObjectReader r(*v, path);
+  cfg.node_count = r.get_size("nodes", cfg.node_count);
+  const std::int64_t seed =
+      r.get_int("seed", static_cast<std::int64_t>(cfg.seed));
+  HPV_CHECK_THROW(seed >= 0,
+                  "spec: " + path + ".seed: expected a non-negative integer");
+  cfg.seed = static_cast<std::uint64_t>(seed);
+  cfg.join_settle = r.get_duration_ms("join_settle_ms", cfg.join_settle);
+  cfg.cycle_settle = r.get_duration_ms("cycle_settle_ms", cfg.cycle_settle);
+  cfg.leave_settle = r.get_duration_ms("leave_settle_ms", cfg.leave_settle);
+  cfg.settle_window = r.get_duration_ms("settle_window_ms", cfg.settle_window);
+  cfg.broadcast_timeout =
+      r.get_duration_ms("broadcast_timeout_ms", cfg.broadcast_timeout);
+  cfg.broadcast_quiet_window = r.get_duration_ms(
+      "broadcast_quiet_window_ms", cfg.broadcast_quiet_window);
+  const std::int64_t port = r.get_int("stats_port", cfg.stats_port);
+  HPV_CHECK_THROW(port >= -1 && port <= 65535,
+                  "spec: " + path + ".stats_port: expected -1..65535");
+  cfg.stats_port = static_cast<int>(port);
+  r.finish();
   return cfg;
 }
 
@@ -413,9 +398,18 @@ void load_phase(Experiment& spec, const json::Value& v,
   } else if (kind == "broadcast") {
     spec.broadcast(r.require_size("count"), r.get_string("label", "broadcast"));
   } else if (kind == "heal_until") {
-    spec.heal_until(r.require_string("baseline"), r.require_size("max_cycles"),
-                    r.require_size("probes_per_cycle"),
-                    r.get_string("label", "heal"));
+    const std::string baseline = r.require_string("baseline");
+    const std::size_t max_cycles = r.require_size("max_cycles");
+    const std::size_t probes = r.require_size("probes_per_cycle");
+    std::string label = r.get_string("label", "heal");
+    // Unknown keys first, so a stray key is named even when the baseline
+    // is wrong too.
+    r.finish();
+    HPV_CHECK_THROW(spec.has_broadcast_phase(baseline),
+                    "spec: " + r.key_path("baseline") + ": '" + baseline +
+                        "' names no earlier broadcast phase");
+    spec.heal_until(baseline, max_cycles, probes, std::move(label));
+    return;
   } else if (kind == "churn") {
     ChurnConfig cfg;
     cfg.cycles = r.get_size("cycles", cfg.cycles);
@@ -700,7 +694,7 @@ namespace {
 /// drivers scale the loaded program down via mutable_phases() for smoke
 /// runs, exactly as they scaled their hardcoded programs before.
 constexpr std::size_t kPaperNodes = 10'000;
-constexpr std::size_t kTcpNodes = 32;  ///< adversarial_attacks TCP leg
+constexpr std::size_t kTcpNodes = 32;  ///< every spec's TCP leg
 constexpr std::uint64_t kSeed = 42;
 
 RunSpec adversarial_builtin(AttackKind attack) {
@@ -710,9 +704,6 @@ RunSpec adversarial_builtin(AttackKind attack) {
       NetworkConfig::defaults_for(ProtocolKind::kHyParView, kPaperNodes, kSeed);
   spec.net.adversary.attack = attack;
   spec.net.adversary.fraction = 0.10;
-  spec.tcp =
-      TcpBackendConfig::defaults_for(ProtocolKind::kHyParView, kTcpNodes, kSeed);
-  spec.tcp.adversary = spec.net.adversary;
 
   // Mirrors attack_spec() in bench/adversarial_attacks.cpp before the
   // migration: stabilize, (sybil flood,) attack pressure, measure.
@@ -741,9 +732,6 @@ RunSpec pubsub_builtin(gossip::Engine engine) {
   // pins the failure). Size both per-node windows well past the stream.
   spec.net.gossip.dedup_window = 4096;
   spec.net.gossip.cache_window = 4096;
-  spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                            kTcpNodes, kSeed);
-  spec.tcp.gossip = spec.net.gossip;
 
   // Steady-state streams first (the bytes-on-wire comparison window), then
   // the same streams under a 25% midpoint crash (tree repair under churn).
@@ -774,8 +762,6 @@ RunSpec builtin_spec(std::string_view name) {
     // the driver swaps the protocol per leg and reuses the phase program.
     spec.net =
         NetworkConfig::defaults_for(ProtocolKind::kCyclon, kPaperNodes, kSeed);
-    spec.tcp =
-        TcpBackendConfig::defaults_for(ProtocolKind::kCyclon, kTcpNodes, kSeed);
     Experiment exp(spec.name);
     exp.stabilize(50);
     for (std::size_t fanout = 1; fanout <= 8; ++fanout) {
@@ -786,8 +772,6 @@ RunSpec builtin_spec(std::string_view name) {
     // HyParView's deterministic flood — the reference row of Fig. 1.
     spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
                                            kPaperNodes, kSeed);
-    spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                              kTcpNodes, kSeed);
     spec.experiment =
         Experiment(spec.name).stabilize(50).broadcast(50, "flood");
   } else if (name == "fig2") {
@@ -796,8 +780,6 @@ RunSpec builtin_spec(std::string_view name) {
     // point on the loaded program (see Experiment::mutable_phases).
     spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
                                            kPaperNodes, kSeed);
-    spec.tcp = TcpBackendConfig::defaults_for(ProtocolKind::kHyParView,
-                                              kTcpNodes, kSeed);
     spec.experiment = Experiment(spec.name)
                           .stabilize(50)
                           .crash(0.5)
@@ -816,6 +798,9 @@ RunSpec builtin_spec(std::string_view name) {
     throw CheckError("unknown builtin spec '" + std::string(name) +
                      "' (see builtin_spec_names)");
   }
+  // Every TCP leg runs the network's protocol block on kTcpNodes nodes.
+  static_cast<ClusterConfig&>(spec.tcp) = spec.net;
+  spec.tcp.node_count = kTcpNodes;
   return spec;
 }
 

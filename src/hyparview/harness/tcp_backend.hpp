@@ -8,7 +8,8 @@
 // notice through failed writes ("TCP is also used as a failure detector").
 //
 // The same protocol and gossip code the simulator runs executes here
-// unchanged; only the harness::Backend plumbing differs. Real time replaces
+// unchanged, driven by the same harness::Backend pipeline; only how a node
+// is spawned, killed, cycled and drained differs. Real time replaces
 // quiescence: where the sim backend drains its event queue, this backend
 // either waits a configured settle window or — for broadcasts — polls the
 // delivery recorder until the message reached every alive node (bounded by
@@ -23,15 +24,11 @@
 #include <memory>
 #include <vector>
 
-#include "hyparview/analysis/broadcast_recorder.hpp"
 #include "hyparview/common/flat_hash.hpp"
-#include "hyparview/baselines/cyclon.hpp"
-#include "hyparview/baselines/scamp.hpp"
 #include "hyparview/common/time.hpp"
-#include "hyparview/core/hyparview.hpp"
 #include "hyparview/gossip/node_runtime.hpp"
-#include "hyparview/harness/adversary.hpp"
 #include "hyparview/harness/backend.hpp"
+#include "hyparview/harness/cluster_config.hpp"
 #include "hyparview/net/event_loop.hpp"
 #include "hyparview/net/tcp_transport.hpp"
 
@@ -39,24 +36,12 @@ namespace hyparview::harness {
 
 class StatsExporter;  // stats_export.hpp
 
-struct TcpBackendConfig {
-  ProtocolKind kind = ProtocolKind::kHyParView;
-  std::size_t node_count = 8;
-  std::uint64_t seed = 42;
-  std::size_t fanout = 4;
-
-  core::Config hyparview;
-  baselines::CyclonConfig cyclon;
-  baselines::ScampConfig scamp;
-  gossip::GossipConfig gossip;
-
+/// The real-socket substrate: the shared protocol block plus the transport
+/// template, the real-time settle windows and the live stats endpoint.
+struct TcpBackendConfig : ClusterConfig {
   /// Per-node transport template; the bind port stays 0 (every node gets
   /// its own ephemeral loopback port), rng_seed is derived per node.
   net::TcpTransportConfig transport;
-
-  /// Adversarial minority (adversary.hpp); same spec as the sim backend,
-  /// fabricated identities become dead loopback addresses here.
-  AdversaryConfig adversary;
 
   /// Real-time settle windows replacing the simulator's quiescence drains.
   Duration join_settle = milliseconds(15);
@@ -79,8 +64,7 @@ struct TcpBackendConfig {
   /// one JSON snapshot and is closed — poll it while the run is live.
   int stats_port = -1;
 
-  /// Same §5.1 protocol parameters as NetworkConfig::defaults_for, minus
-  /// the simulator knobs.
+  /// ClusterConfig::defaults_for with the default real-time knobs.
   [[nodiscard]] static TcpBackendConfig defaults_for(ProtocolKind kind,
                                                      std::size_t nodes,
                                                      std::uint64_t seed);
@@ -95,40 +79,24 @@ class TcpBackend final : public Backend {
 
   [[nodiscard]] const char* backend_name() const override { return "tcp"; }
 
-  /// Binds every node's listener, then joins them one by one through the
-  /// protocol's contact policy (node 0; a random earlier node for Scamp),
-  /// letting each join settle — the §5 serial bootstrap over real sockets.
+  /// Opens the stats endpoint first, so a poller can watch the bootstrap
+  /// itself, then runs the shared serial bootstrap over real sockets.
   void build() override;
-
-  [[nodiscard]] bool built() const override { return built_; }
-
-  std::size_t add_node() override;
 
   /// Hard kill: the listener and every connection close immediately, no
   /// goodbyes — survivors find out when their next write fails.
   void kill_node(std::size_t i) override;
-
-  /// Graceful departure flushes the goodbyes (a real settle window between
-  /// Protocol::leave and the socket teardown) before the process "exits".
-  void leave_node(std::size_t i, bool graceful) override;
 
   /// One settle window per round — real time has no quiescence.
   void run_cycles(std::size_t n) override;
 
   void settle() override { wait(config_.settle_window); }
 
-  analysis::MessageResult broadcast_from(std::size_t source) override;
-
-  /// Registers + injects a broadcast without waiting (pub/sub workload).
-  std::uint64_t inject_broadcast(std::size_t source) override;
-
-  /// Waits for a whole batch of in-flight broadcasts at once: done when
-  /// every id reached its registered alive population, when their combined
-  /// progress went quiet (post-failure partial delivery), or at the hard
-  /// broadcast_timeout — the aggregated form of broadcast_from's wait.
+  /// Waits for a batch of in-flight broadcasts: done when every id reached
+  /// its registered alive population, when their combined progress went
+  /// quiet (post-failure partial delivery), or at the hard
+  /// broadcast_timeout.
   void settle_broadcasts(std::span<const std::uint64_t> ids) override;
-
-  void set_fanout(std::size_t fanout) override;
 
   /// TCP ids are real ip:port addresses — the index map resolves whoever
   /// currently owns the address (kNoPeer for peers outside this cluster).
@@ -136,27 +104,11 @@ class TcpBackend final : public Backend {
 
   // --- Access -----------------------------------------------------------------
 
-  [[nodiscard]] std::size_t node_count() const override {
-    return nodes_.size();
-  }
   [[nodiscard]] std::size_t alive_count() const override {
     return alive_count_;
   }
   [[nodiscard]] bool alive(std::size_t i) const override;
   [[nodiscard]] NodeId id_of(std::size_t i) const override;
-  [[nodiscard]] membership::Protocol& protocol(std::size_t i) override;
-  [[nodiscard]] const membership::Protocol& protocol(
-      std::size_t i) const override;
-  [[nodiscard]] gossip::NodeRuntime& runtime(std::size_t i);
-  [[nodiscard]] gossip::BroadcastEngine& engine(std::size_t i) override {
-    return runtime(i).gossip();
-  }
-  [[nodiscard]] analysis::BroadcastRecorder& recorder() override {
-    return recorder_;
-  }
-  [[nodiscard]] const Adversary* adversary() const override {
-    return adversary_.get();
-  }
   [[nodiscard]] Rng& rng() override { return master_rng_; }
   /// Gossip deliveries + duplicates observed by the dissemination layer
   /// (membership control frames are not metered) — a rough real-transport
@@ -188,38 +140,31 @@ class TcpBackend final : public Backend {
 
   struct TcpNode {
     std::unique_ptr<net::TcpTransport> transport;
-    std::unique_ptr<gossip::NodeRuntime> runtime;
     bool alive = true;
   };
 
+  ClusterConfig& cluster_config() override { return config_; }
+  /// Binds a transport and builds its runtime; registers the id.
+  std::unique_ptr<gossip::NodeRuntime> spawn_node(std::size_t index) override;
+  void settle_join() override { wait(config_.join_settle); }
+  /// A real shutdown discards unflushed frames: one leave_settle window
+  /// between Protocol::leave and the socket teardown.
+  void flush_goodbyes() override { wait(config_.leave_settle); }
+
   /// Runs the event loop for `d` of wall-clock time (no early exit).
   void wait(Duration d);
-
-  /// Creates transport + protocol + runtime; registers the id. Returns the
-  /// new node's index (not yet started/joined).
-  std::size_t spawn_node();
-
-  [[nodiscard]] std::unique_ptr<membership::Protocol> make_protocol(
-      membership::Env& env, std::size_t index);
-
-  /// Index of the node whose listening id is `id`, or npos.
-  [[nodiscard]] std::size_t index_of(const NodeId& id) const;
 
   TcpBackendConfig config_;
   net::EventLoop loop_;
   std::unique_ptr<StatsExporter> stats_;  ///< null unless stats_port >= 0
   Rng master_rng_;
-  std::unique_ptr<Adversary> adversary_;  ///< null for honest clusters
   CountingObserver observer_;
-  analysis::BroadcastRecorder recorder_;
   std::vector<TcpNode> nodes_;
   /// NodeId::raw → index (TCP ids are real ports, not dense indices).
   FlatMap<std::uint64_t, std::size_t> index_by_id_;
   std::vector<std::size_t> cycle_order_;
   std::size_t alive_count_ = 0;
-  std::uint64_t next_msg_id_ = 1;
   std::uint64_t frames_observed_ = 0;
-  bool built_ = false;
 };
 
 }  // namespace hyparview::harness

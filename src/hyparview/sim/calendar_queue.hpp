@@ -141,26 +141,6 @@ class CalendarQueue {
     rebuild(width, nbuckets_);
   }
 
-  /// Visits every queued event in unspecified order (bounded-drain
-  /// watermark accounting; mirrors MinHeap::items()). Walks the live
-  /// bitmap, not the bucket array, so the cost tracks the pending-event
-  /// count — the harness calls this once per bounded drain.
-  template <typename F>
-  void for_each(F&& fn) const {
-    const std::size_t words = nbuckets_ >> 6;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = live_[w];
-      while (bits != 0) {
-        const std::size_t b =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::vector<T>& bucket = buckets_[b];
-        for (std::size_t i = heads_[b]; i < bucket.size(); ++i) fn(bucket[i]);
-      }
-    }
-    for (const T& item : far_) fn(item);
-  }
-
  private:
   /// Pop for single-tick buckets — the at-scale regime, where same-tick tie
   /// piles grow with the network and a scan-min pop would be O(ties).

@@ -52,9 +52,6 @@ class MinHeap {
 
   void clear() { items_.clear(); }
 
-  /// Read-only view of the underlying storage (heap order, not sorted).
-  [[nodiscard]] const std::vector<T>& items() const { return items_; }
-
  private:
   void sift_up(std::size_t i) {
     while (i > 0) {

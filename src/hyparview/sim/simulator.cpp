@@ -51,6 +51,14 @@ static_assert(std::is_trivially_copyable_v<wire::Message>);
 
 namespace {
 
+/// Events (and payload slots) pre-reserved at construction so steady-state
+/// runs never grow the queue or the payload slabs.
+constexpr std::size_t kInitialEventCapacity = 4096;
+
+/// Abort the run if a single run_until_quiescent() exceeds this many events
+/// (guards against accidental self-sustaining event loops).
+constexpr std::uint64_t kMaxEventsPerDrain = 2'000'000'000ull;
+
 /// CheckError (not abort) on a bad config: the band is caller input, and an
 /// inverted band would otherwise surface as a modulo-by-zero or an
 /// underflowed uniform draw deep inside draw_latency.
@@ -78,9 +86,9 @@ Simulator::Simulator(SimConfig config)
       bytes_by_type_(std::variant_size_v<wire::Message>, 0) {
   // Pre-size the hot containers once: after warm-up, pushing an event is a
   // POD store plus bucket append, never a reallocation.
-  queue_.reserve(config_.initial_event_capacity);
-  messages_.reserve(config_.initial_event_capacity);
-  gossips_.reserve(config_.initial_event_capacity);
+  queue_.reserve(kInitialEventCapacity);
+  messages_.reserve(kInitialEventCapacity);
+  gossips_.reserve(kInitialEventCapacity);
   tasks_.reserve(64);
   connects_.reserve(64);
 }
@@ -259,28 +267,8 @@ std::uint64_t Simulator::run_until_quiescent() {
   std::uint64_t processed = 0;
   while (step()) {
     ++processed;
-    HPV_CHECK(processed <= config_.max_events_per_drain);
+    HPV_CHECK(processed <= kMaxEventsPerDrain);
   }
-  return processed;
-}
-
-std::uint64_t Simulator::run_until_quiescent_from(std::uint64_t watermark) {
-  HPV_CHECK(watermark <= next_seq_);
-  HPV_CHECK(!bounded_drain_active_);  // bounded drains do not nest
-  bounded_drain_active_ = true;
-  bounded_watermark_ = watermark;
-  bounded_pending_ = 0;
-  queue_.for_each([&](const Event& ev) {
-    if (ev.seq >= watermark) ++bounded_pending_;
-  });
-  std::uint64_t processed = 0;
-  while (bounded_pending_ > 0) {
-    // The queue cannot be empty while watermarked events are outstanding.
-    step();
-    ++processed;
-    HPV_CHECK(processed <= config_.max_events_per_drain);
-  }
-  bounded_drain_active_ = false;
   return processed;
 }
 
@@ -290,9 +278,6 @@ bool Simulator::step() {
   HPV_ASSERT(ev.at >= now_);
   now_ = ev.at;
   ++events_processed_;
-  if (bounded_drain_active_ && ev.seq >= bounded_watermark_) {
-    --bounded_pending_;
-  }
   dispatch(ev);
   return true;
 }
@@ -435,9 +420,6 @@ void Simulator::do_schedule(std::uint32_t node, Duration delay,
 
 void Simulator::push_event(Event ev) {
   ev.seq = next_seq_++;
-  // Any event pushed during a bounded drain was caused by watermarked work
-  // (its seq is >= the watermark by construction), so it extends the drain.
-  if (bounded_drain_active_) ++bounded_pending_;
   queue_.push(ev);
 }
 

@@ -50,12 +50,6 @@ struct SimConfig {
   /// NeEM-style rule that treats slow nodes as failed so TCP backpressure
   /// cannot freeze the overlay.
   std::size_t link_send_buffer = 16;
-  /// Abort the run if a single run_until_quiescent() exceeds this many
-  /// events (guards against accidental self-sustaining event loops).
-  std::uint64_t max_events_per_drain = 2'000'000'000ull;
-  /// Events (and payload slots) pre-reserved at construction so steady-state
-  /// runs never grow the queue or the payload slabs.
-  std::size_t initial_event_capacity = 4096;
 };
 
 /// Per-node upcall interface; implemented by gossip::NodeRuntime.
@@ -133,26 +127,8 @@ class Simulator {
   /// Processes events until the queue is empty. Returns events processed.
   std::uint64_t run_until_quiescent();
 
-  /// Sequence number the next pushed event will receive. Take this
-  /// *before* injecting work (a join, a broadcast) to obtain a watermark
-  /// for run_until_quiescent_from().
-  [[nodiscard]] std::uint64_t next_event_seq() const { return next_seq_; }
-
-  /// Bounded drain: processes events until every event with
-  /// seq >= `watermark` — including the cascades they spawn — has been
-  /// dispatched. Events scheduled *before* the watermark (e.g. long-delay
-  /// timers from earlier activity) stay queued unless they fall due before
-  /// the watermarked traffic settles. With an empty pre-existing queue this
-  /// is event-for-event identical to run_until_quiescent(); the point is
-  /// incremental quiescence when the queue is NOT empty — the harness
-  /// bootstrap drains each join's own traffic without being forced to
-  /// retire unrelated pending work. Returns events processed.
-  std::uint64_t run_until_quiescent_from(std::uint64_t watermark);
-
   /// Processes a single event. Returns false if the queue was empty.
   bool step();
-
-  [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
 
   /// True if a link between a and b is currently open.
   [[nodiscard]] bool linked(const NodeId& a, const NodeId& b) const;
@@ -343,12 +319,6 @@ class Simulator {
   SlotPool<membership::ConnectCallback> connects_;
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
-  /// Bounded-drain bookkeeping (run_until_quiescent_from): while a bounded
-  /// drain is active, every push necessarily carries seq >= the watermark,
-  /// so a simple balance counter tracks the outstanding watermarked events.
-  bool bounded_drain_active_ = false;
-  std::uint64_t bounded_watermark_ = 0;
-  std::uint64_t bounded_pending_ = 0;
   std::uint64_t next_link_gen_ = 1;
   std::size_t alive_count_ = 0;
   std::uint64_t events_processed_ = 0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hyparview/common/assert.hpp"
 #include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
@@ -185,6 +186,35 @@ TEST(ExperimentSpecTest, ConsecutiveRunsComposeOnOneCluster) {
   EXPECT_EQ(second.events,
             cluster->events_processed() - events_after_first);
   (void)first;
+}
+
+TEST(ExperimentSpecTest, HealUntilRequiresEarlierBroadcastBaseline) {
+  // The baseline must be a broadcast phase added before the heal phase:
+  // missing, later and non-broadcast labels are rejected at build time.
+  EXPECT_THROW(Experiment("missing").heal_until("b", 5, 1), CheckError);
+  EXPECT_THROW(Experiment("cycles").stabilize(5, "b").heal_until("b", 5, 1),
+               CheckError);
+  EXPECT_NO_THROW(Experiment("ok").broadcast(1, "b").heal_until("b", 5, 1));
+}
+
+TEST(ExperimentSpecTest, HealUntilMeasuresAgainstTheBroadcastBaseline) {
+  // A cycles phase sharing the baseline label records no broadcasts; the
+  // runner must skip it and heal toward the broadcast phase's reliability,
+  // not toward an empty phase's 0.0 (which "recovers" after one cycle).
+  auto cluster = Cluster::sim(
+      NetworkConfig::defaults_for(ProtocolKind::kCyclon, 200, kSeed));
+  const ExperimentResult result = cluster.run(Experiment("heal")
+                                                  .stabilize(5, "b")
+                                                  .broadcast(5, "b")
+                                                  .crash(0.9)
+                                                  .heal_until("b", 5, 5));
+  const double baseline = result.phases[1].avg_reliability();
+  ASSERT_GT(baseline, 0.5);
+  const PhaseResult& heal = result.phase("heal");
+  EXPECT_TRUE(!heal.recovered || heal.last_reliability() >= baseline);
+  for (std::size_t c = 0; c + 1 < heal.reliabilities.size(); ++c) {
+    EXPECT_LT(heal.reliabilities[c], baseline) << "cycle " << c + 1;
+  }
 }
 
 // --- run_cycles ----------------------------------------------------------------

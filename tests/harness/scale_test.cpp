@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "hyparview/common/assert.hpp"
+
 namespace hyparview::harness {
 namespace {
 
@@ -99,6 +101,27 @@ TEST_F(BenchScaleTest, QuickFlagFalseValuesAreOff) {
   EXPECT_FALSE(BenchScale::from_env(500).quick);
   set("HPV_QUICK", "false");
   EXPECT_FALSE(BenchScale::from_env(500).quick);
+}
+
+TEST_F(BenchScaleTest, NegativeValuesAreRejectedByName) {
+  // A negative count would wrap to a huge size_t/uint64_t: HPV_NODES=-1
+  // used to abort in vector::reserve, HPV_MSGS=-3 asked for ~2^64
+  // broadcasts.
+  for (const char* var : {"HPV_NODES", "HPV_MSGS", "HPV_RUNS", "HPV_SEED"}) {
+    SCOPED_TRACE(var);
+    set(var, "-1");
+    try {
+      (void)BenchScale::from_env(500);
+      ADD_FAILURE() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(var);
+  }
+  set("HPV_QUICK", "1");
+  set("HPV_MSGS", "-3");
+  EXPECT_THROW((void)BenchScale::from_env(500), CheckError);
 }
 
 TEST_F(BenchScaleTest, FloorsProtectDegenerateValues) {

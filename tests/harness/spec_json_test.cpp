@@ -268,6 +268,58 @@ TEST(SpecJsonTest, RejectsRemovedBatchingKeys) {
                   "phases[0].batch");
 }
 
+TEST(SpecJsonTest, RejectsHealUntilWithoutEarlierBroadcastBaseline) {
+  const auto spec = [](const std::string& phases) {
+    return R"({"name":"x","phases":[)" + phases + "]}";
+  };
+  const std::string heal = R"({"kind":"heal_until","baseline":"b",)"
+                           R"("max_cycles":5,"probes_per_cycle":1})";
+  const std::string broadcast = R"({"kind":"broadcast","count":1,"label":"b"})";
+  // No phase carries the label.
+  expect_rejected(spec(heal), "phases[0].baseline");
+  expect_rejected(spec(heal), "'b'");
+  // The label is only defined after the heal phase.
+  expect_rejected(spec(heal + "," + broadcast), "phases[0].baseline");
+  // The label names a phase that records no broadcasts.
+  expect_rejected(
+      spec(R"({"kind":"stabilize","cycles":5,"label":"b"},)" + heal),
+      "phases[1].baseline");
+  // An earlier broadcast phase is a valid baseline.
+  const RunSpec ok =
+      spec_from_json(json::Value::parse(spec(broadcast + "," + heal)));
+  EXPECT_EQ(ok.experiment.phases().size(), 2u);
+}
+
+TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
+  // Every protocol parameter reaches the TCP substrate (tcp-eager-64 relies
+  // on network.gossip.dedup_window); the tcp block overrides only the node
+  // count and seed.
+  const RunSpec spec = spec_from_json(json::Value::parse(R"({
+    "name": "x",
+    "network": {
+      "protocol": "Scamp", "nodes": 300, "seed": 9, "fanout": 6,
+      "hyparview": {"passive_capacity": 17},
+      "cyclon": {"shuffle_length": 9},
+      "scamp": {"c": 2},
+      "gossip": {"engine": "plumtree", "dedup_window": 4096},
+      "adversary": {"attack": "drop", "fraction": 0.2}
+    },
+    "tcp": {"nodes": 24, "seed": 5},
+    "phases": []
+  })"));
+  EXPECT_EQ(spec.tcp.node_count, 24u);
+  EXPECT_EQ(spec.tcp.seed, 5u);
+  EXPECT_EQ(spec.tcp.gossip.dedup_window, 4096u);
+  // Every other field: the network block rebuilt from the TCP config
+  // serializes identically to the loaded one.
+  RunSpec from_tcp = spec;
+  static_cast<ClusterConfig&>(from_tcp.net) = spec.tcp;
+  from_tcp.net.node_count = spec.net.node_count;
+  from_tcp.net.seed = spec.net.seed;
+  EXPECT_EQ(spec_to_json(from_tcp).find("network")->dump(2),
+            spec_to_json(spec).find("network")->dump(2));
+}
+
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {
   expect_rejected(R"({"name":"x","phases":[{"kind":"warp"}]})", "kind");
 }

@@ -439,89 +439,6 @@ TEST_F(SimulatorTest, ConnectionCounterCountsEstablishmentsOnce) {
   EXPECT_EQ(sim.connections_opened(), 2u);
 }
 
-// --- Bounded (watermark) drains ---------------------------------------------
-
-TEST_F(SimulatorTest, BoundedDrainRetiresWatermarkedCascades) {
-  Simulator sim(config_);
-  RecordingHandler ha;
-  RecordingHandler hb;
-  const NodeId a = sim.add_node(&ha);
-  const NodeId b = sim.add_node(&hb);
-  const std::uint64_t mark = sim.next_event_seq();
-  sim.env(a).send(b, wire::Join{});
-  const std::uint64_t processed = sim.run_until_quiescent_from(mark);
-  EXPECT_EQ(processed, 1u);
-  ASSERT_EQ(hb.deliveries.size(), 1u);
-  EXPECT_TRUE(sim.queue_empty());
-}
-
-TEST_F(SimulatorTest, BoundedDrainLeavesPreWatermarkEventsQueued) {
-  Simulator sim(config_);
-  RecordingHandler ha;
-  RecordingHandler hb;
-  const NodeId a = sim.add_node(&ha);
-  const NodeId b = sim.add_node(&hb);
-  // A long-delay timer scheduled before the watermark must survive the
-  // bounded drain untouched (that is the whole point: incremental
-  // quiescence does not retire unrelated pending work).
-  int timer_runs = 0;
-  sim.env(a).schedule(milliseconds(100), [&] { ++timer_runs; });
-  const std::uint64_t mark = sim.next_event_seq();
-  sim.env(a).send(b, wire::Join{});
-  sim.run_until_quiescent_from(mark);
-  EXPECT_EQ(hb.deliveries.size(), 1u);
-  EXPECT_EQ(timer_runs, 0);
-  EXPECT_FALSE(sim.queue_empty());
-  sim.run_until_quiescent();
-  EXPECT_EQ(timer_runs, 1);
-}
-
-TEST_F(SimulatorTest, BoundedDrainRunsEarlierEventsThatFallDueFirst) {
-  // A pre-watermark event due *before* the watermarked traffic settles is
-  // processed in time order (the drain never reorders the simulation); only
-  // strictly later pre-watermark events stay queued.
-  Simulator sim(config_);
-  RecordingHandler ha;
-  RecordingHandler hb;
-  const NodeId a = sim.add_node(&ha);
-  const NodeId b = sim.add_node(&hb);
-  int early = 0;
-  int late = 0;
-  sim.env(a).schedule(0, [&] { ++early; });
-  sim.env(a).schedule(milliseconds(100), [&] { ++late; });
-  const std::uint64_t mark = sim.next_event_seq();
-  sim.env(a).send(b, wire::Join{});  // delivers within [0.5ms, 1.5ms]
-  sim.run_until_quiescent_from(mark);
-  EXPECT_EQ(early, 1);
-  EXPECT_EQ(late, 0);
-  EXPECT_EQ(hb.deliveries.size(), 1u);
-}
-
-TEST_F(SimulatorTest, BoundedDrainMatchesFullDrainOnEmptyQueue) {
-  // With an empty pre-existing queue the bounded drain is event-for-event
-  // identical to run_until_quiescent() — the property SimBackend::build relies
-  // on to keep the serial bootstrap bit-identical.
-  auto run_digest = [&](bool bounded) {
-    Simulator sim(config_);
-    RecordingHandler ha;
-    RecordingHandler hb;
-    const NodeId a = sim.add_node(&ha);
-    const NodeId b = sim.add_node(&hb);
-    for (std::uint64_t i = 0; i < 20; ++i) {
-      const std::uint64_t mark = sim.next_event_seq();
-      sim.env(a).send(b, wire::Gossip{i, 0, 0});
-      sim.env(b).send(a, wire::Gossip{100 + i, 0, 0});
-      if (bounded) {
-        sim.run_until_quiescent_from(mark);
-      } else {
-        sim.run_until_quiescent();
-      }
-    }
-    return std::pair{sim.now(), sim.messages_delivered()};
-  };
-  EXPECT_EQ(run_digest(true), run_digest(false));
-}
-
 TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   auto run_digest = [&]() {
     Simulator sim(config_);
