@@ -44,24 +44,15 @@ std::string lower_name(harness::ProtocolKind kind) {
   return name;
 }
 
-/// The committed specs/adversarial_<attack>.json pins the phase program
-/// (stabilize → [sybil burst] → pressure cycles → probe broadcast); the
-/// scale-dependent knobs are patched per leg.
-harness::Experiment attack_spec(harness::AttackKind attack,
-                                std::size_t sybils_per_burst,
-                                std::size_t probes) {
-  harness::Experiment spec = bench::load_spec_experiment(
-      std::string("adversarial_") + harness::attack_name(attack));
-  for (auto& phase : spec.mutable_phases()) {
-    switch (phase.kind) {
-      case harness::Experiment::PhaseKind::kBroadcast:
-        phase.count = probes;
-        break;
-      case harness::Experiment::PhaseKind::kSybilBurst:
-        phase.count = sybils_per_burst;
-        break;
-      default:
-        break;
+/// The committed specs/adversarial_<attack>.json pins the adversary block
+/// and the phase program (stabilize → [sybil burst] → pressure cycles →
+/// probe broadcast); only the probe count is patched per leg.
+harness::RunSpec attack_spec(harness::AttackKind attack, std::size_t probes) {
+  harness::RunSpec spec = harness::load_spec_file(harness::spec_path(
+      std::string("adversarial_") + harness::attack_name(attack)));
+  for (auto& phase : spec.experiment.mutable_phases()) {
+    if (phase.kind == harness::Experiment::PhaseKind::kBroadcast) {
+      phase.count = probes;
     }
   }
   return spec;
@@ -71,13 +62,12 @@ AttackOutcome run_attack_sim(harness::ProtocolKind kind,
                              harness::AttackKind attack,
                              const harness::BenchScale& scale,
                              std::size_t probes) {
+  const harness::RunSpec spec = attack_spec(attack, probes);
   auto cfg =
       harness::NetworkConfig::defaults_for(kind, scale.nodes, scale.seed);
-  cfg.adversary.attack = attack;
-  cfg.adversary.fraction = 0.10;
+  cfg.adversary = spec.net.adversary;
   auto cluster = harness::Cluster::sim(cfg);
-  const auto result = cluster.run(
-      attack_spec(attack, cfg.adversary.sybils_per_burst, probes));
+  const auto result = cluster.run(spec.experiment);
 
   const auto health = harness::collect_overlay_health(cluster.backend());
   return {health.eclipse_ratio(), health.backup_poison_ratio(),
@@ -194,13 +184,12 @@ int main() {
   std::printf("\n[tcp leg: 32 real-socket nodes, HyParView]\n");
   for (const auto attack : attacks) {
     bench::Stopwatch watch;
-    auto cfg = harness::TcpBackendConfig::defaults_for(
-        harness::ProtocolKind::kHyParView, 32, scale.seed);
-    cfg.adversary.attack = attack;
-    cfg.adversary.fraction = 0.10;
+    // The spec's own tcp block: HyParView on 32 nodes with its adversary.
+    const harness::RunSpec spec = attack_spec(attack, /*probes=*/10);
+    auto cfg = spec.tcp;
+    cfg.seed = scale.seed;
     auto cluster = harness::Cluster::tcp(cfg);
-    const auto result = cluster.run(attack_spec(
-        attack, cfg.adversary.sybils_per_burst, /*probes=*/10));
+    const auto result = cluster.run(spec.experiment);
     const auto health = harness::collect_overlay_health(cluster.backend());
     const std::string label =
         std::string("tcp_hyparview_") + harness::attack_name(attack);

@@ -41,6 +41,7 @@ struct CyclonConfig {
   bool shuffle_retry_on_failure = true;
 
   void validate() const;
+  bool operator==(const CyclonConfig&) const = default;
 };
 
 struct CyclonStats {

@@ -43,6 +43,7 @@ struct ScampConfig {
   bool purge_on_unreachable = false;
 
   void validate() const;
+  bool operator==(const ScampConfig&) const = default;
 };
 
 struct ScampStats {

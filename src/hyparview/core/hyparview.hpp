@@ -51,6 +51,7 @@ struct Config {
   std::size_t warm_cache_size = 0;
 
   void validate() const;
+  bool operator==(const Config&) const = default;
 };
 
 /// Per-instance protocol event counters, exposed for tests and overhead

@@ -72,6 +72,8 @@ struct GossipConfig {
   /// Plumtree: payload retransmission cache capacity (messages kept to
   /// answer Graft requests). Like dedup_window, an in-flight horizon.
   std::size_t cache_window = 1024;
+
+  bool operator==(const GossipConfig&) const = default;
 };
 
 /// Observes deliveries network-wide (reliability accounting in the harness,

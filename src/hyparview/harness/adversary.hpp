@@ -73,6 +73,8 @@ struct AdversaryConfig {
   [[nodiscard]] bool enabled() const {
     return attack != AttackKind::kNone && fraction > 0.0;
   }
+
+  bool operator==(const AdversaryConfig&) const = default;
 };
 
 /// Shared state of the adversarial minority: who misbehaves, the colluder

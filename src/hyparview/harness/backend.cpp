@@ -70,7 +70,7 @@ ClusterConfig ClusterConfig::defaults_for(ProtocolKind kind,
   cfg.node_count = nodes;
   cfg.seed = seed;
   // §5.1 parameters.
-  cfg.fanout = 4;
+  cfg.gossip.fanout = 4;
   cfg.hyparview.active_capacity = 5;   // fanout + 1
   cfg.hyparview.passive_capacity = 30;
   cfg.hyparview.arwl = 6;
@@ -95,7 +95,6 @@ ClusterConfig ClusterConfig::defaults_for(ProtocolKind kind,
       cfg.gossip.mode = gossip::Mode::kRandomFanout;
       break;
   }
-  cfg.gossip.fanout = cfg.fanout;
   // The harness drains every broadcast before starting the next, so at most
   // a handful of ids ever have copies in flight — 128 leaves two orders of
   // magnitude of slack over that in-flight horizon. Keeping the per-node
@@ -152,10 +151,8 @@ std::unique_ptr<gossip::NodeRuntime> Backend::make_runtime(
     inner = std::make_unique<AdversarialProtocol>(env, std::move(inner),
                                                   cfg.kind, *adversary_);
   }
-  gossip::GossipConfig gcfg = cfg.gossip;
-  gcfg.fanout = cfg.fanout;
-  return std::make_unique<gossip::NodeRuntime>(env, std::move(inner), gcfg,
-                                               &observer);
+  return std::make_unique<gossip::NodeRuntime>(env, std::move(inner),
+                                               cfg.gossip, &observer);
 }
 
 void Backend::build() {
@@ -211,14 +208,16 @@ analysis::MessageResult Backend::broadcast_from(std::size_t source) {
 }
 
 void Backend::set_fanout(std::size_t fanout) {
-  cluster_config().fanout = fanout;
+  cluster_config().gossip.fanout = fanout;
   for (std::size_t i = 0; i < node_count(); ++i) {
     engine(i).set_fanout(fanout);
   }
 }
 
 std::size_t Backend::random_alive_node() {
-  HPV_CHECK(alive_count() > 0);
+  // A spec can crash every node (crash or pubsub churn_fraction 1.0): that
+  // is bad input, not a broken invariant, so it must not abort.
+  HPV_CHECK_THROW(alive_count() > 0, "no alive node left");
   while (true) {
     const auto i = static_cast<std::size_t>(rng().below(node_count()));
     if (alive(i)) return i;

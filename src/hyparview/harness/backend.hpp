@@ -65,6 +65,8 @@ struct ChurnConfig {
   /// than a crash.
   double graceful_fraction = 0.5;
   std::size_t probes_per_cycle = 2;
+
+  bool operator==(const ChurnConfig&) const = default;
 };
 
 struct ChurnStats {
@@ -103,6 +105,8 @@ struct HeavyChurnConfig {
   /// Probability a session ends gracefully (Protocol::leave) vs crashing.
   double graceful_fraction = 0.5;
   std::size_t probes_per_cycle = 2;
+
+  bool operator==(const HeavyChurnConfig&) const = default;
 };
 
 struct HeavyChurnStats {
@@ -134,6 +138,8 @@ struct PubSubConfig {
   /// Membership rounds run between injection and settling each tick
   /// (shuffles interleave with payload traffic; 0 = membership idle).
   std::size_t cycles_per_tick = 0;
+
+  bool operator==(const PubSubConfig&) const = default;
 };
 
 struct PubSubStats {
@@ -280,7 +286,8 @@ class Backend {
   /// RNG-draw order in lockstep.
   LeaveWaveStats leave_random(std::size_t count, double graceful_fraction);
 
-  /// Uniformly random alive node index (harness RNG stream).
+  /// Uniformly random alive node index (harness RNG stream). Throws
+  /// CheckError when every node is dead.
   [[nodiscard]] std::size_t random_alive_node();
 
   // --- Graph snapshots (shared implementations) -------------------------------

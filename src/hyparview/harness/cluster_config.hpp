@@ -21,19 +21,21 @@ struct ClusterConfig {
   ProtocolKind kind = ProtocolKind::kHyParView;
   std::size_t node_count = 10'000;
   std::uint64_t seed = 42;
-  /// Gossip fanout for the random-fanout protocols (paper: 4). HyParView's
-  /// flood is deterministic; its active view is sized fanout + 1.
-  std::size_t fanout = 4;
 
   core::Config hyparview;              // paper defaults (§5.1)
   baselines::CyclonConfig cyclon;      // view 35, shuffle 14, walk TTL 5
   baselines::ScampConfig scamp;        // c = 4
-  gossip::GossipConfig gossip;         // mode derived from `kind`
+  /// Mode derived from `kind`. `gossip.fanout` is the gossip fanout for the
+  /// random-fanout protocols (paper: 4); HyParView's flood is
+  /// deterministic, its active view is sized fanout + 1.
+  gossip::GossipConfig gossip;
 
   /// Adversarial minority (adversary.hpp). Disabled by default — the
   /// honest configuration is byte-for-byte the historical one. On TCP the
   /// fabricated identities become dead loopback addresses.
   AdversaryConfig adversary;
+
+  bool operator==(const ClusterConfig&) const = default;
 
   /// The §5.1 parameters for `kind`. Contact-node policy (Backend::build):
   /// HyParView/Cyclon bootstrap through a single contact (node 0); Scamp

@@ -28,7 +28,7 @@
 #include "hyparview/harness/sim_backend.hpp"
 
 // The JSON layer stays a forward declaration for the same reason as the TCP
-// backend below: the codec lives in spec_json.cpp, and sim-only drivers that
+// backend below: the loader lives in spec_json.cpp, and sim-only drivers that
 // never touch .json specs should not pull the parser in.
 namespace hyparview::json {
 class Value;
@@ -71,6 +71,8 @@ class Experiment {
     ChurnConfig churn{};           ///< kChurn
     HeavyChurnConfig heavy{};      ///< kHeavyChurn
     PubSubConfig pubsub{};         ///< kPubSub
+
+    bool operator==(const Phase&) const = default;
   };
 
   explicit Experiment(std::string name) : name_(std::move(name)) {}
@@ -129,9 +131,6 @@ class Experiment {
   /// throw CheckError naming the offending key. Implemented in
   /// spec_json.cpp.
   [[nodiscard]] static Experiment from_json(const json::Value& doc);
-  /// Inverse of from_json: the emitted document reloads into a spec with
-  /// identical phases (pinned by spec_json_test).
-  [[nodiscard]] json::Value to_json() const;
 
  private:
   std::string name_;

@@ -199,6 +199,17 @@ AttackKind attack_from_name(const std::string& name,
                    "' (expected none, poison, drop, or sybil)");
 }
 
+/// Runs a protocol block's own validate() at load time, so `--validate`
+/// rejects what the run would, with the block's key path in the message.
+template <typename Config>
+void validate_block(const Config& cfg, const std::string& path) {
+  try {
+    cfg.validate();
+  } catch (const CheckError& e) {
+    throw CheckError("spec: " + path + ": " + e.what());
+  }
+}
+
 void load_hyparview(const json::Value& v, const std::string& path,
                     core::Config& cfg) {
   ObjectReader r(v, path);
@@ -213,6 +224,7 @@ void load_hyparview(const json::Value& v, const std::string& path,
       r.get_bool("promote_on_any_slot", cfg.promote_on_any_slot);
   cfg.warm_cache_size = r.get_size("warm_cache_size", cfg.warm_cache_size);
   r.finish();
+  validate_block(cfg, path);
 }
 
 void load_cyclon(const json::Value& v, const std::string& path,
@@ -227,6 +239,7 @@ void load_cyclon(const json::Value& v, const std::string& path,
   cfg.shuffle_retry_on_failure =
       r.get_bool("shuffle_retry_on_failure", cfg.shuffle_retry_on_failure);
   r.finish();
+  validate_block(cfg, path);
 }
 
 void load_scamp(const json::Value& v, const std::string& path,
@@ -245,6 +258,7 @@ void load_scamp(const json::Value& v, const std::string& path,
   cfg.purge_on_unreachable =
       r.get_bool("purge_on_unreachable", cfg.purge_on_unreachable);
   r.finish();
+  validate_block(cfg, path);
 }
 
 void load_gossip(const json::Value& v, const std::string& path,
@@ -300,15 +314,15 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
   const ProtocolKind kind =
       protocol_from_name(r.get_string("protocol", "HyParView"),
                          r.key_path("protocol"));
-  const std::size_t nodes = r.get_size("nodes", NetworkConfig{}.node_count);
+  const std::size_t nodes =
+      r.get_size("nodes", NetworkConfig{}.node_count, /*min=*/2);
   const std::int64_t seed = r.get_int("seed", 42);
   HPV_CHECK_THROW(seed >= 0, "spec: " + r.key_path("seed") +
                                  ": expected a non-negative integer");
 
   NetworkConfig cfg = NetworkConfig::defaults_for(
       kind, nodes, static_cast<std::uint64_t>(seed));
-  cfg.fanout = r.get_size("fanout", cfg.fanout);
-  cfg.gossip.fanout = cfg.fanout;
+  cfg.gossip.fanout = r.get_size("fanout", cfg.gossip.fanout);
   if (const json::Value* sub = r.get("hyparview")) {
     load_hyparview(*sub, r.key_path("hyparview"), cfg.hyparview);
   }
@@ -338,7 +352,7 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   if (v == nullptr) return cfg;
 
   ObjectReader r(*v, path);
-  cfg.node_count = r.get_size("nodes", cfg.node_count);
+  cfg.node_count = r.get_size("nodes", cfg.node_count, /*min=*/2);
   const std::int64_t seed =
       r.get_int("seed", static_cast<std::int64_t>(cfg.seed));
   HPV_CHECK_THROW(seed >= 0,
@@ -358,24 +372,6 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   cfg.stats_port = static_cast<int>(port);
   r.finish();
   return cfg;
-}
-
-const char* phase_kind_name(Experiment::PhaseKind kind) {
-  using PK = Experiment::PhaseKind;
-  switch (kind) {
-    case PK::kCycles: return "cycles";
-    case PK::kSetFanout: return "set_fanout";
-    case PK::kCrash: return "crash";
-    case PK::kLeave: return "leave";
-    case PK::kBroadcast: return "broadcast";
-    case PK::kHealUntil: return "heal_until";
-    case PK::kChurn: return "churn";
-    case PK::kSettle: return "settle";
-    case PK::kSybilBurst: return "sybil_burst";
-    case PK::kHeavyChurn: return "heavy_churn";
-    case PK::kPubSub: return "pubsub";
-  }
-  return "?";
 }
 
 void load_phase(Experiment& spec, const json::Value& v,
@@ -462,179 +458,25 @@ void load_phase(Experiment& spec, const json::Value& v,
   r.finish();
 }
 
-json::Value phase_to_json(const Experiment::Phase& p) {
-  using PK = Experiment::PhaseKind;
-  json::Value o = json::Value::object();
-  o.set("kind", phase_kind_name(p.kind));
-  switch (p.kind) {
-    case PK::kCycles:
-      o.set("cycles", p.cycles);
-      break;
-    case PK::kSetFanout:
-      o.set("fanout", p.fanout);
-      break;
-    case PK::kCrash:
-      o.set("fraction", p.fraction);
-      break;
-    case PK::kLeave:
-      o.set("count", p.count);
-      o.set("graceful_fraction", p.fraction);
-      break;
-    case PK::kBroadcast:
-      o.set("count", p.count);
-      break;
-    case PK::kHealUntil:
-      o.set("baseline", p.baseline_label);
-      o.set("max_cycles", p.cycles);
-      o.set("probes_per_cycle", p.count);
-      break;
-    case PK::kChurn:
-      o.set("cycles", p.churn.cycles);
-      o.set("joins_per_cycle", p.churn.joins_per_cycle);
-      o.set("leaves_per_cycle", p.churn.leaves_per_cycle);
-      o.set("graceful_fraction", p.churn.graceful_fraction);
-      o.set("probes_per_cycle", p.churn.probes_per_cycle);
-      break;
-    case PK::kHeavyChurn:
-      o.set("dist", p.heavy.dist == HeavyChurnConfig::Dist::kPareto
-                        ? "pareto"
-                        : "lognormal");
-      o.set("cycles", p.heavy.cycles);
-      o.set("joins_per_cycle", p.heavy.joins_per_cycle);
-      o.set("pareto_alpha", p.heavy.pareto_alpha);
-      o.set("pareto_xm", p.heavy.pareto_xm);
-      o.set("lognormal_mu", p.heavy.lognormal_mu);
-      o.set("lognormal_sigma", p.heavy.lognormal_sigma);
-      o.set("graceful_fraction", p.heavy.graceful_fraction);
-      o.set("probes_per_cycle", p.heavy.probes_per_cycle);
-      break;
-    case PK::kPubSub:
-      o.set("sources", p.pubsub.sources);
-      o.set("ticks", p.pubsub.ticks);
-      o.set("rate", p.pubsub.rate);
-      o.set("churn_fraction", p.pubsub.churn_fraction);
-      o.set("cycles_per_tick", p.pubsub.cycles_per_tick);
-      break;
-    case PK::kSybilBurst:
-      o.set("per_adversary", p.count);
-      break;
-    case PK::kSettle:
-      break;
+/// The document's required "phases" array, built into an Experiment.
+Experiment load_phases(ObjectReader& r, std::string name) {
+  Experiment spec(std::move(name));
+  const json::Value& phases = r.require("phases");
+  HPV_CHECK_THROW(phases.is_array(), "spec: spec.phases: expected an array");
+  for (std::size_t i = 0; i < phases.as_array().size(); ++i) {
+    load_phase(spec, phases.as_array()[i],
+               "phases[" + std::to_string(i) + "]");
   }
-  o.set("label", p.label);
-  return o;
-}
-
-json::Value network_to_json(const NetworkConfig& cfg) {
-  json::Value net = json::Value::object();
-  net.set("protocol", kind_name(cfg.kind));
-  net.set("nodes", cfg.node_count);
-  net.set("seed", cfg.seed);
-  net.set("fanout", cfg.fanout);
-
-  json::Value hv = json::Value::object();
-  hv.set("active_capacity", cfg.hyparview.active_capacity);
-  hv.set("passive_capacity", cfg.hyparview.passive_capacity);
-  hv.set("arwl", static_cast<std::int64_t>(cfg.hyparview.arwl));
-  hv.set("prwl", static_cast<std::int64_t>(cfg.hyparview.prwl));
-  hv.set("shuffle_ka", cfg.hyparview.shuffle_ka);
-  hv.set("shuffle_kp", cfg.hyparview.shuffle_kp);
-  hv.set("shuffle_ttl", static_cast<std::int64_t>(cfg.hyparview.shuffle_ttl));
-  hv.set("promote_on_any_slot", cfg.hyparview.promote_on_any_slot);
-  hv.set("warm_cache_size", cfg.hyparview.warm_cache_size);
-  net.set("hyparview", std::move(hv));
-
-  json::Value cy = json::Value::object();
-  cy.set("view_capacity", cfg.cyclon.view_capacity);
-  cy.set("shuffle_length", cfg.cyclon.shuffle_length);
-  cy.set("join_walk_ttl", static_cast<std::int64_t>(cfg.cyclon.join_walk_ttl));
-  cy.set("join_walks", cfg.cyclon.join_walks);
-  cy.set("purge_on_unreachable", cfg.cyclon.purge_on_unreachable);
-  cy.set("shuffle_retry_on_failure", cfg.cyclon.shuffle_retry_on_failure);
-  net.set("cyclon", std::move(cy));
-
-  json::Value sc = json::Value::object();
-  sc.set("c", cfg.scamp.c);
-  sc.set("forward_ttl", static_cast<std::int64_t>(cfg.scamp.forward_ttl));
-  sc.set("lease_cycles", cfg.scamp.lease_cycles);
-  sc.set("heartbeat_period_cycles", cfg.scamp.heartbeat_period_cycles);
-  sc.set("isolation_timeout_cycles", cfg.scamp.isolation_timeout_cycles);
-  sc.set("purge_on_unreachable", cfg.scamp.purge_on_unreachable);
-  net.set("scamp", std::move(sc));
-
-  json::Value go = json::Value::object();
-  go.set("engine", cfg.gossip.engine == gossip::Engine::kPlumtree
-                       ? "plumtree"
-                       : "eager");
-  go.set("payload_size", static_cast<std::int64_t>(cfg.gossip.payload_size));
-  go.set("dedup_window", cfg.gossip.dedup_window);
-  go.set("cache_window", cfg.gossip.cache_window);
-  go.set("graft_timeout_ms", cfg.gossip.graft_timeout / 1000);
-  go.set("reroute_on_failure", cfg.gossip.reroute_on_failure);
-  go.set("explicit_acks", cfg.gossip.explicit_acks);
-  net.set("gossip", std::move(go));
-
-  json::Value adv = json::Value::object();
-  adv.set("attack", attack_name(cfg.adversary.attack));
-  adv.set("fraction", cfg.adversary.fraction);
-  adv.set("poison_per_cycle", cfg.adversary.poison_per_cycle);
-  adv.set("poison_entries", cfg.adversary.poison_entries);
-  adv.set("fabricated_fraction", cfg.adversary.fabricated_fraction);
-  adv.set("sybils_per_burst", cfg.adversary.sybils_per_burst);
-  adv.set("sybil_ttl", static_cast<std::int64_t>(cfg.adversary.sybil_ttl));
-  net.set("adversary", std::move(adv));
-  return net;
-}
-
-json::Value tcp_to_json(const TcpBackendConfig& cfg) {
-  json::Value tcp = json::Value::object();
-  tcp.set("nodes", cfg.node_count);
-  tcp.set("seed", cfg.seed);
-  tcp.set("join_settle_ms", cfg.join_settle / 1000);
-  tcp.set("cycle_settle_ms", cfg.cycle_settle / 1000);
-  tcp.set("leave_settle_ms", cfg.leave_settle / 1000);
-  tcp.set("settle_window_ms", cfg.settle_window / 1000);
-  tcp.set("broadcast_timeout_ms", cfg.broadcast_timeout / 1000);
-  tcp.set("broadcast_quiet_window_ms", cfg.broadcast_quiet_window / 1000);
-  tcp.set("stats_port", static_cast<std::int64_t>(cfg.stats_port));
-  return tcp;
+  return spec;
 }
 
 }  // namespace
 
 Experiment Experiment::from_json(const json::Value& doc) {
   ObjectReader r(doc, "spec");
-  Experiment spec(r.require_string("name"));
-  const json::Value& phases = r.require("phases");
-  HPV_CHECK_THROW(phases.is_array(),
-                  "spec: spec.phases: expected an array");
-  for (std::size_t i = 0; i < phases.as_array().size(); ++i) {
-    load_phase(spec, phases.as_array()[i],
-               "phases[" + std::to_string(i) + "]");
-  }
+  Experiment spec = load_phases(r, r.require_string("name"));
   r.finish();
   return spec;
-}
-
-json::Value Experiment::to_json() const {
-  json::Value doc = json::Value::object();
-  doc.set("name", name_);
-  json::Value phases = json::Value::array();
-  for (const Phase& p : phases_) {
-    phases.push_back(phase_to_json(p));
-  }
-  doc.set("phases", std::move(phases));
-  return doc;
-}
-
-NetworkConfig network_config_from_json(const json::Value& v,
-                                       std::string_view path) {
-  return load_network(v, std::string(path));
-}
-
-AdversaryConfig adversary_config_from_json(const json::Value& v,
-                                           std::string_view path) {
-  return load_adversary(v, std::string(path));
 }
 
 RunSpec spec_from_json(const json::Value& doc) {
@@ -652,14 +494,7 @@ RunSpec spec_from_json(const json::Value& doc) {
                                            NetworkConfig{}.node_count, 42);
   }
   spec.tcp = load_tcp(r.get("tcp"), "tcp", spec.net);
-
-  Experiment exp(spec.name);
-  const json::Value& phases = r.require("phases");
-  HPV_CHECK_THROW(phases.is_array(), "spec: spec.phases: expected an array");
-  for (std::size_t i = 0; i < phases.as_array().size(); ++i) {
-    load_phase(exp, phases.as_array()[i], "phases[" + std::to_string(i) + "]");
-  }
-  spec.experiment = std::move(exp);
+  spec.experiment = load_phases(r, spec.name);
   r.finish();
   return spec;
 }
@@ -673,141 +508,6 @@ RunSpec load_spec_file(const std::string& path) {
     if (what.find(path) == 0) throw;
     throw CheckError(path + ": " + what);
   }
-}
-
-json::Value spec_to_json(const RunSpec& spec) {
-  json::Value doc = json::Value::object();
-  doc.set("name", spec.name);
-  doc.set("backend", spec.backend);
-  doc.set("network", network_to_json(spec.net));
-  doc.set("tcp", tcp_to_json(spec.tcp));
-  json::Value exp = spec.experiment.to_json();
-  const json::Value* phases = exp.find("phases");
-  doc.set("phases", phases != nullptr ? *phases : json::Value::array());
-  return doc;
-}
-
-namespace {
-
-/// Paper scale: the values BenchScale defaults to when no HPV_* override is
-/// set — the committed specs describe the full reproduction, and the
-/// drivers scale the loaded program down via mutable_phases() for smoke
-/// runs, exactly as they scaled their hardcoded programs before.
-constexpr std::size_t kPaperNodes = 10'000;
-constexpr std::size_t kTcpNodes = 32;  ///< every spec's TCP leg
-constexpr std::uint64_t kSeed = 42;
-
-RunSpec adversarial_builtin(AttackKind attack) {
-  RunSpec spec;
-  spec.name = std::string("adversarial_") + attack_name(attack);
-  spec.net =
-      NetworkConfig::defaults_for(ProtocolKind::kHyParView, kPaperNodes, kSeed);
-  spec.net.adversary.attack = attack;
-  spec.net.adversary.fraction = 0.10;
-
-  // Mirrors attack_spec() in bench/adversarial_attacks.cpp before the
-  // migration: stabilize, (sybil flood,) attack pressure, measure.
-  Experiment exp(spec.name);
-  exp.stabilize(20);
-  if (attack == AttackKind::kSybil) {
-    exp.sybil_burst(spec.net.adversary.sybils_per_burst);
-  }
-  exp.cycles(10, "pressure");
-  exp.broadcast(100, "after");
-  spec.experiment = std::move(exp);
-  return spec;
-}
-
-RunSpec pubsub_builtin(gossip::Engine engine) {
-  RunSpec spec;
-  spec.name = engine == gossip::Engine::kPlumtree ? "pubsub_plumtree"
-                                                  : "pubsub_eager";
-  spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                         kPaperNodes, kSeed);
-  spec.net.gossip.engine = engine;
-  // Sustained streams keep sources × rate messages in flight per tick, with
-  // duplicates (and IHave/Graft repair for Plumtree) of earlier ticks still
-  // arriving; the discrete-wave 128 default of defaults_for under-remembers
-  // that horizon and re-delivers evicted ids (dedup window regression test
-  // pins the failure). Size both per-node windows well past the stream.
-  spec.net.gossip.dedup_window = 4096;
-  spec.net.gossip.cache_window = 4096;
-
-  // Steady-state streams first (the bytes-on-wire comparison window), then
-  // the same streams under a 25% midpoint crash (tree repair under churn).
-  Experiment exp(spec.name);
-  exp.stabilize(50);
-  PubSubConfig steady;
-  steady.sources = 8;
-  steady.ticks = 25;
-  steady.rate = 2;
-  steady.cycles_per_tick = 1;
-  exp.pubsub(steady, "steady");
-  PubSubConfig churned = steady;
-  churned.ticks = 10;
-  churned.churn_fraction = 0.25;
-  exp.pubsub(churned, "churn");
-  spec.experiment = std::move(exp);
-  return spec;
-}
-
-}  // namespace
-
-RunSpec builtin_spec(std::string_view name) {
-  RunSpec spec;
-  spec.name = std::string(name);
-  if (name == "fig1") {
-    // Fig. 1(a)(b) fanout sweep (bench/fig1_fanout_reliability.cpp): the
-    // network section carries Cyclon as the representative sweep subject;
-    // the driver swaps the protocol per leg and reuses the phase program.
-    spec.net =
-        NetworkConfig::defaults_for(ProtocolKind::kCyclon, kPaperNodes, kSeed);
-    Experiment exp(spec.name);
-    exp.stabilize(50);
-    for (std::size_t fanout = 1; fanout <= 8; ++fanout) {
-      exp.set_fanout(fanout).broadcast(50, "fanout" + std::to_string(fanout));
-    }
-    spec.experiment = std::move(exp);
-  } else if (name == "fig1_reference") {
-    // HyParView's deterministic flood — the reference row of Fig. 1.
-    spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                           kPaperNodes, kSeed);
-    spec.experiment =
-        Experiment(spec.name).stabilize(50).broadcast(50, "flood");
-  } else if (name == "fig2") {
-    // One Fig. 2 sweep point (bench/fig2_reliability_vs_failures.cpp); the
-    // committed fraction is the 50% midpoint — the driver rewrites it per
-    // point on the loaded program (see Experiment::mutable_phases).
-    spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                           kPaperNodes, kSeed);
-    spec.experiment = Experiment(spec.name)
-                          .stabilize(50)
-                          .crash(0.5)
-                          .broadcast(1000, "measure");
-  } else if (name == "pubsub_plumtree") {
-    spec = pubsub_builtin(gossip::Engine::kPlumtree);
-  } else if (name == "pubsub_eager") {
-    spec = pubsub_builtin(gossip::Engine::kEager);
-  } else if (name == "adversarial_poison") {
-    spec = adversarial_builtin(AttackKind::kPoison);
-  } else if (name == "adversarial_drop") {
-    spec = adversarial_builtin(AttackKind::kDrop);
-  } else if (name == "adversarial_sybil") {
-    spec = adversarial_builtin(AttackKind::kSybil);
-  } else {
-    throw CheckError("unknown builtin spec '" + std::string(name) +
-                     "' (see builtin_spec_names)");
-  }
-  // Every TCP leg runs the network's protocol block on kTcpNodes nodes.
-  static_cast<ClusterConfig&>(spec.tcp) = spec.net;
-  spec.tcp.node_count = kTcpNodes;
-  return spec;
-}
-
-std::vector<std::string> builtin_spec_names() {
-  return {"fig1",           "fig1_reference",     "fig2",
-          "pubsub_plumtree", "pubsub_eager",      "adversarial_poison",
-          "adversarial_drop", "adversarial_sybil"};
 }
 
 std::string spec_dir() {

@@ -6,7 +6,9 @@
 // hundred-node TCP soaks) without recompiling. Loading is strict: every key
 // is checked against the schema, unknown keys are errors naming the full key
 // path ("network.nodez"), wrong types and out-of-range fractions likewise.
-// A typo must fail the run, not silently fall back to a default.
+// A typo must fail the run, not silently fall back to a default. Each
+// protocol block also runs its own validate() at load time, so anything the
+// run would reject fails `hpv_run --validate` too, naming the block.
 //
 // Schema (all keys optional unless noted):
 //
@@ -15,7 +17,7 @@
 //     "backend": "sim" | "tcp",          // default backend for hpv_run
 //     "network": {                       // sim substrate + protocol params
 //       "protocol": "HyParView" | "Cyclon" | "CyclonAcked" | "Scamp",
-//       "nodes": 10000, "seed": 42, "fanout": 4,
+//       "nodes": 10000 (>= 2), "seed": 42, "fanout": 4,
 //       "hyparview":  { active_capacity, passive_capacity, arwl, prwl,
 //                       shuffle_ka, shuffle_kp, shuffle_ttl,
 //                       promote_on_any_slot, warm_cache_size },
@@ -33,7 +35,7 @@
 //                       fabricated_fraction, sybils_per_burst, sybil_ttl }
 //     },
 //     "tcp": {                           // real-socket substrate overrides
-//       "nodes": 32, "seed": 42,         // default: the network values
+//       "nodes": 32 (>= 2), "seed": 42,  // default: the network values
 //       "join_settle_ms": 15, "cycle_settle_ms": 50, "leave_settle_ms": 40,
 //       "settle_window_ms": 30, "broadcast_timeout_ms": 5000,
 //       "broadcast_quiet_window_ms": 150,
@@ -62,6 +64,9 @@
 // Every phase accepts a "label". Committed specs live in specs/ at the repo
 // root; spec_path() resolves them (HPV_SPEC_DIR overrides the compiled-in
 // location, so installed binaries and test sandboxes can relocate them).
+// The committed files are the only definition of those experiments: each
+// lists just what differs from defaults_for, and spec_json_test pins what
+// every file loads to by its event count on a scaled-down sim run.
 //
 // Determinism note: loaders construct configs via the same defaults_for
 // factories and Experiment builder calls the C++ drivers use, so a spec that
@@ -72,7 +77,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "hyparview/common/json.hpp"
 #include "hyparview/harness/experiment.hpp"
@@ -99,30 +103,6 @@ struct RunSpec {
 
 /// parse_file + spec_from_json; errors name the path.
 [[nodiscard]] RunSpec load_spec_file(const std::string& path);
-
-/// Serializes a RunSpec back to the schema above (round-trip inverse of
-/// spec_from_json for every field the loaders read).
-[[nodiscard]] json::Value spec_to_json(const RunSpec& spec);
-
-/// Decodes the "network" object (standalone entry point for tests; the
-/// `path` prefixes error messages).
-[[nodiscard]] NetworkConfig network_config_from_json(
-    const json::Value& v, std::string_view path = "network");
-
-/// Decodes an "adversary" object.
-[[nodiscard]] AdversaryConfig adversary_config_from_json(
-    const json::Value& v, std::string_view path = "adversary");
-
-/// Canonical C++-built equivalents of the committed spec files — the exact
-/// configs + phase programs the historical drivers hardcoded, at paper
-/// scale. spec_json_test pins each committed specs/<name>.json byte-equal
-/// to spec_to_json(builtin_spec(name)).dump(2), and `hpv_run --emit <name>`
-/// regenerates a file after a schema change. Throws CheckError on unknown
-/// names.
-[[nodiscard]] RunSpec builtin_spec(std::string_view name);
-
-/// Every name builtin_spec accepts (one per committed spec file).
-[[nodiscard]] std::vector<std::string> builtin_spec_names();
 
 /// Directory holding the committed spec files: $HPV_SPEC_DIR when set, else
 /// the compiled-in source-tree specs/ directory.

@@ -217,6 +217,32 @@ TEST(ExperimentSpecTest, HealUntilMeasuresAgainstTheBroadcastBaseline) {
   }
 }
 
+TEST(ExperimentSpecTest, CrashingEveryNodeThrowsInsteadOfAborting) {
+  // The crash fraction comes from the spec, so an empty cluster is bad
+  // input: the next draw of a live node throws instead of aborting.
+  const auto expect_no_alive_node = [](const Experiment& spec) {
+    SCOPED_TRACE(spec.name());
+    auto cluster = Cluster::sim(
+        NetworkConfig::defaults_for(ProtocolKind::kHyParView, 50, kSeed));
+    try {
+      cluster.run(spec);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_STREQ(e.what(), "no alive node left");
+    }
+  };
+  expect_no_alive_node(
+      Experiment("crash_all").stabilize(2).crash(1.0).broadcast(1));
+
+  // The pub/sub churn crash at the midpoint tick, then the hunt for
+  // replacement sources.
+  PubSubConfig churn_all;
+  churn_all.sources = 2;
+  churn_all.ticks = 2;
+  churn_all.churn_fraction = 1.0;
+  expect_no_alive_node(Experiment("churn_all").stabilize(2).pubsub(churn_all));
+}
+
 // --- run_cycles ----------------------------------------------------------------
 
 struct CycleFingerprint {

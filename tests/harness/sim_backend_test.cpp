@@ -11,7 +11,7 @@ namespace {
 TEST(NetworkConfigTest, DefaultsMatchPaperSection51) {
   const auto cfg =
       NetworkConfig::defaults_for(ProtocolKind::kHyParView, 10'000, 42);
-  EXPECT_EQ(cfg.fanout, 4u);
+  EXPECT_EQ(cfg.gossip.fanout, 4u);
   EXPECT_EQ(cfg.hyparview.active_capacity, 5u);   // fanout + 1
   EXPECT_EQ(cfg.hyparview.passive_capacity, 30u);
   EXPECT_EQ(cfg.hyparview.arwl, 6);
@@ -216,7 +216,7 @@ TEST(SimBackendTest, SetFanoutRaisesRandomGossipReliability) {
   const double high = average(6);
   EXPECT_LT(low, 0.9);
   EXPECT_GT(high, 0.98);
-  EXPECT_EQ(net.config().fanout, 6u);
+  EXPECT_EQ(net.config().gossip.fanout, 6u);
 }
 
 TEST(BenchScaleTest, QuickModeShrinks) {

@@ -1,19 +1,22 @@
-// JSON spec codec tests.
+// JSON spec loader tests.
 //
-// Four pins, in increasing strength:
-//  1. every committed specs/<name>.json is byte-equal to its canonical
-//     C++-built spec (builtin_spec) — a drifted file or schema change
-//     fails here with the regeneration command in the message;
-//  2. a spec loaded from JSON runs bit-identical (event counts) to the
+// Four pins:
+//  1. every committed specs/<name>.json replays a golden event count on a
+//     scaled-down sim run and keeps its golden broadcast and round totals
+//     — the files are the only definition of those experiments, so this is
+//     what notices a spec or loader drift;
+//  2. every key of every phase kind, of the network block and of the tcp
+//     block lands in its field (== against the builder and defaults_for);
+//  3. a spec loaded from JSON runs bit-identical (event counts) to the
 //     same experiment hand-built through the Experiment builder API;
-//  3. randomized phase programs survive to_json → dump → parse →
-//     from_json unchanged, and the reloaded copy replays bit-identical;
-//  4. schema violations throw CheckError naming the offending key path
-//     (a typo must fail the run, not silently fall back to a default).
-#include <fstream>
-#include <random>
-#include <sstream>
+//  4. schema violations, and values the run itself would reject, throw
+//     CheckError naming the offending key path (a typo must fail the run,
+//     not silently fall back to a default).
+#include <algorithm>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,38 +27,258 @@
 namespace hyparview::harness {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+/// Stems of the committed specs/*.json files, sorted.
+std::vector<std::string> committed_spec_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(spec_dir())) {
+    if (entry.path().extension() == ".json") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST(SpecJsonTest, CommittedFilesPinnedToBuiltins) {
-  const std::vector<std::string> names = builtin_spec_names();
-  ASSERT_FALSE(names.empty());
-  for (const std::string& name : names) {
-    const std::string path = spec_path(name);
-    SCOPED_TRACE(path);
-    const std::string committed = slurp(path);
-    ASSERT_FALSE(committed.empty()) << "missing committed spec file";
-    EXPECT_EQ(committed, spec_to_json(builtin_spec(name)).dump(2))
-        << "regenerate with: hpv_run --emit=" << name << " > " << path;
-  }
+bool has_pubsub_phase(const Experiment& spec) {
+  return std::any_of(
+      spec.phases().begin(), spec.phases().end(),
+      [](const Experiment::Phase& p) {
+        return p.kind == Experiment::PhaseKind::kPubSub;
+      });
 }
 
 TEST(SpecJsonTest, CommittedFilesReload) {
-  for (const std::string& name : builtin_spec_names()) {
+  const std::vector<std::string> names = committed_spec_names();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
     SCOPED_TRACE(name);
     const RunSpec spec = load_spec_file(spec_path(name));
     EXPECT_EQ(spec.name, name);
     EXPECT_FALSE(spec.experiment.phases().empty());
-    // Full-document round trip: reload of the dump is byte-stable.
-    const std::string dumped = spec_to_json(spec).dump(2);
-    EXPECT_EQ(dumped,
-              spec_to_json(spec_from_json(json::Value::parse(dumped)))
-                  .dump(2));
+    // The committed files describe the full reproduction (§5: 10,000
+    // nodes) with a 32-node TCP leg; drivers scale them down at run time.
+    EXPECT_EQ(spec.net.node_count, 10'000u);
+    EXPECT_EQ(spec.tcp.node_count, 32u);
+    // A sustained stream re-delivers any id its dedup window evicts while
+    // copies are still in flight, so pub/sub specs remember every message
+    // they publish. The capped golden runs below are too short to fill
+    // even the default window, so only this check sees the key.
+    if (has_pubsub_phase(spec.experiment)) {
+      EXPECT_GE(spec.net.gossip.dedup_window,
+                spec.experiment.planned_broadcasts());
+    }
   }
+}
+
+struct GoldenEvents {
+  const char* spec;
+  std::uint64_t events;    ///< events_processed of the scaled_down run
+  std::size_t broadcasts;  ///< planned_broadcasts() as committed
+  std::size_t cycles;      ///< rounds of the cycles phases, as committed
+};
+
+/// Captured from the fully spelled-out files that the override-only ones
+/// replaced. The scaled-down run caps counts, so the committed broadcast
+/// and round totals are pinned beside it. A row moves only when a spec
+/// file, the loader or the simulated protocols change.
+constexpr GoldenEvents kGoldenEvents[] = {
+    {"adversarial_drop", 45'369, 100, 30},
+    {"adversarial_poison", 63'332, 100, 30},
+    {"adversarial_sybil", 48'266, 100, 30},
+    {"fig1", 82'094, 400, 50},
+    {"fig1_reference", 36'556, 50, 50},
+    {"fig2", 36'053, 1'000, 50},
+    {"pubsub_eager", 113'663, 560, 50},
+    {"pubsub_plumtree", 132'009, 560, 50},
+};
+
+std::size_t total_cycles(const Experiment& spec) {
+  std::size_t total = 0;
+  for (const Experiment::Phase& p : spec.phases()) {
+    if (p.kind == Experiment::PhaseKind::kCycles) total += p.cycles;
+  }
+  return total;
+}
+
+/// The spec at a size a unit test can afford: 200 nodes, at most 5 cycles
+/// per cycles phase, 5 broadcasts, 3 pub/sub ticks and 2 sybils per
+/// adversary. Every other key keeps its loaded value.
+RunSpec scaled_down(RunSpec spec) {
+  using PK = Experiment::PhaseKind;
+  spec.net.node_count = 200;
+  for (Experiment::Phase& p : spec.experiment.mutable_phases()) {
+    switch (p.kind) {
+      case PK::kCycles: p.cycles = std::min<std::size_t>(p.cycles, 5); break;
+      case PK::kBroadcast: p.count = std::min<std::size_t>(p.count, 5); break;
+      case PK::kPubSub:
+        p.pubsub.ticks = std::min<std::size_t>(p.pubsub.ticks, 3);
+        break;
+      case PK::kSybilBurst:
+        p.count = std::min<std::size_t>(p.count, 2);
+        break;
+      default: break;
+    }
+  }
+  return spec;
+}
+
+TEST(SpecJsonTest, CommittedSpecsReplayGoldenEventCounts) {
+  const std::vector<std::string> names = committed_spec_names();
+  EXPECT_EQ(names.size(), std::size(kGoldenEvents))
+      << "a golden row names no file in " << spec_dir();
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto* row = std::find_if(
+        std::begin(kGoldenEvents), std::end(kGoldenEvents),
+        [&](const GoldenEvents& g) { return name == g.spec; });
+    ASSERT_NE(row, std::end(kGoldenEvents))
+        << "specs/" << name << ".json has no kGoldenEvents row";
+    const RunSpec committed = load_spec_file(spec_path(name));
+    EXPECT_EQ(committed.experiment.planned_broadcasts(), row->broadcasts);
+    EXPECT_EQ(total_cycles(committed.experiment), row->cycles);
+
+    const RunSpec spec = scaled_down(committed);
+    auto cluster = Cluster::sim(spec.net);
+    cluster.run(spec.experiment);
+    EXPECT_EQ(cluster->events_processed(), row->events);
+  }
+}
+
+TEST(SpecJsonTest, EveryPhaseKeyReachesItsField) {
+  // One phase per kind, every key set away from its default.
+  const Experiment loaded = Experiment::from_json(json::Value::parse(R"({
+    "name": "keys",
+    "phases": [
+      {"kind": "stabilize", "cycles": 7, "label": "s"},
+      {"kind": "cycles", "cycles": 3, "label": "c"},
+      {"kind": "set_fanout", "fanout": 6, "label": "f"},
+      {"kind": "crash", "fraction": 0.25, "label": "x"},
+      {"kind": "leave", "count": 9, "graceful_fraction": 0.75, "label": "l"},
+      {"kind": "broadcast", "count": 11, "label": "b"},
+      {"kind": "heal_until", "baseline": "b", "max_cycles": 13,
+       "probes_per_cycle": 3, "label": "h"},
+      {"kind": "churn", "cycles": 4, "joins_per_cycle": 5,
+       "leaves_per_cycle": 6, "graceful_fraction": 0.125,
+       "probes_per_cycle": 7, "label": "ch"},
+      {"kind": "heavy_churn", "dist": "lognormal", "cycles": 8,
+       "joins_per_cycle": 9, "pareto_alpha": 1.25, "pareto_xm": 3.5,
+       "lognormal_mu": 0.5, "lognormal_sigma": 2.5,
+       "graceful_fraction": 0.375, "probes_per_cycle": 5, "label": "hc"},
+      {"kind": "pubsub", "sources": 3, "ticks": 12, "rate": 4,
+       "churn_fraction": 0.5, "cycles_per_tick": 2, "label": "ps"},
+      {"kind": "sybil_burst", "per_adversary": 5, "label": "sy"},
+      {"kind": "settle", "label": "st"}
+    ]
+  })"));
+
+  const ChurnConfig churn{.cycles = 4,
+                          .joins_per_cycle = 5,
+                          .leaves_per_cycle = 6,
+                          .graceful_fraction = 0.125,
+                          .probes_per_cycle = 7};
+  const HeavyChurnConfig heavy{.cycles = 8,
+                               .joins_per_cycle = 9,
+                               .dist = HeavyChurnConfig::Dist::kLognormal,
+                               .pareto_alpha = 1.25,
+                               .pareto_xm = 3.5,
+                               .lognormal_mu = 0.5,
+                               .lognormal_sigma = 2.5,
+                               .graceful_fraction = 0.375,
+                               .probes_per_cycle = 5};
+  const PubSubConfig pubsub{.sources = 3,
+                            .ticks = 12,
+                            .rate = 4,
+                            .churn_fraction = 0.5,
+                            .cycles_per_tick = 2};
+  Experiment built("keys");
+  built.stabilize(7, "s")
+      .cycles(3, "c")
+      .set_fanout(6, "f")
+      .crash(0.25, "x")
+      .leave(9, 0.75, "l")
+      .broadcast(11, "b")
+      .heal_until("b", 13, 3, "h")
+      .churn(churn, "ch")
+      .heavy_churn(heavy, "hc")
+      .pubsub(pubsub, "ps")
+      .sybil_burst(5, "sy")
+      .settle("st");
+
+  EXPECT_EQ(loaded.name(), "keys");
+  ASSERT_EQ(loaded.phases().size(), built.phases().size());
+  for (std::size_t i = 0; i < built.phases().size(); ++i) {
+    EXPECT_TRUE(loaded.phases()[i] == built.phases()[i])
+        << "phase " << i << " (" << built.phases()[i].label << ")";
+  }
+}
+
+TEST(SpecJsonTest, EveryNetworkKeyReachesItsField) {
+  const RunSpec spec = spec_from_json(json::Value::parse(R"({
+    "name": "x",
+    "network": {
+      "protocol": "Scamp", "nodes": 300, "seed": 9, "fanout": 6,
+      "hyparview": {"active_capacity": 4, "passive_capacity": 17,
+                    "arwl": 7, "prwl": 2, "shuffle_ka": 2, "shuffle_kp": 5,
+                    "shuffle_ttl": 4, "promote_on_any_slot": false,
+                    "warm_cache_size": 3},
+      "cyclon": {"view_capacity": 20, "shuffle_length": 9,
+                 "join_walk_ttl": 3, "join_walks": 2,
+                 "purge_on_unreachable": true,
+                 "shuffle_retry_on_failure": false},
+      "scamp": {"c": 2, "forward_ttl": 100, "lease_cycles": 12,
+                "heartbeat_period_cycles": 3, "isolation_timeout_cycles": 7,
+                "purge_on_unreachable": true},
+      "gossip": {"engine": "plumtree", "payload_size": 64,
+                 "dedup_window": 4096, "cache_window": 512,
+                 "graft_timeout_ms": 250, "reroute_on_failure": true,
+                 "explicit_acks": true},
+      "adversary": {"attack": "drop", "fraction": 0.2, "poison_per_cycle": 3,
+                    "poison_entries": 5, "fabricated_fraction": 0.25,
+                    "sybils_per_burst": 4, "sybil_ttl": 3}
+    },
+    "phases": []
+  })"));
+
+  ClusterConfig want =
+      ClusterConfig::defaults_for(ProtocolKind::kScamp, 300, 9);
+  want.hyparview = {.active_capacity = 4,
+                    .passive_capacity = 17,
+                    .arwl = 7,
+                    .prwl = 2,
+                    .shuffle_ka = 2,
+                    .shuffle_kp = 5,
+                    .shuffle_ttl = 4,
+                    .promote_on_any_slot = false,
+                    .warm_cache_size = 3};
+  want.cyclon = {.view_capacity = 20,
+                 .shuffle_length = 9,
+                 .join_walk_ttl = 3,
+                 .join_walks = 2,
+                 .purge_on_unreachable = true,
+                 .shuffle_retry_on_failure = false};
+  want.scamp = {.c = 2,
+                .forward_ttl = 100,
+                .lease_cycles = 12,
+                .heartbeat_period_cycles = 3,
+                .isolation_timeout_cycles = 7,
+                .purge_on_unreachable = true};
+  want.gossip.fanout = 6;
+  want.gossip.engine = gossip::Engine::kPlumtree;
+  want.gossip.payload_size = 64;
+  want.gossip.dedup_window = 4096;
+  want.gossip.cache_window = 512;
+  want.gossip.graft_timeout = milliseconds(250);
+  want.gossip.reroute_on_failure = true;
+  want.gossip.explicit_acks = true;
+  want.adversary = {.attack = AttackKind::kDrop,
+                    .fraction = 0.2,
+                    .poison_per_cycle = 3,
+                    .poison_entries = 5,
+                    .fabricated_fraction = 0.25,
+                    .sybils_per_burst = 4,
+                    .sybil_ttl = 3};
+  EXPECT_TRUE(static_cast<const ClusterConfig&>(spec.net) == want);
+  EXPECT_EQ(spec.net.sim.seed, 9u);
 }
 
 constexpr const char* kSmallSpec = R"({
@@ -84,101 +307,6 @@ TEST(SpecJsonTest, LoadedSpecRunsBitIdenticalToHandBuilt) {
   EXPECT_EQ(loaded_result.events, built_result.events);
   EXPECT_EQ(loaded_result.phase("measure").avg_reliability(),
             built_result.phase("measure").avg_reliability());
-}
-
-/// A random but runnable phase program: small cycle/broadcast counts, crash
-/// fractions bounded away from total collapse.
-Experiment random_experiment(std::mt19937& rng, int index) {
-  Experiment spec("prop" + std::to_string(index));
-  std::uniform_int_distribution<int> kind_dist(0, 6);
-  std::uniform_int_distribution<std::size_t> small(1, 6);
-  std::uniform_real_distribution<double> frac(0.0, 1.0);
-  const int phases = 1 + static_cast<int>(rng() % 5);
-  for (int i = 0; i < phases; ++i) {
-    // Built with += rather than `"p" + std::to_string(i)`: the rvalue
-    // string operator+ trips GCC 12's spurious -Wrestrict (PR 105651)
-    // under -Werror once inlining decisions shift.
-    std::string label = "p";
-    label += std::to_string(i);
-    switch (kind_dist(rng)) {
-      case 0:
-        spec.stabilize(small(rng), label);
-        break;
-      case 1:
-        spec.set_fanout(small(rng), label);
-        break;
-      case 2:
-        spec.crash(0.5 * frac(rng), label);
-        break;
-      case 3:
-        spec.leave(small(rng), frac(rng), label);
-        break;
-      case 4:
-        spec.broadcast(small(rng), label);
-        break;
-      case 5: {
-        ChurnConfig churn;
-        churn.cycles = small(rng);
-        churn.joins_per_cycle = small(rng);
-        churn.leaves_per_cycle = small(rng);
-        churn.graceful_fraction = frac(rng);
-        churn.probes_per_cycle = 1;
-        spec.churn(churn, label);
-        break;
-      }
-      case 6: {
-        HeavyChurnConfig heavy;
-        heavy.cycles = small(rng);
-        heavy.joins_per_cycle = small(rng);
-        heavy.dist = (rng() % 2 == 0) ? HeavyChurnConfig::Dist::kPareto
-                                      : HeavyChurnConfig::Dist::kLognormal;
-        heavy.pareto_alpha = 1.0 + frac(rng);
-        heavy.lognormal_mu = frac(rng);
-        heavy.graceful_fraction = frac(rng);
-        heavy.probes_per_cycle = 1;
-        spec.heavy_churn(heavy, label);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return spec;
-}
-
-TEST(SpecJsonTest, RandomizedRoundTripIsByteStable) {
-  std::mt19937 rng(42);
-  for (int i = 0; i < 50; ++i) {
-    const Experiment spec = random_experiment(rng, i);
-    const std::string dumped = spec.to_json().dump(2);
-    SCOPED_TRACE(dumped);
-    const Experiment reloaded =
-        Experiment::from_json(json::Value::parse(dumped));
-    EXPECT_EQ(dumped, reloaded.to_json().dump(2));
-    // Compact form parses back to the same document too.
-    EXPECT_EQ(dumped, Experiment::from_json(
-                          json::Value::parse(spec.to_json().dump()))
-                          .to_json()
-                          .dump(2));
-  }
-}
-
-TEST(SpecJsonTest, RandomizedRoundTripReplaysBitIdentical) {
-  std::mt19937 rng(7);
-  for (int i = 0; i < 3; ++i) {
-    const Experiment spec = random_experiment(rng, i);
-    SCOPED_TRACE(spec.to_json().dump(2));
-    const Experiment reloaded =
-        Experiment::from_json(json::Value::parse(spec.to_json().dump()));
-    const auto cfg =
-        NetworkConfig::defaults_for(ProtocolKind::kHyParView, 150, 11);
-    auto original = Cluster::sim(cfg);
-    auto replay = Cluster::sim(cfg);
-    const auto original_result = original.run(spec);
-    const auto replay_result = replay.run(reloaded);
-    EXPECT_EQ(original->events_processed(), replay->events_processed());
-    EXPECT_EQ(original_result.events, replay_result.events);
-  }
 }
 
 /// Expects `text` to be rejected with a CheckError whose message contains
@@ -217,8 +345,10 @@ TEST(SpecJsonTest, RejectsOutOfRangeValues) {
 }
 
 TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
-  // Each of these used to pass validation and then trip an HPV_CHECK deep
-  // inside the run (negative timer delay, zero-capacity ring buffers).
+  // Each of these used to pass validation and then fail deep inside the
+  // run: an HPV_CHECK abort (negative timer delay, zero-capacity ring
+  // buffers) or a CheckError that named no key (one-node clusters, protocol
+  // blocks their own validate() rejects).
   const auto gossip = [](const std::string& member) {
     return R"({"name":"x","network":{"gossip":{)" + member +
            R"(}},"phases":[]})";
@@ -243,14 +373,31 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
                         R"(":9223372036854776},"phases":[]})",
                     "tcp." + k);
   }
+  expect_rejected(R"({"name":"x","network":{"nodes":1},"phases":[]})",
+                  "network.nodes");
+  expect_rejected(R"({"name":"x","tcp":{"nodes":1},"phases":[]})",
+                  "tcp.nodes");
+  const auto block = [](const std::string& name, const std::string& member) {
+    return R"({"name":"x","network":{")" + name + R"(":{)" + member +
+           R"(}},"phases":[]})";
+  };
+  expect_rejected(block("hyparview", R"("warm_cache_size":40)"),
+                  "network.hyparview: warm cache");
+  expect_rejected(block("cyclon", R"("shuffle_length":40)"),
+                  "network.cyclon: cyclon shuffle length");
+  expect_rejected(block("scamp", R"("forward_ttl":0)"),
+                  "network.scamp: scamp forward TTL");
   // The boundaries themselves load.
   const RunSpec edge = spec_from_json(json::Value::parse(
-      R"({"name":"x","network":{"gossip":{"graft_timeout_ms":0,)"
+      R"({"name":"x","network":{"nodes":2,"gossip":{"graft_timeout_ms":0,)"
       R"("dedup_window":1,"cache_window":1}},)"
-      R"("tcp":{"settle_window_ms":9223372036854775},"phases":[]})"));
+      R"("tcp":{"nodes":2,"settle_window_ms":9223372036854775},)"
+      R"("phases":[]})"));
+  EXPECT_EQ(edge.net.node_count, 2u);
   EXPECT_EQ(edge.net.gossip.graft_timeout, 0);
   EXPECT_EQ(edge.net.gossip.dedup_window, 1u);
   EXPECT_EQ(edge.net.gossip.cache_window, 1u);
+  EXPECT_EQ(edge.tcp.node_count, 2u);
   EXPECT_EQ(edge.tcp.settle_window, milliseconds(9223372036854775));
 }
 
@@ -293,7 +440,8 @@ TEST(SpecJsonTest, RejectsHealUntilWithoutEarlierBroadcastBaseline) {
 TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
   // Every protocol parameter reaches the TCP substrate (tcp-eager-64 relies
   // on network.gossip.dedup_window); the tcp block overrides only the node
-  // count and seed.
+  // count, the seed and its real-time knobs, each key set here away from
+  // its default.
   const RunSpec spec = spec_from_json(json::Value::parse(R"({
     "name": "x",
     "network": {
@@ -304,28 +452,31 @@ TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
       "gossip": {"engine": "plumtree", "dedup_window": 4096},
       "adversary": {"attack": "drop", "fraction": 0.2}
     },
-    "tcp": {"nodes": 24, "seed": 5},
+    "tcp": {"nodes": 24, "seed": 5, "join_settle_ms": 1,
+            "cycle_settle_ms": 2, "leave_settle_ms": 3,
+            "settle_window_ms": 4, "broadcast_timeout_ms": 6,
+            "broadcast_quiet_window_ms": 7, "stats_port": 0},
     "phases": []
   })"));
   EXPECT_EQ(spec.tcp.node_count, 24u);
   EXPECT_EQ(spec.tcp.seed, 5u);
   EXPECT_EQ(spec.tcp.gossip.dedup_window, 4096u);
-  // Every other field: the network block rebuilt from the TCP config
-  // serializes identically to the loaded one.
-  RunSpec from_tcp = spec;
-  static_cast<ClusterConfig&>(from_tcp.net) = spec.tcp;
-  from_tcp.net.node_count = spec.net.node_count;
-  from_tcp.net.seed = spec.net.seed;
-  EXPECT_EQ(spec_to_json(from_tcp).find("network")->dump(2),
-            spec_to_json(spec).find("network")->dump(2));
+  EXPECT_EQ(spec.tcp.join_settle, milliseconds(1));
+  EXPECT_EQ(spec.tcp.cycle_settle, milliseconds(2));
+  EXPECT_EQ(spec.tcp.leave_settle, milliseconds(3));
+  EXPECT_EQ(spec.tcp.settle_window, milliseconds(4));
+  EXPECT_EQ(spec.tcp.broadcast_timeout, milliseconds(6));
+  EXPECT_EQ(spec.tcp.broadcast_quiet_window, milliseconds(7));
+  EXPECT_EQ(spec.tcp.stats_port, 0);
+  // Every other field equals the network block's.
+  ClusterConfig inherited = spec.tcp;
+  inherited.node_count = spec.net.node_count;
+  inherited.seed = spec.net.seed;
+  EXPECT_TRUE(inherited == static_cast<const ClusterConfig&>(spec.net));
 }
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {
   expect_rejected(R"({"name":"x","phases":[{"kind":"warp"}]})", "kind");
-}
-
-TEST(SpecJsonTest, RejectsUnknownBuiltinName) {
-  EXPECT_THROW((void)builtin_spec("fig99"), CheckError);
 }
 
 }  // namespace

@@ -1,20 +1,18 @@
 // hpv_run — run a JSON experiment spec on either backend.
 //
-//   hpv_run <spec.json | builtin-name> [...]   run each spec in order
+//   hpv_run <spec.json | spec-name> [...]   run each spec in order
 //     --backend=sim|tcp    override the spec's default substrate
 //     --stats-port=N       override the TCP stats endpoint port (-1 off,
 //                          0 ephemeral; the bound port is printed)
 //     --out=<path>         BENCH-style JSON output path (default
 //                          BENCH_<spec-name>.json in the working directory)
-//     --validate           schema-check the specs and exit (no runs) — the
-//                          `specs` CTest target runs this over specs/
-//     --emit=<name>        print the canonical builtin spec as JSON
-//                          (regenerates a committed specs/<name>.json)
-//     --list               list the builtin spec names and exit
+//     --validate           load and check the specs and exit (no runs) —
+//                          the `specs` CTest target runs this over specs/
 //
 // A positional argument containing '/' or ending in ".json" is a file path;
-// anything else resolves through spec_path() (specs/<name>.json, HPV_SPEC_DIR
-// overrides the directory).
+// anything else names a committed spec and resolves through spec_path()
+// (specs/<name>.json, HPV_SPEC_DIR overrides the directory). The JSON file
+// is the experiment's only definition.
 //
 // Determinism: this binary never reads a clock — wall timings come from
 // ExperimentResult, which the harness stamps (tools/ is inside the
@@ -133,30 +131,13 @@ int run_spec(const harness::RunSpec& spec, const std::string& backend,
 
 int run_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  args.check_known({"backend", "stats-port", "out", "validate", "emit",
-                    "list"});
-
-  if (args.has("list")) {
-    for (const std::string& name : harness::builtin_spec_names()) {
-      std::printf("%s\n", name.c_str());
-    }
-    return 0;
-  }
-
-  if (args.has("emit")) {
-    const std::string name = args.get("emit", "");
-    HPV_CHECK_THROW(!name.empty(), "hpv_run: --emit needs a spec name");
-    std::fputs(
-        harness::spec_to_json(harness::builtin_spec(name)).dump(2).c_str(),
-        stdout);
-    return 0;
-  }
+  args.check_known({"backend", "stats-port", "out", "validate"});
 
   if (args.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: hpv_run <spec.json | builtin-name> [...]\n"
+                 "usage: hpv_run <spec.json | spec-name> [...]\n"
                  "  [--backend=sim|tcp] [--stats-port=N] [--out=path]\n"
-                 "  [--validate] [--emit=<name>] [--list]\n");
+                 "  [--validate]\n");
     return 2;
   }
 
