@@ -26,7 +26,8 @@
 // The binary exits non-zero if any steady-state phase allocates, so it
 // doubles as a CI regression gate (wired into CTest under the smoke label).
 // Throughput (events/sec) is printed and recorded in
-// BENCH_micro_sim_events.json for cross-PR tracking.
+// BENCH_micro_sim_events.json, where bench_compare.py's A/B mode compares
+// it against a parent build on the same machine.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>

@@ -442,7 +442,12 @@ PubSubStats Backend::run_pubsub(const PubSubConfig& cfg) {
     if (cfg.churn_fraction > 0.0 && tick == mid_tick && tick > 0) {
       fail_random_fraction(cfg.churn_fraction);
       // Dead publishers hand their stream to a fresh random alive node —
-      // the stream keeps flowing while the overlay (and tree) heals.
+      // the stream keeps flowing while the overlay (and tree) heals. Fewer
+      // survivors than publishers cannot keep every stream distinct, so
+      // the surplus streams end; with nobody alive, one entry stays and
+      // random_alive_node() throws.
+      sources.resize(std::min(sources.size(),
+                              std::max<std::size_t>(alive_count(), 1)));
       for (std::size_t& s : sources) {
         while (!alive(s) ||
                std::count(sources.begin(), sources.end(), s) > 1) {

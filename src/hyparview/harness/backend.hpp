@@ -133,7 +133,8 @@ struct PubSubConfig {
   std::size_t rate = 1;
   /// Crash this fraction of alive nodes at the midpoint tick (0 = no
   /// churn). Dead publishers are replaced by fresh random alive sources —
-  /// the stream keeps flowing while the overlay (and tree) heals.
+  /// the stream keeps flowing while the overlay (and tree) heals. When
+  /// fewer nodes survive than there are sources, the surplus streams end.
   double churn_fraction = 0.0;
   /// Membership rounds run between injection and settling each tick
   /// (shuffles interleave with payload traffic; 0 = membership idle).

@@ -243,6 +243,27 @@ TEST(ExperimentSpecTest, CrashingEveryNodeThrowsInsteadOfAborting) {
   expect_no_alive_node(Experiment("churn_all").stabilize(2).pubsub(churn_all));
 }
 
+TEST(ExperimentSpecTest, PubSubChurnBelowTheSourceCountEndsSurplusStreams) {
+  // The midpoint crash leaves 5 live nodes for 8 publishers, so 8 distinct
+  // live sources cannot exist: the run must finish with every survivor
+  // carrying one stream instead of searching for 8 forever.
+  PubSubConfig churn_most;
+  churn_most.sources = 8;
+  churn_most.ticks = 4;
+  churn_most.rate = 1;
+  churn_most.churn_fraction = 0.9;
+  auto cluster = Cluster::sim(
+      NetworkConfig::defaults_for(ProtocolKind::kHyParView, 50, kSeed));
+  const ExperimentResult result = cluster.run(
+      Experiment("churn_most").stabilize(2).pubsub(churn_most));
+
+  ASSERT_EQ(cluster.backend().alive_count(), 5u);
+  const PubSubStats& stats = result.phase("pubsub").pubsub;
+  EXPECT_EQ(stats.per_tick_reliability.size(), 4u);
+  // Two ticks of 8 before the crash, then two ticks of 5.
+  EXPECT_EQ(stats.published, 2u * 8u + 2u * 5u);
+}
+
 // --- run_cycles ----------------------------------------------------------------
 
 struct CycleFingerprint {

@@ -4,8 +4,9 @@
 //     --backend=sim|tcp    override the spec's default substrate
 //     --stats-port=N       override the TCP stats endpoint port (-1 off,
 //                          0 ephemeral; the bound port is printed)
-//     --out=<path>         BENCH-style JSON output path (default
-//                          BENCH_<spec-name>.json in the working directory)
+//     --out=<path>         BENCH-style JSON output path; one spec only
+//                          (default BENCH_<spec-name>.json in the working
+//                          directory)
 //     --validate           load and check the specs and exit (no runs) —
 //                          the `specs` CTest target runs this over specs/
 //
@@ -149,6 +150,10 @@ int run_main(int argc, char** argv) {
   const std::int64_t stats_port = args.get_int("stats-port", -1);
   HPV_CHECK_THROW(stats_port >= -1 && stats_port <= 65535,
                   "hpv_run: --stats-port expects -1..65535");
+  // Every run would write the same file, each overwriting the one before.
+  HPV_CHECK_THROW(!args.has("out") || args.positional().size() == 1,
+                  "hpv_run: --out names one output file, so it takes exactly "
+                  "one spec");
 
   for (const std::string& arg : args.positional()) {
     const std::string path =
