@@ -84,8 +84,9 @@ class BroadcastRecorder final : public gossip::DeliveryObserver {
  private:
   /// msg_id → index into results_. Open-addressing: the per-delivery lookup
   /// on the dissemination hot path is one probe in a contiguous slab, and
-  /// with reserve() the whole recording phase is rehash-free.
-  FlatMap<std::uint64_t, std::uint32_t> index_;
+  /// with reserve() the whole recording phase is rehash-free. Ids in flight
+  /// together are consecutive, so their slots share cache lines.
+  FlatMap<std::uint64_t, std::uint32_t, SequentialIndex> index_;
   std::vector<MessageResult> results_;
   InplaceFunction<TimePoint()> now_;
 };

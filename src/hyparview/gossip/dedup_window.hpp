@@ -74,8 +74,9 @@ class DedupWindow {
   std::vector<std::uint64_t> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  /// Membership index over the ring contents (value unused).
-  FlatMap<std::uint64_t, std::uint8_t> index_;
+  /// Membership index over the ring contents (value unused). Ids come
+  /// from a counter, so the window's ids sit in adjacent slots.
+  FlatMap<std::uint64_t, std::uint8_t, SequentialIndex> index_;
 };
 
 }  // namespace hyparview::gossip

@@ -38,13 +38,19 @@ class NodeRuntime final : public membership::Endpoint {
   [[nodiscard]] BroadcastEngine& gossip() { return *engine_; }
 
   // --- membership::Endpoint --------------------------------------------------
+  // Frames are routed by wire tag: membership traffic goes straight to the
+  // protocol, and only payload-plane frames are offered to the engine. A
+  // frame the engine does not speak (eager flooding receiving an IHave)
+  // still falls through to the protocol.
   void deliver(const NodeId& from, const wire::Message& msg) override {
-    if (engine_->handle(from, msg)) return;
+    if (wire::is_payload_plane(msg) && engine_->handle(from, msg)) return;
     protocol_->handle(from, msg);
   }
 
   void send_failed(const NodeId& to, const wire::Message& msg) override {
-    if (engine_->handle_send_failed(to, msg)) return;
+    if (wire::is_payload_plane(msg) && engine_->handle_send_failed(to, msg)) {
+      return;
+    }
     protocol_->on_send_failed(to, msg);
   }
 

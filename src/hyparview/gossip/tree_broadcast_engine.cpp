@@ -218,11 +218,7 @@ bool TreeBroadcastEngine::handle(const NodeId& from,
 
 bool TreeBroadcastEngine::handle_send_failed(const NodeId& to,
                                              const wire::Message& msg) {
-  const bool payload_plane = std::holds_alternative<wire::TreeGossip>(msg) ||
-                             std::holds_alternative<wire::IHave>(msg) ||
-                             std::holds_alternative<wire::Graft>(msg) ||
-                             std::holds_alternative<wire::Prune>(msg);
-  if (!payload_plane) return false;
+  if (!wire::is_payload_plane(msg)) return false;
   // TCP-as-failure-detector, as in flood mode: report the dead peer to the
   // membership layer (which repairs the view) and drop its tree state. A
   // failed Graft self-heals through the timer chain — the next firing

@@ -88,7 +88,7 @@ class MessageCache {
   std::vector<std::uint64_t> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  FlatMap<std::uint64_t, Entry> index_;
+  FlatMap<std::uint64_t, Entry, SequentialIndex> index_;
 };
 
 class TreeBroadcastEngine final : public BroadcastEngine {
@@ -154,11 +154,13 @@ class TreeBroadcastEngine final : public BroadcastEngine {
 
  private:
   /// Per-missing-message repair state, created by the first IHave.
+  /// The counters lead, so they share a cache line with the probe-table
+  /// key and the first announcers.
   struct MissingEntry {
-    std::array<NodeId, kMaxAnnouncers> announcers{};
     std::uint16_t hops = 0;
     std::uint8_t count = 0;
     std::uint8_t tried = 0;
+    std::array<NodeId, kMaxAnnouncers> announcers{};
   };
 
   void deliver_and_push(const NodeId& from, std::uint64_t msg_id,
@@ -181,7 +183,7 @@ class TreeBroadcastEngine final : public BroadcastEngine {
   /// on eager arrival or when every announcer has been tried; the timer
   /// chain therefore always terminates and never keeps the simulator from
   /// quiescing.
-  FlatMap<std::uint64_t, MissingEntry> missing_;
+  FlatMap<std::uint64_t, MissingEntry, SequentialIndex> missing_;
   /// Per-in-link delivery score over a sliding graft_timeout window: how
   /// many fresh payloads (`firsts`) vs duplicates (`dups`) the peer's eager
   /// pushes delivered since `window_start`. The prune rule reads this

@@ -82,9 +82,14 @@ Experiment& Experiment::heal_until(std::string baseline_label,
                                    std::string label) {
   HPV_CHECK_THROW(probes_per_cycle > 0,
                   "heal_until needs at least one probe per cycle");
-  HPV_CHECK_THROW(has_broadcast_phase(baseline_label),
+  const Phase* baseline = broadcast_phase(baseline_label);
+  HPV_CHECK_THROW(baseline != nullptr,
                   "heal_until: baseline '" + baseline_label +
                       "' names no earlier broadcast phase");
+  HPV_CHECK_THROW(baseline->count > 0,
+                  "heal_until: baseline '" + baseline_label +
+                      "' broadcasts nothing, so there is no reliability to "
+                      "heal back to");
   Phase p;
   p.kind = PhaseKind::kHealUntil;
   p.label = std::move(label);
@@ -141,10 +146,13 @@ Experiment& Experiment::settle(std::string label) {
   return *this;
 }
 
-bool Experiment::has_broadcast_phase(const std::string& label) const {
-  return std::any_of(phases_.begin(), phases_.end(), [&](const Phase& p) {
-    return p.kind == PhaseKind::kBroadcast && p.label == label;
-  });
+const Experiment::Phase* Experiment::broadcast_phase(
+    const std::string& label) const {
+  const auto it =
+      std::find_if(phases_.begin(), phases_.end(), [&](const Phase& p) {
+        return p.kind == PhaseKind::kBroadcast && p.label == label;
+      });
+  return it == phases_.end() ? nullptr : &*it;
 }
 
 std::size_t Experiment::planned_broadcasts() const {
@@ -257,6 +265,13 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
         HPV_CHECK_THROW(earlier != result.phases.end(),
                         "heal_until: baseline '" + phase.baseline_label +
                             "' names no earlier broadcast phase");
+        // An empty phase averages to 0.0, which the first probe would
+        // always "recover" (a phase edited through mutable_phases() can
+        // get here past the builder's check).
+        HPV_CHECK_THROW(!earlier->reliabilities.empty(),
+                        "heal_until: baseline '" + phase.baseline_label +
+                            "' recorded no broadcasts, so there is no "
+                            "reliability to heal back to");
         const double baseline = earlier->avg_reliability();
         for (std::size_t cycle = 1; cycle <= phase.cycles; ++cycle) {
           backend.run_cycles(1);

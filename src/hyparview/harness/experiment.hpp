@@ -93,7 +93,8 @@ class Experiment {
   /// by the earlier kBroadcast phase labeled `baseline_label`, or
   /// `max_cycles` is reached (Figure 4's healing measurement). The baseline
   /// phase must precede this one *within the same spec* — labels do not
-  /// resolve across separate run() calls — and throws CheckError otherwise.
+  /// resolve across separate run() calls — and must broadcast at least
+  /// once; throws CheckError otherwise.
   Experiment& heal_until(std::string baseline_label, std::size_t max_cycles,
                          std::size_t probes_per_cycle,
                          std::string label = "heal");
@@ -119,9 +120,9 @@ class Experiment {
   /// crash fraction per sweep point on one committed spec).
   [[nodiscard]] std::vector<Phase>& mutable_phases() { return phases_; }
 
-  /// True iff a kBroadcast phase labeled `label` has been added (the
-  /// heal_until baseline rule).
-  [[nodiscard]] bool has_broadcast_phase(const std::string& label) const;
+  /// The first kBroadcast phase labeled `label` added so far, or nullptr:
+  /// the phase a heal_until baseline resolves to.
+  [[nodiscard]] const Phase* broadcast_phase(const std::string& label) const;
 
   /// Broadcasts the spec will record at most (recorder pre-sizing).
   [[nodiscard]] std::size_t planned_broadcasts() const;

@@ -401,9 +401,14 @@ void load_phase(Experiment& spec, const json::Value& v,
     // Unknown keys first, so a stray key is named even when the baseline
     // is wrong too.
     r.finish();
-    HPV_CHECK_THROW(spec.has_broadcast_phase(baseline),
+    const Experiment::Phase* base = spec.broadcast_phase(baseline);
+    HPV_CHECK_THROW(base != nullptr,
                     "spec: " + r.key_path("baseline") + ": '" + baseline +
                         "' names no earlier broadcast phase");
+    HPV_CHECK_THROW(base->count > 0,
+                    "spec: " + r.key_path("baseline") + ": '" + baseline +
+                        "' broadcasts nothing (count 0), so there is no "
+                        "reliability to heal back to");
     spec.heal_until(baseline, max_cycles, probes, std::move(label));
     return;
   } else if (kind == "churn") {

@@ -360,6 +360,25 @@ static_assert(std::is_trivially_copyable_v<Message>);
 /// Stable wire tag of a message (the variant index, fixed by the order above).
 [[nodiscard]] std::uint8_t type_tag(const Message& msg);
 
+/// Wire tag of alternative T, as a compile-time constant.
+template <typename T>
+inline constexpr std::uint8_t kTagOf =
+    static_cast<std::uint8_t>(Message(T{}).index());
+
+static_assert(std::variant_size_v<Message> <= 32,
+              "payload-plane tags are kept in a 32-bit mask");
+inline constexpr std::uint32_t kPayloadPlaneTags =
+    1u << kTagOf<Gossip> | 1u << kTagOf<GossipAck> |
+    1u << kTagOf<TreeGossip> | 1u << kTagOf<IHave> | 1u << kTagOf<Graft> |
+    1u << kTagOf<Prune>;
+
+/// True for the payload-plane frames a broadcast engine consumes (Gossip,
+/// GossipAck, TreeGossip, IHave, Graft, Prune); every other frame is
+/// membership or transport traffic, which goes to the protocol.
+[[nodiscard]] inline bool is_payload_plane(const Message& msg) {
+  return ((kPayloadPlaneTags >> msg.index()) & 1u) != 0;
+}
+
 /// Human-readable message-type name for logs and test diagnostics.
 [[nodiscard]] const char* type_name(const Message& msg);
 

@@ -1,6 +1,9 @@
 #include "hyparview/sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <utility>
 #include <variant>
 
 #include "hyparview/common/assert.hpp"
@@ -45,11 +48,42 @@ class SimEnv final : public membership::Env {
 };
 
 // Every wire message — membership shuffles included — is a flat POD, so
-// the payload slabs recycle slots with plain copies: no destructor runs on
-// take/release and no allocation happens on put once the slab is warm.
+// frames travel as plain bytes: inline in the event, or through a slab slot
+// that no destructor ever runs on.
 static_assert(std::is_trivially_copyable_v<wire::Message>);
 
 namespace {
+
+/// Rebuilds alternative I of wire::Message from an event's inline bytes.
+/// Instantiated for every alternative so the table below is indexable by
+/// any tag; put_message never stores a list frame inline.
+template <std::size_t I>
+wire::Message unpack_frame(const unsigned char* frame) {
+  using T = std::variant_alternative_t<I, wire::Message>;
+  T m;
+  if constexpr (sizeof(T) <= kInlineFrameBytes) {
+    std::memcpy(static_cast<void*>(&m), frame, sizeof(T));
+  } else {
+    HPV_ASSERT(false);
+  }
+  return wire::Message(std::in_place_index<I>, m);
+}
+
+template <std::size_t... I>
+constexpr auto make_unpack_table(std::index_sequence<I...>) {
+  return std::array<wire::Message (*)(const unsigned char*), sizeof...(I)>{
+      &unpack_frame<I>...};
+}
+
+/// unpack_frame by wire tag.
+constexpr auto kUnpackFrame = make_unpack_table(
+    std::make_index_sequence<std::variant_size_v<wire::Message>>{});
+
+// The broadcast hot path must never need a slab slot.
+static_assert(sizeof(wire::Gossip) <= kInlineFrameBytes &&
+              sizeof(wire::TreeGossip) <= kInlineFrameBytes &&
+              sizeof(wire::IHave) <= kInlineFrameBytes &&
+              sizeof(wire::Graft) <= kInlineFrameBytes);
 
 /// Events (and payload slots) pre-reserved at construction so steady-state
 /// runs never grow the queue or the payload slabs.
@@ -88,7 +122,6 @@ Simulator::Simulator(SimConfig config)
   // POD store plus bucket append, never a reallocation.
   queue_.reserve(kInitialEventCapacity);
   messages_.reserve(kInitialEventCapacity);
-  gossips_.reserve(kInitialEventCapacity);
   tasks_.reserve(64);
   connects_.reserve(64);
 }
@@ -99,11 +132,11 @@ NodeId Simulator::add_node(Handler* handler) {
   const auto index = static_cast<std::uint32_t>(nodes_.size());
   SimNode node;
   node.handler = handler;
-  node.alive = true;
   // Stream ids 0/1 are the master/latency streams; nodes start at 2.
   node.env = std::make_unique<SimEnv>(this, index,
                                       derive_seed(config_.seed, 2 + index));
   nodes_.push_back(std::move(node));
+  state_.push_back(kAlive);
   ++alive_count_;
   return NodeId::from_index(index);
 }
@@ -115,15 +148,14 @@ void Simulator::set_handler(const NodeId& id, Handler* handler) {
 
 bool Simulator::alive(const NodeId& id) const {
   HPV_CHECK(id.ip < nodes_.size());
-  return nodes_[id.ip].alive;
+  return is_alive(id.ip);
 }
 
 void Simulator::crash(const NodeId& id) {
   HPV_CHECK(id.ip < nodes_.size());
+  if (!is_alive(id.ip)) return;
   SimNode& node = nodes_[id.ip];
-  if (!node.alive) return;
-  node.alive = false;
-  node.blocked = false;
+  state_[id.ip] = 0;
   node.inbox.clear();
   --alive_count_;
   if (config_.notify_on_crash) {
@@ -150,15 +182,14 @@ void Simulator::crash(const NodeId& id) {
 
 void Simulator::block(const NodeId& id) {
   HPV_CHECK(id.ip < nodes_.size());
-  SimNode& node = nodes_[id.ip];
-  if (node.alive) node.blocked = true;
+  if (is_alive(id.ip)) state_[id.ip] = kAlive | kBlocked;
 }
 
 void Simulator::unblock(const NodeId& id) {
   HPV_CHECK(id.ip < nodes_.size());
+  if (!blocked(id)) return;
   SimNode& node = nodes_[id.ip];
-  if (!node.blocked) return;
-  node.blocked = false;
+  state_[id.ip] = kAlive;
   // Replay the backlog in arrival order (the consumer catches up): a
   // single shared delay plus the sequence-number tie break preserves it.
   std::vector<QueuedMessage> backlog;
@@ -172,7 +203,7 @@ void Simulator::unblock(const NodeId& id) {
     switch (queued.kind) {
       case QueuedMessage::Kind::kDeliver:
         ev.kind = EventKind::kDeliver;
-        ev.payload = put_message(queued.msg);
+        put_message(ev, queued.msg);
         break;
       case QueuedMessage::Kind::kClose:
         ev.kind = EventKind::kLinkClosed;
@@ -181,7 +212,7 @@ void Simulator::unblock(const NodeId& id) {
       case QueuedMessage::Kind::kSendFailed:
         ev.kind = EventKind::kSendFailed;
         ev.replay = true;  // already counted at the original dispatch
-        ev.payload = put_message(queued.msg);
+        put_message(ev, queued.msg);
         break;
       case QueuedMessage::Kind::kConnectResult:
         ev.kind = EventKind::kConnectResult;
@@ -196,7 +227,7 @@ void Simulator::unblock(const NodeId& id) {
 
 bool Simulator::blocked(const NodeId& id) const {
   HPV_CHECK(id.ip < nodes_.size());
-  return nodes_[id.ip].blocked;
+  return (state_[id.ip] & kBlocked) != 0;
 }
 
 bool Simulator::drop_link(const NodeId& a, const NodeId& b) {
@@ -207,7 +238,7 @@ bool Simulator::drop_link(const NodeId& a, const NodeId& b) {
   bool scheduled = false;
   for (const auto& [owner, other] : {std::pair{a.ip, b.ip}, {b.ip, a.ip}}) {
     const std::size_t side = link_slot(nodes_[owner], other);
-    if (side == kNoLink || !nodes_[owner].alive) continue;
+    if (side == kNoLink || !is_alive(owner)) continue;
     Event ev;
     ev.at = now_ + config_.failure_detect_delay;
     ev.kind = EventKind::kLinkClosed;
@@ -305,32 +336,31 @@ void Simulator::reset_counters() {
 void Simulator::do_send(std::uint32_t from, std::uint32_t to,
                         const wire::Message& msg) {
   // Dead nodes initiate nothing; blocked nodes are frozen applications.
-  if (!nodes_[from].alive || nodes_[from].blocked) return;
-  const auto* gossip = std::get_if<wire::Gossip>(&msg);
+  if (!is_running(from)) return;
   ++sent_total_;
   const std::uint8_t tag = wire::type_tag(msg);
   ++sent_by_type_[tag];
-  const std::uint64_t cost =
-      gossip != nullptr ? wire::wire_cost(*gossip) : wire::wire_cost(msg);
+  // The payload-frame encodings are compile-time constants (wire_test pins
+  // them against the generic walk).
+  std::uint64_t cost = 0;
+  if (const auto* gossip = std::get_if<wire::Gossip>(&msg)) {
+    cost = wire::wire_cost(*gossip);
+  } else if (const auto* tree = std::get_if<wire::TreeGossip>(&msg)) {
+    cost = wire::wire_cost(*tree);
+  } else {
+    cost = wire::wire_cost(msg);
+  }
   bytes_total_ += cost;
   bytes_by_type_[tag] += cost;
 
   Event ev;
-  // Gossip frames — the broadcast hot path — live in their own POD pool;
-  // everything else rides the generic variant pool (active alternative
-  // copied in place, see put_message).
-  if (gossip != nullptr) {
-    ev.payload = gossips_.put(*gossip);
-    ev.gossip = true;
-  } else {
-    ev.payload = put_message(msg);
-  }
+  put_message(ev, msg);
   // Out-of-range addresses are fabricated identities (the adversarial tier
   // injects view entries that name no simulated process). They behave
   // exactly like crashed peers: the write fails back to the sender after
   // the detection delay. In-range traffic takes the historical path
   // unchanged.
-  if (to >= nodes_.size() || !nodes_[to].alive) {
+  if (to >= nodes_.size() || !is_alive(to)) {
     // TCP write against a crashed peer: fails back to the sender after the
     // detection delay. The link, if any, is torn down.
     link_remove(nodes_[from], to);
@@ -363,10 +393,10 @@ void Simulator::do_connect(std::uint32_t from, std::uint32_t to,
   // Dead nodes initiate nothing, and neither do blocked ones: a frozen
   // process cannot reach its dial loop any more than its send path (the
   // same rule do_send applies).
-  if (!nodes_[from].alive || nodes_[from].blocked) return;
+  if (!is_running(from)) return;
   // Fabricated (out-of-range) targets refuse the dial after the detection
   // delay, like crashed peers.
-  const bool reachable = to < nodes_.size() && nodes_[to].alive;
+  const bool reachable = to < nodes_.size() && is_alive(to);
   Event ev;
   ev.kind = EventKind::kConnectResult;
   ev.at = now_ + (reachable ? draw_latency()
@@ -380,14 +410,14 @@ void Simulator::do_connect(std::uint32_t from, std::uint32_t to,
 void Simulator::do_disconnect(std::uint32_t from, std::uint32_t to) {
   // Same inertness rule as do_send/do_connect: a frozen (or dead)
   // application never reaches its teardown path either.
-  if (!nodes_[from].alive || nodes_[from].blocked) return;
+  if (!is_running(from)) return;
   // TCP semantics: the remote side observes our FIN *after* any in-flight
   // data on this connection (clamped to the link's last scheduled arrival).
   // If the remote closes its own side first — e.g. because a DISCONNECT
   // message told it to — or the pair reconnects meanwhile (new generation),
   // the notification is suppressed at dispatch. Fabricated (out-of-range)
   // peers have no remote side to notify.
-  const std::size_t remote_side = to < nodes_.size() && nodes_[to].alive
+  const std::size_t remote_side = to < nodes_.size() && is_alive(to)
                                       ? link_slot(nodes_[to], from)
                                       : kNoLink;
   if (remote_side != kNoLink) {
@@ -425,29 +455,16 @@ void Simulator::push_event(Event ev) {
 
 void Simulator::dispatch(Event& ev) {
   SimNode& node = nodes_[ev.node];
+  const std::uint8_t state = state_[ev.node];
   switch (ev.kind) {
     case EventKind::kDeliver: {
-      if (!node.alive) {
+      if ((state & kAlive) == 0) {
         // Target crashed while the message was in flight: the sender's TCP
-        // stack notices (RST / timeout) and reports the failure. The
-        // payload slot transfers to the failure event untouched.
-        if (nodes_[ev.peer].alive) {
-          link_remove(nodes_[ev.peer], ev.node);
-          link_remove(node, ev.peer);
-          Event fail;
-          fail.kind = EventKind::kSendFailed;
-          fail.at = now_ + config_.failure_detect_delay;
-          fail.node = ev.peer;
-          fail.peer = ev.node;
-          fail.payload = ev.payload;
-          fail.gossip = ev.gossip;
-          push_event(fail);
-        } else {
-          release_message(ev);
-        }
+        // stack notices (RST / timeout) and reports the failure.
+        fail_back(ev);
         return;
       }
-      if (node.blocked) {
+      if ((state & kBlocked) != 0) {
         // Slow consumer (§5.5): buffer up to the per-sender flow-control
         // window, then fail back to the sender as if the node had crashed.
         std::size_t from_sender = 0;
@@ -468,20 +485,7 @@ void Simulator::dispatch(Event& ev) {
           node.inbox.push_back(std::move(queued));
           return;
         }
-        if (nodes_[ev.peer].alive) {
-          link_remove(nodes_[ev.peer], ev.node);
-          link_remove(node, ev.peer);
-          Event fail;
-          fail.kind = EventKind::kSendFailed;
-          fail.at = now_ + config_.failure_detect_delay;
-          fail.node = ev.peer;
-          fail.peer = ev.node;
-          fail.payload = ev.payload;
-          fail.gossip = ev.gossip;
-          push_event(fail);
-        } else {
-          release_message(ev);
-        }
+        fail_back(ev);
         return;
       }
       ++delivered_total_;
@@ -497,8 +501,8 @@ void Simulator::dispatch(Event& ev) {
     case EventKind::kSendFailed: {
       if (!ev.replay) ++send_failures_;
       wire::Message msg = take_message(ev);
-      if (!node.alive) return;
-      if (node.blocked) {
+      if ((state & kAlive) == 0) return;
+      if ((state & kBlocked) != 0) {
         // The failure report is a kernel-level fact (the RST arrived); the
         // frozen application processes it when it resumes — dropping it
         // would wedge protocols waiting on the send's outcome.
@@ -516,20 +520,19 @@ void Simulator::dispatch(Event& ev) {
     }
     case EventKind::kConnectResult: {
       membership::ConnectCallback cb = connects_.take(ev.payload);
-      if (!node.alive) return;
+      if ((state & kAlive) == 0) return;
       // The kernel completes the handshake whether or not the application
       // is frozen, so the link comes into being now; only the callback
       // waits for the process to resume (a dropped completion would wedge
       // any state machine gating on the dial, e.g. HyParView promotion).
-      const bool ok = ev.replay
-                          ? ev.ok
-                          : ev.peer < nodes_.size() && nodes_[ev.peer].alive;
+      const bool ok =
+          ev.replay ? ev.ok : ev.peer < nodes_.size() && is_alive(ev.peer);
       if (!ev.replay && ok && !link_has(node, ev.peer)) {
         link_add(node, ev.peer);
         link_add(nodes_[ev.peer], ev.node);
         ++connections_opened_;
       }
-      if (node.blocked) {
+      if ((state & kBlocked) != 0) {
         QueuedMessage queued;
         queued.kind = QueuedMessage::Kind::kConnectResult;
         queued.from = ev.peer;
@@ -545,12 +548,12 @@ void Simulator::dispatch(Event& ev) {
       membership::TaskCallback task = tasks_.take(ev.payload);
       // Frozen applications miss their timers (app-internal scheduling
       // fires into a stuck process); dead ones are gone.
-      if (!node.alive || node.blocked) return;
+      if (state != kAlive) return;
       if (task) task();
       return;
     }
     case EventKind::kLinkClosed: {
-      if (!node.alive) return;
+      if ((state & kAlive) == 0) return;
       // ev.replay marks a forced replay from a drained inbox; otherwise
       // the notification only fires if our side of *that* link instance is
       // still open (close-vs-close races resolve silently, like mutual
@@ -562,7 +565,7 @@ void Simulator::dispatch(Event& ev) {
         }
         link_remove(node, ev.peer);
       }
-      if (node.blocked) {
+      if ((state & kBlocked) != 0) {
         QueuedMessage queued;
         queued.kind = QueuedMessage::Kind::kClose;
         queued.from = ev.peer;
@@ -577,23 +580,47 @@ void Simulator::dispatch(Event& ev) {
   }
 }
 
-std::uint32_t Simulator::put_message(const wire::Message& msg) {
-  const std::uint32_t slot = messages_.alloc();
-  // In-place emplace of the active alternative: a ScampForwardedSub send
-  // writes ~8 bytes into the slab, not the variant's full ~270-byte
-  // storage. (Whole-variant assignment of a trivially copyable variant is
-  // a full-storage memcpy — measurably slower across a 9.5M-event
-  // bootstrap.)
+void Simulator::fail_back(const Event& ev) {
+  if (!is_alive(ev.peer)) {
+    release_message(ev);
+    return;
+  }
+  link_remove(nodes_[ev.peer], ev.node);
+  link_remove(nodes_[ev.node], ev.peer);
+  // The frame — inline bytes or slab slot — moves to the failure event
+  // untouched.
+  Event fail = ev;
+  fail.kind = EventKind::kSendFailed;
+  fail.at = now_ + config_.failure_detect_delay;
+  fail.node = ev.peer;
+  fail.peer = ev.node;
+  push_event(fail);
+}
+
+void Simulator::put_message(Event& ev, const wire::Message& msg) {
+  // Copy only the active alternative: a Gossip send writes 16 bytes into
+  // the event, a shuffle its list into the slab — never the variant's full
+  // ~270-byte storage (whole-variant assignment of a trivially copyable
+  // variant is a full-storage memcpy, measurably slower across a 9.5M-event
+  // bootstrap).
   std::visit(
       [&](const auto& m) {
-        messages_[slot].emplace<std::decay_t<decltype(m)>>(m);
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (sizeof(T) <= kInlineFrameBytes) {
+          std::memcpy(ev.frame, static_cast<const void*>(&m), sizeof(T));
+          ev.payload = kNoSlot;
+        } else {
+          const std::uint32_t slot = messages_.alloc();
+          messages_[slot].emplace<T>(m);
+          ev.payload = slot;
+        }
       },
       msg);
-  return slot;
+  ev.frame_tag = static_cast<std::uint8_t>(msg.index());
 }
 
 wire::Message Simulator::take_message(const Event& ev) {
-  if (ev.gossip) return wire::Message(gossips_.take(ev.payload));
+  if (ev.payload == kNoSlot) return kUnpackFrame[ev.frame_tag](ev.frame);
   // Copy out only the active alternative. The slot is released *first* so
   // the return expression stays a prvalue — guaranteed copy elision
   // constructs the caller's Message directly from the slab; a named local
@@ -608,11 +635,7 @@ wire::Message Simulator::take_message(const Event& ev) {
 }
 
 void Simulator::release_message(const Event& ev) {
-  if (ev.gossip) {
-    gossips_.release(ev.payload);
-  } else {
-    messages_.release(ev.payload);
-  }
+  if (ev.payload != kNoSlot) messages_.release(ev.payload);
 }
 
 Duration Simulator::draw_latency() {

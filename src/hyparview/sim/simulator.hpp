@@ -55,6 +55,11 @@ struct SimConfig {
 /// Per-node upcall interface; implemented by gossip::NodeRuntime.
 using Handler = membership::Endpoint;
 
+/// Wire frames this small travel inside their simulator event; only the
+/// four list frames (Shuffle, ShuffleReply, CyclonShuffle,
+/// CyclonShuffleReply) are larger and take a payload-slab slot.
+inline constexpr std::size_t kInlineFrameBytes = 16;
+
 class Simulator {
  public:
   explicit Simulator(SimConfig config);
@@ -171,38 +176,40 @@ class Simulator {
     kLinkClosed,
   };
 
-  /// 40-byte POD: the calendar queue moves only this. Fat payloads (wire
-  /// messages, callbacks) live in the slot pools below, addressed by
-  /// `payload`, so pushing and popping an event never allocates or runs a
-  /// move ctor.
+  /// 48-byte POD: the calendar queue moves only this. Small wire frames
+  /// ride in `frame`; list frames and callbacks live in the slot pools
+  /// below, addressed by `payload`, so pushing and popping an event never
+  /// allocates or runs a move ctor.
   struct Event {
     TimePoint at = 0;
     std::uint64_t seq = 0;
-    /// For kLinkClosed: the generation of the link instance being closed,
-    /// so a stale FIN cannot tear down a newer connection between the same
-    /// pair (TCP connections have identity).
-    std::uint64_t link_gen = 0;
+    union {
+      /// For kLinkClosed: the generation of the link instance being
+      /// closed, so a stale FIN cannot tear down a newer connection between
+      /// the same pair (TCP connections have identity).
+      std::uint64_t link_gen = 0;
+      /// kDeliver/kSendFailed with payload == kNoSlot: the bytes of the
+      /// frame whose wire tag is `frame_tag` (see put_message).
+      alignas(8) unsigned char frame[kInlineFrameBytes];
+    };
     std::uint32_t node = 0;  ///< event target node index
     std::uint32_t peer = 0;  ///< other endpoint where applicable
     /// Slot index into the pool selected by `kind` (kDeliver/kSendFailed →
-    /// gossip or message pool per `gossip`, kTask → task pool,
-    /// kConnectResult → connect pool); kNoSlot when the event carries no
-    /// payload.
+    /// messages_ for a list frame, kTask → task pool, kConnectResult →
+    /// connect pool); kNoSlot when the event carries no pooled payload.
     std::uint32_t payload = kNoSlot;
     EventKind kind = EventKind::kTask;
+    /// kDeliver/kSendFailed: wire::type_tag of an inline frame.
+    std::uint8_t frame_tag = 0;
     /// kConnectResult replay: the handshake outcome recorded when the
     /// original result reached the then-blocked node.
     bool ok = false;
-    /// kDeliver/kSendFailed: payload lives in the POD gossip pool instead
-    /// of the generic variant pool. Gossip frames are the broadcast hot
-    /// path — storing them as PODs skips the 20-alternative variant
-    /// move/reset dispatch on every send and delivery.
-    bool gossip = false;
     /// Forced replay from a drained inbox (unblock): skips the checks and
     /// counters that already ran at the original dispatch.
     bool replay = false;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 48);
 
   /// One event buffered in a blocked node's inbox. A frozen application
   /// misses its timers, but everything the *network* hands it — message
@@ -238,10 +245,12 @@ class Simulator {
     TimePoint last_arrival = 0;
   };
 
+  /// Per-node liveness bits in state_ (blocked implies alive).
+  static constexpr std::uint8_t kAlive = 1;
+  static constexpr std::uint8_t kBlocked = 2;
+
   struct SimNode {
     Handler* handler = nullptr;
-    bool alive = true;
-    bool blocked = false;
     /// Open connections (symmetric), structure-of-arrays: the peer ids are
     /// scanned on every send, so they live in their own dense u32 array
     /// (a 100-link table is ~7 cache lines instead of ~40); gen/arrival
@@ -268,19 +277,30 @@ class Simulator {
 
   void push_event(Event ev);
   void dispatch(Event& ev);
+  /// A delivery that cannot be handed over (target crashed, or blocked
+  /// with a full window) fails back to its sender, carrying the frame.
+  void fail_back(const Event& ev);
   Duration draw_latency();
 
-  /// Copies `msg` into the generic payload slab. Copies only the *active
-  /// alternative* (visit + in-place emplace): the flat wire variant's
-  /// storage is sized for a max-capacity shuffle (~270 bytes), but most
-  /// membership frames are a dozen bytes — whole-variant assignment would
-  /// memcpy the full storage on every control-plane send.
-  std::uint32_t put_message(const wire::Message& msg);
+  [[nodiscard]] bool is_alive(std::uint32_t node) const {
+    return (state_[node] & kAlive) != 0;
+  }
+  /// Alive and not blocked: the node's application runs.
+  [[nodiscard]] bool is_running(std::uint32_t node) const {
+    return state_[node] == kAlive;
+  }
 
-  /// Moves a kDeliver/kSendFailed payload out of its pool (see Event::gossip).
-  /// Same active-alternative-only copy discipline as put_message.
+  /// Stores `msg` as ev's frame: inline when it fits kInlineFrameBytes,
+  /// else in the messages_ slab. Copies only the *active alternative*
+  /// (visit + in-place emplace): the flat wire variant's storage is sized
+  /// for a max-capacity shuffle (~270 bytes), but most frames are a dozen
+  /// bytes — whole-variant assignment would copy the full storage.
+  void put_message(Event& ev, const wire::Message& msg);
+
+  /// Rebuilds a kDeliver/kSendFailed frame stored by put_message, releasing
+  /// its slab slot if it had one.
   wire::Message take_message(const Event& ev);
-  /// Releases such a payload without materializing it (dropped events).
+  /// Releases such a frame without materializing it (dropped events).
   void release_message(const Event& ev);
 
   /// Delivery time respecting per-link FIFO (TCP stream order): clamps to
@@ -303,18 +323,17 @@ class Simulator {
   Rng master_rng_;
   Rng latency_rng_;
   std::vector<SimNode> nodes_;
+  /// kAlive/kBlocked bits per node, parallel to nodes_: the liveness test
+  /// on every send reads one byte instead of the target's SimNode.
+  std::vector<std::uint8_t> state_;
   /// Pending events, popped in strict (at, seq) order. The calendar's
   /// bucket width tracks the latency band (set_latency re-buckets).
   CalendarQueue<Event> queue_;
   /// Payload slabs, free-list recycled (see slot_pool.hpp). One per payload
-  /// kind so slots are homogeneous and reuse is exact. Gossip frames get
-  /// their own compact slab (Event::gossip) — they dominate broadcast
-  /// traffic and are an order of magnitude smaller than the full variant.
-  /// Since the flat wire refactor the generic pool is POD too: membership
-  /// control frames (shuffle node-lists included) recycle through it
-  /// without ever touching the allocator — put/take are plain copies.
+  /// kind so slots are homogeneous and reuse is exact. messages_ holds only
+  /// the list frames too large for Event::frame; wire messages are flat
+  /// PODs, so they recycle without ever touching the allocator.
   SlotPool<wire::Message> messages_;
-  SlotPool<wire::Gossip> gossips_;
   SlotPool<membership::TaskCallback> tasks_;
   SlotPool<membership::ConnectCallback> connects_;
   TimePoint now_ = 0;

@@ -8,7 +8,7 @@
 //
 // A released slot keeps its moved-from value until reuse; `put` assigns over
 // it. For types whose moved-from state owns no resources (wire::Message
-// gossip frames, InplaceFunction) recycling is therefore allocation-free.
+// list frames, InplaceFunction) recycling is therefore allocation-free.
 #pragma once
 
 #include <cstdint>

@@ -197,6 +197,26 @@ TEST(ExperimentSpecTest, HealUntilRequiresEarlierBroadcastBaseline) {
   EXPECT_NO_THROW(Experiment("ok").broadcast(1, "b").heal_until("b", 5, 1));
 }
 
+TEST(ExperimentSpecTest, HealUntilRejectsAnEmptyBaseline) {
+  // A broadcast phase of count 0 averages to 0.0, which the first probe
+  // always "recovers" — the builder refuses it, and so does the runner
+  // when an edit through mutable_phases() empties the baseline later.
+  EXPECT_THROW(Experiment("empty").broadcast(0, "b").heal_until("b", 5, 1),
+               CheckError);
+  EXPECT_THROW(Experiment("first")
+                   .broadcast(0, "b")
+                   .broadcast(5, "b")
+                   .heal_until("b", 5, 1),
+               CheckError);
+
+  Experiment edited("edited");
+  edited.stabilize(5).broadcast(5, "b").crash(0.8).heal_until("b", 10, 10);
+  edited.mutable_phases()[1].count = 0;
+  auto cluster = Cluster::sim(
+      NetworkConfig::defaults_for(ProtocolKind::kCyclon, 200, kSeed));
+  EXPECT_THROW((void)cluster.run(edited), CheckError);
+}
+
 TEST(ExperimentSpecTest, HealUntilMeasuresAgainstTheBroadcastBaseline) {
   // A cycles phase sharing the baseline label records no broadcasts; the
   // runner must skip it and heal toward the broadcast phase's reliability,

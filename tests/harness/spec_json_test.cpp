@@ -431,6 +431,24 @@ TEST(SpecJsonTest, RejectsHealUntilWithoutEarlierBroadcastBaseline) {
   expect_rejected(
       spec(R"({"kind":"stabilize","cycles":5,"label":"b"},)" + heal),
       "phases[1].baseline");
+  // A broadcast phase of count 0 measures nothing to heal back to: its
+  // average would read 0.0, and the first probe would always "recover".
+  const std::string empty = R"({"kind":"broadcast","count":0,"label":"b"})";
+  expect_rejected(spec(empty + "," + heal), "phases[1].baseline");
+  expect_rejected(spec(empty + "," + heal), "broadcasts nothing");
+  // The baseline resolves to the first broadcast phase with the label.
+  expect_rejected(spec(empty + "," + broadcast + "," + heal),
+                  "phases[2].baseline");
+  // A whole program that used to pass --validate: run, it "healed" after
+  // one cycle at about 2% probe reliability.
+  expect_rejected(
+      R"({"name":"x","network":{"protocol":"Cyclon","nodes":1000},)"
+      R"("phases":[{"kind":"stabilize","cycles":20},)" +
+          empty +
+          R"(,{"kind":"crash","fraction":0.8},)"
+          R"({"kind":"heal_until","baseline":"b","max_cycles":10,)"
+          R"("probes_per_cycle":10}]})",
+      "phases[3].baseline");
   // An earlier broadcast phase is a valid baseline.
   const RunSpec ok =
       spec_from_json(json::Value::parse(spec(broadcast + "," + heal)));

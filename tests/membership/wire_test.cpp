@@ -85,6 +85,20 @@ TEST(WireTest, TagsAreStableVariantIndices) {
             static_cast<std::uint8_t>(std::variant_size_v<Message> - 1));
 }
 
+TEST(WireTest, PayloadPlaneIsExactlyTheSixEngineFrames) {
+  // NodeRuntime offers these to the broadcast engine and everything else
+  // to the membership protocol.
+  for (const Message& m : representative_messages()) {
+    const bool engine_frame =
+        std::holds_alternative<Gossip>(m) ||
+        std::holds_alternative<GossipAck>(m) ||
+        std::holds_alternative<TreeGossip>(m) ||
+        std::holds_alternative<IHave>(m) || std::holds_alternative<Graft>(m) ||
+        std::holds_alternative<Prune>(m);
+    EXPECT_EQ(is_payload_plane(m), engine_frame) << type_name(m);
+  }
+}
+
 TEST(WireTest, TypeNamesDistinct) {
   std::vector<std::string> names;
   for (const auto& m : representative_messages()) {

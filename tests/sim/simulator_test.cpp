@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
 #include <vector>
 
 namespace hyparview::sim {
@@ -532,6 +533,173 @@ TEST_F(SimulatorTest, SetLatencyZeroWidthBandIsValid) {
   sim.run_until_quiescent();
   EXPECT_EQ(sim.now(), milliseconds(7));
   ASSERT_EQ(h.deliveries.size(), 1u);
+}
+
+// --- every wire frame crosses the simulator unchanged ----------------------
+//
+// Small frames ride inside the queued event and the four list frames take a
+// slab slot; either way a frame must reach the receiver, or come back to
+// the sender at send_failed, exactly as it was sent.
+
+/// One frame of every wire alternative, in tag order, with every field
+/// non-default; the four list frames carry full-capacity lists.
+std::vector<wire::Message> every_frame() {
+  const NodeId x{0x0a000001u, 4242};
+  const NodeId y{0x0a000002u, 4343};
+  wire::ShuffleList entries;
+  wire::ShuffleList sent;
+  for (std::uint32_t i = 0; i < wire::ShuffleList::kCapacity; ++i) {
+    entries.push_back(NodeId{100 + i, static_cast<std::uint16_t>(7 + i)});
+    sent.push_back(NodeId{200 + i, static_cast<std::uint16_t>(9 + i)});
+  }
+  wire::AgedList aged;
+  wire::AgedList aged_reply;
+  for (std::uint32_t i = 0; i < wire::AgedList::kCapacity; ++i) {
+    aged.push_back({NodeId{300 + i, 1}, static_cast<std::uint16_t>(40 + i)});
+    aged_reply.push_back(
+        {NodeId{400 + i, 2}, static_cast<std::uint16_t>(60 + i)});
+  }
+  std::vector<wire::Message> frames = {
+      wire::Join{},
+      wire::ForwardJoin{x, 6},
+      wire::ForwardJoinAccept{},
+      wire::Disconnect{},
+      wire::Neighbor{true},
+      wire::NeighborReply{true},
+      wire::Shuffle{x, 5, entries},
+      wire::ShuffleReply{sent, entries},
+      wire::CyclonShuffle{aged},
+      wire::CyclonShuffleReply{aged_reply},
+      wire::CyclonJoinWalk{y, 4},
+      wire::CyclonJoinGift{wire::AgedId{y, 9}},
+      wire::ScampSubscribe{x},
+      wire::ScampForwardedSub{y, 77},
+      wire::ScampInViewNotify{},
+      wire::ScampReplace{x, y},
+      wire::ScampHeartbeat{},
+      wire::Gossip{0x0123456789abcdefull, 11, 4096},
+      wire::GossipAck{0xfedcba9876543210ull},
+      wire::Hello{y},
+      wire::TreeGossip{0x1111222233334444ull, 12, 999},
+      wire::IHave{0x5555666677778888ull, 13},
+      wire::Graft{0x9999aaaabbbbccccull},
+      wire::Prune{},
+  };
+  return frames;
+}
+
+template <typename Records>
+void expect_frames(const Records& records, const NodeId& peer) {
+  const std::vector<wire::Message> frames = every_frame();
+  ASSERT_EQ(records.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_TRUE(records[i].msg == frames[i])
+        << "frame " << wire::type_name(frames[i]) << " changed in transit";
+    EXPECT_EQ(records[i].msg.index(), i);
+  }
+  for (const auto& r : records) {
+    if constexpr (requires { r.from; }) {
+      EXPECT_EQ(r.from, peer);
+    } else {
+      EXPECT_EQ(r.to, peer);
+    }
+  }
+}
+
+void send_every_frame(Simulator& sim, const NodeId& from, const NodeId& to) {
+  for (const wire::Message& m : every_frame()) sim.env(from).send(to, m);
+}
+
+TEST_F(SimulatorTest, EveryFrameSampleCoversEveryAlternative) {
+  const std::vector<wire::Message> frames = every_frame();
+  ASSERT_EQ(frames.size(), std::variant_size_v<wire::Message>);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].index(), i);
+  }
+}
+
+TEST_F(SimulatorTest, EveryFrameArrivesUnchanged) {
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  send_every_frame(sim, a, b);
+  sim.run_until_quiescent();
+  expect_frames(hb.deliveries, a);
+  EXPECT_TRUE(ha.failures.empty());
+}
+
+TEST_F(SimulatorTest, EveryFrameFailsBackUnchangedFromADeadTarget) {
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  sim.crash(b);
+  send_every_frame(sim, a, b);
+  sim.run_until_quiescent();
+  expect_frames(ha.failures, b);
+  EXPECT_TRUE(hb.deliveries.empty());
+}
+
+TEST_F(SimulatorTest, EveryFrameFailsBackUnchangedWhenTheTargetCrashesInFlight) {
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  send_every_frame(sim, a, b);
+  sim.crash(b);
+  sim.run_until_quiescent();
+  expect_frames(ha.failures, b);
+  EXPECT_TRUE(hb.deliveries.empty());
+}
+
+TEST_F(SimulatorTest, EveryFrameFailsBackUnchangedFromAFullBlockedInbox) {
+  config_.link_send_buffer = 0;  // a blocked receiver refuses every frame
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  sim.block(b);
+  send_every_frame(sim, a, b);
+  sim.run_until_quiescent();
+  expect_frames(ha.failures, b);
+}
+
+TEST_F(SimulatorTest, EveryFrameArrivesUnchangedAfterBlockUnblockReplay) {
+  config_.link_send_buffer = std::variant_size_v<wire::Message>;
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  sim.block(b);
+  send_every_frame(sim, a, b);
+  sim.run_until_quiescent();
+  EXPECT_TRUE(hb.deliveries.empty());
+  sim.unblock(b);
+  sim.run_until_quiescent();
+  expect_frames(hb.deliveries, a);
+  EXPECT_TRUE(ha.failures.empty());
+}
+
+TEST_F(SimulatorTest, EveryFailedFrameReplaysUnchangedAfterBlockUnblock) {
+  Simulator sim(config_);
+  RecordingHandler ha;
+  RecordingHandler hb;
+  const NodeId a = sim.add_node(&ha);
+  const NodeId b = sim.add_node(&hb);
+  sim.crash(b);
+  send_every_frame(sim, a, b);
+  sim.block(a);  // freezes before the RSTs come back
+  sim.run_until_quiescent();
+  EXPECT_TRUE(ha.failures.empty());
+  sim.unblock(a);
+  sim.run_until_quiescent();
+  expect_frames(ha.failures, b);
 }
 
 }  // namespace

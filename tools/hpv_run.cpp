@@ -68,6 +68,10 @@ void write_bench_json(const std::string& path, const harness::RunSpec& spec,
     if (!phase.reliabilities.empty()) {
       doc.set("reliability_" + phase.label, phase.avg_reliability());
     }
+    if (phase.kind == harness::Experiment::PhaseKind::kHealUntil) {
+      doc.set("cycles_to_heal_" + phase.label, phase.cycles_to_heal);
+      doc.set("recovered_" + phase.label, phase.recovered);
+    }
   }
   std::ofstream out(path, std::ios::binary);
   HPV_CHECK_THROW(out.good(), "hpv_run: cannot write " + path);
@@ -110,15 +114,16 @@ int run_spec(const harness::RunSpec& spec, const std::string& backend,
   const harness::ExperimentResult result = cluster.run(spec.experiment);
 
   for (const harness::PhaseResult& phase : result.phases) {
+    std::printf("  %-16s events=%llu", phase.label.c_str(),
+                static_cast<unsigned long long>(phase.events));
     if (!phase.reliabilities.empty()) {
-      std::printf("  %-16s events=%llu reliability=%.4f\n",
-                  phase.label.c_str(),
-                  static_cast<unsigned long long>(phase.events),
-                  phase.avg_reliability());
-    } else {
-      std::printf("  %-16s events=%llu\n", phase.label.c_str(),
-                  static_cast<unsigned long long>(phase.events));
+      std::printf(" reliability=%.4f", phase.avg_reliability());
     }
+    if (phase.kind == harness::Experiment::PhaseKind::kHealUntil) {
+      std::printf(" cycles_to_heal=%zu recovered=%s", phase.cycles_to_heal,
+                  phase.recovered ? "yes" : "no");
+    }
+    std::printf("\n");
   }
   std::printf("total: %llu events in %.3fs\n",
               static_cast<unsigned long long>(result.events),
