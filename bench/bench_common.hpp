@@ -1,12 +1,11 @@
-// Shared helpers for the experiment drivers (one binary per paper figure).
+// Shared helpers for the bench programs that stay in C++ (gates, churn and
+// the ablations whose measurements no spec phase expresses).
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "hyparview/harness/experiment.hpp"
 #include "hyparview/harness/scale.hpp"
 #include "hyparview/harness/spec_json.hpp"
-#include "hyparview/harness/sweep_runner.hpp"
 
 namespace hyparview::bench {
 
@@ -52,16 +50,6 @@ inline harness::Cluster sim_cluster(harness::ProtocolKind kind,
                                     std::size_t nodes, std::uint64_t seed) {
   return harness::Cluster::sim(
       harness::NetworkConfig::defaults_for(kind, nodes, seed));
-}
-
-/// Loads a committed experiment spec (specs/<name>.json; HPV_SPEC_DIR
-/// overrides the directory) and returns its phase program. The committed
-/// file pins the program's *shape*; drivers patch the scale-dependent knobs
-/// (broadcast counts, crash fractions) through
-/// mutable_phases(), so env-scaled runs stay bit-identical to the
-/// historical hand-built specs.
-inline harness::Experiment load_spec_experiment(const std::string& name) {
-  return harness::load_spec_file(harness::spec_path(name)).experiment;
 }
 
 /// Machine-readable benchmark record, written as BENCH_<name>.json in the
@@ -99,26 +87,6 @@ inline void write_bench_json(
   std::printf("[bench json → %s]\n", path.c_str());
 }
 
-/// Appends the per-phase timing fields of an experiment run to the BENCH
-/// json (phase_seconds_<prefix><label>); bench_compare.py knows these are
-/// informational. Instant phases (fanout switches) are skipped.
-template <typename Recorder>
-inline void add_phase_timings(Recorder& rec,
-                              const harness::ExperimentResult& result,
-                              const std::string& prefix = "") {
-  for (const harness::PhaseResult& phase : result.phases) {
-    if (phase.kind == harness::Experiment::PhaseKind::kSetFanout) continue;
-    rec.add_metric("phase_seconds_" + prefix + phase.label,
-                   phase.wall_seconds);
-  }
-}
-
-/// Guards worker-side progress prints inside sweep jobs (see run_sweep).
-inline std::mutex& sweep_print_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
 /// RAII bench record: starts timing at construction, accumulates simulator
 /// event counts as networks finish, writes BENCH_<name>.json on destruction
 /// (so a driver cannot forget the emit and every exit path is covered).
@@ -146,22 +114,5 @@ class JsonRecorder {
   std::uint64_t events_ = 0;
   std::vector<std::pair<std::string, double>> extra_;
 };
-
-/// Shared scaffolding for the threaded sweep drivers (fig2/fig3 and the
-/// ablations): announces the fan-out, runs the jobs on a SweepRunner
-/// (HPV_THREADS), records the resolved thread count on `rec`, and returns
-/// per-job wall seconds for the drivers' point_seconds_* metrics. Jobs must
-/// follow the SweepRunner determinism contract (own SimBackend, own result
-/// slot); guard worker-side progress prints with sweep_print_mutex().
-inline std::vector<double> run_sweep(
-    const std::vector<std::function<void()>>& jobs, JsonRecorder& rec) {
-  harness::SweepRunner runner;
-  const std::size_t threads = std::min(runner.threads(), jobs.size());
-  std::printf("[sweep: %zu points across %zu threads]\n", jobs.size(),
-              threads);
-  std::vector<double> seconds = runner.run(jobs);
-  rec.add_metric("threads", static_cast<double>(threads));
-  return seconds;
-}
 
 }  // namespace hyparview::bench

@@ -11,7 +11,9 @@ it fails when
     a behavior change, never noise, or
   * a zero-allocation metric (*_allocs, 0 in the baseline) became nonzero,
     or
-  * one of those gated keys is missing from the fresh record.
+  * one of those gated keys is missing from the fresh record, or
+  * a committed baseline has no fresh record at all (a deleted or renamed
+    emitter must take its baseline with it, not drop the gate silently).
 
 Scale-mismatched pairs (different nodes/messages/runs/seed/quick) are
 skipped with a notice instead of compared, and a run that compares nothing
@@ -105,7 +107,9 @@ def check_baselines(baselines, fresh):
     for name, base in sorted(baselines.items()):
         new = fresh.get(name)
         if new is None:
-            print(f"bench_compare: SKIP {name}: not emitted by this run")
+            failure = "not emitted by this run"
+            failures.append(f"{name}: {failure}")
+            print(f"bench_compare: FAIL {name}: {failure}")
             continue
         if scale(base) != scale(new):
             print(f"bench_compare: SKIP {name}: scale mismatch "

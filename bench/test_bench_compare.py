@@ -91,10 +91,22 @@ class BaselineTest(unittest.TestCase):
     def test_all_skipped_fails(self):
         failures, _ = check(record(), record(seed=7))
         self.assertEqual(failures, [bench_compare.NOTHING_COMPARED])
+
+    def test_baseline_without_fresh_record_fails(self):
+        # A deleted or renamed emitter must not drop its gate silently,
+        # even while other records still compare.
+        failures, out = quietly(
+            bench_compare.check_baselines,
+            {"BENCH_b.json": record(), "BENCH_c.json": record()},
+            {"BENCH_b.json": record()})
+        self.assertEqual(failures,
+                         ["BENCH_c.json: not emitted by this run"])
+        self.assertIn("FAIL BENCH_c.json: not emitted by this run", out)
         failures, _ = quietly(bench_compare.check_baselines,
                               {"BENCH_b.json": record()},
                               {"BENCH_c.json": record()})
-        self.assertEqual(failures, [bench_compare.NOTHING_COMPARED])
+        self.assertEqual(failures, ["BENCH_b.json: not emitted by this run",
+                                    bench_compare.NOTHING_COMPARED])
 
 
 class SameRunnerTest(unittest.TestCase):

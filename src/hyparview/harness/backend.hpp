@@ -200,8 +200,9 @@ class Backend {
   /// before returning.
   void leave_node(std::size_t i, bool graceful);
 
-  /// Crashes ⌊fraction · alive⌋ uniformly random alive nodes (no settling,
-  /// no failure notifications — detect-on-send).
+  /// Crashes ⌊fraction · alive⌋ uniformly random alive nodes through
+  /// kill_node, without settling: how survivors learn of the crashes is the
+  /// substrate's failure model (kill_node).
   void fail_random_fraction(double fraction);
 
   // --- Driving ----------------------------------------------------------------

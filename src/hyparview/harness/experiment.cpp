@@ -4,6 +4,8 @@
 #include <chrono>
 
 #include "hyparview/common/assert.hpp"
+#include "hyparview/common/rng.hpp"
+#include "hyparview/graph/metrics.hpp"
 #include "hyparview/harness/tcp_backend.hpp"
 
 namespace hyparview::harness {
@@ -21,6 +23,43 @@ double average(const std::vector<double>& values) {
   double sum = 0.0;
   for (const double v : values) sum += v;
   return sum / static_cast<double>(values.size());
+}
+
+/// BFS sources the overlay phase samples for avg_shortest_path.
+constexpr std::size_t kOverlayPathSources = 256;
+
+OverlayStats measure_overlay(Backend& backend) {
+  std::vector<bool> alive(backend.node_count());
+  double backup_entries = 0.0;
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alive[i] = backend.alive(i);
+    if (alive[i]) {
+      backup_entries +=
+          static_cast<double>(backend.protocol(i).backup_view().size());
+    }
+  }
+  const graph::Digraph g =
+      backend.dissemination_graph(/*alive_only=*/true).induced_subgraph(alive);
+
+  OverlayStats s;
+  s.alive = g.node_count();
+  s.connected = graph::is_weakly_connected(g);
+  s.largest_component = graph::largest_weakly_connected_component(g);
+  s.clustering = graph::average_clustering(g.undirected_closure());
+  // The BFS sampler is seeded from a copy of the harness stream: the stream
+  // the rest of the run draws from does not move.
+  Rng peek = backend.rng();
+  Rng sampler(derive_seed(peek.next(), 0x0e7a'0001ull));
+  s.avg_shortest_path =
+      graph::shortest_path_stats(g, kOverlayPathSources, sampler)
+          .average_shortest_path;
+  s.in_degree_histogram = graph::in_degree_histogram(g);
+  const std::vector<std::size_t> indeg = g.in_degrees();
+  const std::vector<double> values(indeg.begin(), indeg.end());
+  s.in_degree = analysis::summarize(values);
+  s.backup_view_mean =
+      s.alive == 0 ? 0.0 : backup_entries / static_cast<double>(s.alive);
+  return s;
 }
 
 }  // namespace
@@ -141,6 +180,14 @@ Experiment& Experiment::pubsub(const PubSubConfig& cfg, std::string label) {
 Experiment& Experiment::settle(std::string label) {
   Phase p;
   p.kind = PhaseKind::kSettle;
+  p.label = std::move(label);
+  phases_.push_back(std::move(p));
+  return *this;
+}
+
+Experiment& Experiment::overlay(std::string label) {
+  Phase p;
+  p.kind = PhaseKind::kOverlay;
   p.label = std::move(label);
   phases_.push_back(std::move(p));
   return *this;
@@ -304,6 +351,9 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
         pr.pubsub = backend.run_pubsub(phase.pubsub);
         pr.reliabilities = pr.pubsub.per_tick_reliability;
         break;
+      case Experiment::PhaseKind::kOverlay:
+        pr.overlay = measure_overlay(backend);
+        break;
     }
 
     pr.wall_seconds = now_seconds() - phase_start;
@@ -330,26 +380,6 @@ ExperimentResult Cluster::run(const Experiment& spec) {
 
 SimBackend* Cluster::sim_backend() {
   return dynamic_cast<SimBackend*>(backend_.get());
-}
-
-HealingResult run_healing_experiment(const NetworkConfig& netcfg,
-                                     const HealingConfig& cfg) {
-  auto cluster = Cluster::sim(netcfg);
-  Experiment spec("healing");
-  spec.stabilize(cfg.stabilization_cycles)
-      .broadcast(cfg.probes_per_cycle, "baseline")
-      .crash(cfg.fail_fraction)
-      .heal_until("baseline", cfg.max_cycles, cfg.probes_per_cycle, "heal");
-  const ExperimentResult run = cluster.run(spec);
-
-  HealingResult result;
-  result.baseline_reliability = run.phase("baseline").avg_reliability();
-  const PhaseResult& heal = run.phase("heal");
-  result.per_cycle_reliability = heal.reliabilities;
-  result.cycles_to_heal = heal.cycles_to_heal;
-  result.recovered = heal.recovered;
-  result.events_processed = cluster->events_processed();
-  return result;
 }
 
 }  // namespace hyparview::harness

@@ -4,9 +4,10 @@
 // used to be hand-rolled in every bench driver against the sim-only
 // harness. An Experiment captures it as data: an ordered list of phases
 // (membership rounds, fanout changes, fault injection, broadcast
-// measurements, healing loops, churn workloads), each with a label. The
-// runner executes the phases against a Backend and returns per-phase metric
-// sinks: wall seconds, backend events, and every broadcast's MessageResult.
+// measurements, healing loops, churn workloads, overlay snapshots), each
+// with a label. The runner executes the phases against a Backend and
+// returns per-phase metric sinks: wall seconds, backend events, every
+// broadcast's MessageResult and the overlay's graph metrics.
 //
 // Because the runner invokes exactly the primitives the historical drivers
 // invoked, in the same order, a spec run on the sim backend is bit-identical
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "hyparview/analysis/stats.hpp"
 #include "hyparview/harness/backend.hpp"
 #include "hyparview/harness/sim_backend.hpp"
 
@@ -56,6 +58,7 @@ class Experiment {
     kSybilBurst,  ///< adversaries inject fabricated joins, then settle
     kHeavyChurn,  ///< trace-driven churn (heavy-tailed session lengths)
     kPubSub,      ///< sustained multi-source pub/sub streams
+    kOverlay,     ///< graph metrics of the alive overlay (no traffic)
   };
 
   struct Phase {
@@ -113,11 +116,15 @@ class Experiment {
   /// Drains in-flight traffic (e.g. crash notifications in the
   /// notify-on-crash ablation) before the next measured phase.
   Experiment& settle(std::string label = "settle");
+  /// Snapshots the alive dissemination graph into OverlayStats (Table 1,
+  /// Figure 5). Sends nothing and leaves the harness stream untouched, so
+  /// inserting it anywhere moves no event.
+  Experiment& overlay(std::string label = "overlay");
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<Phase>& phases() const { return phases_; }
-  /// Driver-side parameterization of loaded specs (e.g. fig2 rewrites the
-  /// crash fraction per sweep point on one committed spec).
+  /// In-place edits of a loaded spec (the tests scale committed specs down
+  /// this way).
   [[nodiscard]] std::vector<Phase>& mutable_phases() { return phases_; }
 
   /// The first kBroadcast phase labeled `label` added so far, or nullptr:
@@ -136,6 +143,22 @@ class Experiment {
  private:
   std::string name_;
   std::vector<Phase> phases_;
+};
+
+/// Shape of the overlay among alive nodes: the dissemination graph induced
+/// on them (§2.3 properties, Table 1, Figure 5).
+struct OverlayStats {
+  std::size_t alive = 0;
+  bool connected = false;             ///< weakly connected
+  std::size_t largest_component = 0;  ///< weakly connected, in nodes
+  double clustering = 0.0;  ///< average over the undirected closure
+  /// Over BFS from 256 sampled sources (every source on smaller overlays,
+  /// which makes it exact).
+  double avg_shortest_path = 0.0;
+  /// in_degree_histogram[d] = alive nodes with in-degree d.
+  std::vector<std::size_t> in_degree_histogram;
+  analysis::Summary in_degree;  ///< mean/stddev/min/max over alive nodes
+  double backup_view_mean = 0.0;  ///< backup-view entries per alive node
 };
 
 struct PhaseResult {
@@ -167,6 +190,9 @@ struct PhaseResult {
 
   // kSybilBurst:
   std::size_t adversaries_fired = 0;
+
+  // kOverlay:
+  OverlayStats overlay;
 
   [[nodiscard]] double avg_reliability() const;
   /// min/last throw CheckError when the phase recorded no broadcasts: a
@@ -228,31 +254,5 @@ class Cluster {
 
   std::unique_ptr<Backend> backend_;
 };
-
-// --- Healing-time experiment (Figure 4) --------------------------------------
-
-/// Cycles needed after a massive failure for probe broadcasts to regain the
-/// pre-failure reliability.
-struct HealingResult {
-  double baseline_reliability = 0.0;
-  std::vector<double> per_cycle_reliability;
-  std::size_t cycles_to_heal = 0;  ///< == per_cycle size if recovered
-  bool recovered = false;
-  std::uint64_t events_processed = 0;  ///< simulator events (perf accounting)
-};
-
-struct HealingConfig {
-  double fail_fraction = 0.5;
-  std::size_t probes_per_cycle = 10;  ///< paper: 10 random broadcasters
-  std::size_t max_cycles = 60;
-  std::size_t stabilization_cycles = 50;
-};
-
-/// Builds the network, stabilizes, measures the baseline, injects the
-/// failure and cycles until recovery (or max_cycles). Implemented as a
-/// declarative Experiment spec on a sim Cluster; bit-identical to the
-/// historical hand-rolled loop (healing_shard_test pins it).
-[[nodiscard]] HealingResult run_healing_experiment(const NetworkConfig& netcfg,
-                                                   const HealingConfig& cfg);
 
 }  // namespace hyparview::harness

@@ -8,20 +8,14 @@
 
 namespace hyparview::harness {
 
-namespace {
-
-/// env_int for a count or seed: a negative value would wrap to a huge
-/// size_t/uint64_t (a 2^64-message run, a reserve() that throws), so it is
-/// rejected by name instead.
-std::uint64_t env_count(const char* name, std::uint64_t fallback) {
-  const std::int64_t v = env_int(name, static_cast<std::int64_t>(fallback));
+std::optional<std::uint64_t> env_count(const char* name) {
+  const std::int64_t v = env_int(name, 0);
+  if (v != env_int(name, 1)) return std::nullopt;
   HPV_CHECK_THROW(v >= 0, std::string("env var ") + name +
                               ": expected a non-negative integer, got " +
                               std::to_string(v));
   return static_cast<std::uint64_t>(v);
 }
-
-}  // namespace
 
 BenchScale BenchScale::from_env(std::size_t default_messages) {
   BenchScale s;
@@ -31,10 +25,10 @@ BenchScale BenchScale::from_env(std::size_t default_messages) {
     s.nodes = 1'000;
     s.messages = std::min<std::size_t>(default_messages, 100);
   }
-  s.nodes = env_count("HPV_NODES", s.nodes);
-  s.messages = env_count("HPV_MSGS", s.messages);
-  s.runs = env_count("HPV_RUNS", 1);
-  s.seed = env_count("HPV_SEED", 42);
+  s.nodes = env_count("HPV_NODES").value_or(s.nodes);
+  s.messages = env_count("HPV_MSGS").value_or(s.messages);
+  s.runs = env_count("HPV_RUNS").value_or(1);
+  s.seed = env_count("HPV_SEED").value_or(42);
   s.nodes = std::max<std::size_t>(s.nodes, 16);
   s.runs = std::max<std::size_t>(s.runs, 1);
   return s;

@@ -10,8 +10,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace hyparview::harness {
+
+/// An HPV_* count or seed: nullopt when unset or malformed (env_int falls
+/// back on both), CheckError naming the variable when negative — a negative
+/// value would wrap to a huge size_t/uint64_t (a 2^64-message run, a
+/// reserve() that throws).
+[[nodiscard]] std::optional<std::uint64_t> env_count(const char* name);
 
 struct BenchScale {
   std::size_t nodes = 10'000;

@@ -60,7 +60,10 @@ class SimBackend final : public Backend {
   /// before the next node acts (PeerSim cycle semantics).
   void run_cycles(std::size_t n) override;
 
-  /// Crashes node `i` in place (no failure notifications — detect-on-send).
+  /// Crashes node `i` in place. With config().sim.notify_on_crash (on for
+  /// HyParView, see defaults_for) peers holding an open link to it get
+  /// on_link_closed after the failure-detection delay, as from a TCP
+  /// reset; otherwise they find out on their next send (detect-on-send).
   void kill_node(std::size_t i) override;
 
   void settle() override { sim_.run_until_quiescent(); }

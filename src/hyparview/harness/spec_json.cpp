@@ -11,6 +11,9 @@
 namespace hyparview::harness {
 namespace {
 
+/// network.seed when a spec names none.
+constexpr std::int64_t kDefaultSeed = 42;
+
 // Strict schema walker over one JSON object: typed getters record which
 // members they consumed, finish() rejects the rest by full key path. Every
 // loader goes through it, so "unknown keys are errors" holds uniformly and
@@ -316,13 +319,15 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
                          r.key_path("protocol"));
   const std::size_t nodes =
       r.get_size("nodes", NetworkConfig{}.node_count, /*min=*/2);
-  const std::int64_t seed = r.get_int("seed", 42);
+  const std::int64_t seed = r.get_int("seed", kDefaultSeed);
   HPV_CHECK_THROW(seed >= 0, "spec: " + r.key_path("seed") +
                                  ": expected a non-negative integer");
 
   NetworkConfig cfg = NetworkConfig::defaults_for(
       kind, nodes, static_cast<std::uint64_t>(seed));
   cfg.gossip.fanout = r.get_size("fanout", cfg.gossip.fanout);
+  cfg.sim.notify_on_crash =
+      r.get_bool("notify_on_crash", cfg.sim.notify_on_crash);
   if (const json::Value* sub = r.get("hyparview")) {
     load_hyparview(*sub, r.key_path("hyparview"), cfg.hyparview);
   }
@@ -374,30 +379,36 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   return cfg;
 }
 
+/// The label a phase of `kind` carries when it names none.
+std::string default_label(const std::string& kind) {
+  if (kind == "set_fanout") return "fanout";
+  if (kind == "heal_until") return "heal";
+  if (kind == "sybil_burst") return "sybil";
+  return kind;
+}
+
 void load_phase(Experiment& spec, const json::Value& v,
                 const std::string& path) {
   ObjectReader r(v, path);
   const std::string kind = r.require_string("kind");
-  // Phases go through the same builder calls the C++ drivers make, so a
+  std::string label = r.get_string("label", default_label(kind));
+  // Phases go through the same builder calls the C++ tests make, so a
   // loaded spec is *constructed* identically, not merely equal.
   if (kind == "stabilize" || kind == "cycles") {
-    spec.cycles(r.require_size("cycles"),
-                r.get_string("label", kind == "stabilize" ? "stabilize"
-                                                          : "cycles"));
+    spec.cycles(r.require_size("cycles"), std::move(label));
   } else if (kind == "set_fanout") {
-    spec.set_fanout(r.require_size("fanout"), r.get_string("label", "fanout"));
+    spec.set_fanout(r.require_size("fanout"), std::move(label));
   } else if (kind == "crash") {
-    spec.crash(r.require_fraction("fraction"), r.get_string("label", "crash"));
+    spec.crash(r.require_fraction("fraction"), std::move(label));
   } else if (kind == "leave") {
     spec.leave(r.require_size("count"), r.require_fraction("graceful_fraction"),
-               r.get_string("label", "leave"));
+               std::move(label));
   } else if (kind == "broadcast") {
-    spec.broadcast(r.require_size("count"), r.get_string("label", "broadcast"));
+    spec.broadcast(r.require_size("count"), std::move(label));
   } else if (kind == "heal_until") {
     const std::string baseline = r.require_string("baseline");
     const std::size_t max_cycles = r.require_size("max_cycles");
     const std::size_t probes = r.require_size("probes_per_cycle");
-    std::string label = r.get_string("label", "heal");
     // Unknown keys first, so a stray key is named even when the baseline
     // is wrong too.
     r.finish();
@@ -419,7 +430,7 @@ void load_phase(Experiment& spec, const json::Value& v,
     cfg.graceful_fraction =
         r.get_fraction("graceful_fraction", cfg.graceful_fraction);
     cfg.probes_per_cycle = r.get_size("probes_per_cycle", cfg.probes_per_cycle);
-    spec.churn(cfg, r.get_string("label", "churn"));
+    spec.churn(cfg, std::move(label));
   } else if (kind == "heavy_churn") {
     HeavyChurnConfig cfg;
     const std::string dist = r.get_string(
@@ -442,7 +453,7 @@ void load_phase(Experiment& spec, const json::Value& v,
     cfg.graceful_fraction =
         r.get_fraction("graceful_fraction", cfg.graceful_fraction);
     cfg.probes_per_cycle = r.get_size("probes_per_cycle", cfg.probes_per_cycle);
-    spec.heavy_churn(cfg, r.get_string("label", "heavy_churn"));
+    spec.heavy_churn(cfg, std::move(label));
   } else if (kind == "pubsub") {
     PubSubConfig cfg;
     cfg.sources = r.get_size("sources", cfg.sources);
@@ -450,12 +461,13 @@ void load_phase(Experiment& spec, const json::Value& v,
     cfg.rate = r.get_size("rate", cfg.rate);
     cfg.churn_fraction = r.get_fraction("churn_fraction", cfg.churn_fraction);
     cfg.cycles_per_tick = r.get_size("cycles_per_tick", cfg.cycles_per_tick);
-    spec.pubsub(cfg, r.get_string("label", "pubsub"));
+    spec.pubsub(cfg, std::move(label));
   } else if (kind == "sybil_burst") {
-    spec.sybil_burst(r.require_size("per_adversary"),
-                     r.get_string("label", "sybil"));
+    spec.sybil_burst(r.require_size("per_adversary"), std::move(label));
   } else if (kind == "settle") {
-    spec.settle(r.get_string("label", "settle"));
+    spec.settle(std::move(label));
+  } else if (kind == "overlay") {
+    spec.overlay(std::move(label));
   } else {
     throw CheckError("spec: " + r.key_path("kind") + ": unknown phase kind '" +
                      kind + "'");
@@ -473,6 +485,126 @@ Experiment load_phases(ObjectReader& r, std::string name) {
                "phases[" + std::to_string(i) + "]");
   }
   return spec;
+}
+
+/// The sweep block's shape: an array of axes, each a non-empty array of
+/// patch objects.
+void check_sweep(const json::Value& sweep) {
+  HPV_CHECK_THROW(sweep.is_array(),
+                  "spec: spec.sweep: expected an array of axes");
+  for (std::size_t a = 0; a < sweep.as_array().size(); ++a) {
+    const json::Value& axis = sweep.as_array()[a];
+    const std::string path = "sweep[" + std::to_string(a) + "]";
+    HPV_CHECK_THROW(
+        axis.is_array() && !axis.as_array().empty(),
+        "spec: " + path + ": expected a non-empty array of patches");
+    for (std::size_t i = 0; i < axis.as_array().size(); ++i) {
+      HPV_CHECK_THROW(axis.as_array()[i].is_object(),
+                      "spec: " + path + "[" + std::to_string(i) +
+                          "]: expected a patch object");
+    }
+  }
+}
+
+/// Member `key` of object `obj`, appended as null when absent.
+json::Value& member(json::Value& obj, std::string_view key) {
+  for (json::Member& m : obj.as_object()) {
+    if (m.first == key) return m.second;
+  }
+  obj.set(std::string(key), nullptr);
+  return obj.as_object().back().second;
+}
+
+/// Member `key` of `obj` as an object, created empty when absent.
+json::Value& object_member(json::Value& obj, std::string_view key) {
+  json::Value& v = member(obj, key);
+  if (v.is_null()) v = json::Value::object();
+  return v;
+}
+
+/// JSON merge patch: objects merge member by member, anything else
+/// replaces the target.
+void merge(json::Value& target, const json::Value& patch) {
+  if (!patch.is_object() || !target.is_object()) {
+    target = patch;
+    return;
+  }
+  for (const json::Member& m : patch.as_object()) {
+    merge(member(target, m.first), m.second);
+  }
+}
+
+/// A phase object's "kind", or "" when it names none.
+std::string phase_kind(const json::Value& phase) {
+  const json::Value* kind = phase.is_object() ? phase.find("kind") : nullptr;
+  return kind != nullptr && kind->is_string() ? kind->as_string()
+                                              : std::string();
+}
+
+/// A phase object's label: its "label", else its kind's default.
+std::string phase_label(const json::Value& phase) {
+  const json::Value* label = phase.is_object() ? phase.find("label") : nullptr;
+  if (label == nullptr) return default_label(phase_kind(phase));
+  return label->is_string() ? label->as_string() : std::string();
+}
+
+/// Applies one sweep patch to a point's document. Its "phases" member maps
+/// phase labels to patches, each merged into every phase carrying that
+/// label; every other member merges into the document.
+void apply_patch(json::Value& doc, const json::Value& patch,
+                 const std::string& path) {
+  for (const json::Member& m : patch.as_object()) {
+    HPV_CHECK_THROW(m.first != "sweep",
+                    "spec: " + path + ": a sweep patch cannot hold a sweep");
+    if (m.first != "phases") {
+      merge(member(doc, m.first), m.second);
+      continue;
+    }
+    HPV_CHECK_THROW(m.second.is_object(),
+                    "spec: " + path +
+                        ".phases: expected an object keyed by phase label");
+    for (const json::Member& target : m.second.as_object()) {
+      bool found = false;
+      for (json::Value& phase : member(doc, "phases").as_array()) {
+        if (phase_label(phase) != target.first) continue;
+        merge(phase, target.second);
+        found = true;
+      }
+      HPV_CHECK_THROW(found, "spec: " + path + ".phases." + target.first +
+                                 ": names no phase");
+    }
+  }
+}
+
+/// The scale patch, applied after the axis patches.
+void apply_scale(json::Value& doc, const ScalePatch& scale) {
+  json::Value& network = object_member(doc, "network");
+  if (scale.nodes) member(network, "nodes") = *scale.nodes;
+  if (scale.seed) member(network, "seed") = *scale.seed;
+  if (!scale.messages) return;
+  for (json::Value& phase : member(doc, "phases").as_array()) {
+    const std::string kind = phase_kind(phase);
+    if (kind == "broadcast") member(phase, "count") = *scale.messages;
+    if (kind == "heal_until") {
+      member(phase, "probes_per_cycle") = *scale.messages;
+    }
+  }
+}
+
+/// One sweep point: `doc` with its network.seed moved `run` past its own,
+/// loaded through spec_from_json. Errors name the point's patches.
+SweepPoint load_point(json::Value doc, json::Value patches, std::size_t run) {
+  SweepPoint p;
+  p.patches = std::move(patches);
+  try {
+    json::Value& seed = member(object_member(doc, "network"), "seed");
+    if (seed.is_null()) seed = kDefaultSeed;
+    if (seed.is_int()) seed = static_cast<std::uint64_t>(seed.as_int()) + run;
+    p.spec = spec_from_json(doc);
+  } catch (const CheckError& e) {
+    throw CheckError("sweep point " + p.patches.dump() + ": " + e.what());
+  }
+  return p;
 }
 
 }  // namespace
@@ -496,23 +628,87 @@ RunSpec spec_from_json(const json::Value& doc) {
     spec.net = load_network(*net, "network");
   } else {
     spec.net = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
-                                           NetworkConfig{}.node_count, 42);
+                                           NetworkConfig{}.node_count,
+                                           kDefaultSeed);
   }
   spec.tcp = load_tcp(r.get("tcp"), "tcp", spec.net);
   spec.experiment = load_phases(r, spec.name);
+  if (const json::Value* sweep = r.get("sweep")) check_sweep(*sweep);
   r.finish();
   return spec;
 }
 
-RunSpec load_spec_file(const std::string& path) {
+std::vector<SweepPoint> expand_sweep(const json::Value& doc, std::size_t runs,
+                                     const ScalePatch& scale) {
+  HPV_CHECK_THROW(runs >= 1, "spec: a sweep needs at least one run");
+  // The base document is a valid spec itself, sweep block included.
+  (void)spec_from_json(doc);
+  json::Value base = doc;
+  json::Value::Array axes;
+  json::Value::Object& members = base.as_object();
+  for (auto it = members.begin(); it != members.end(); ++it) {
+    if (it->first == "sweep") {
+      axes = it->second.as_array();
+      members.erase(it);
+      break;
+    }
+  }
+
+  std::vector<SweepPoint> points;
+  // Odometer over the axes: the last axis turns fastest.
+  std::vector<std::size_t> pick(axes.size(), 0);
+  while (true) {
+    json::Value point = base;
+    json::Value patches = json::Value::array();
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      const json::Value& patch = axes[a].as_array()[pick[a]];
+      apply_patch(point, patch,
+                  "sweep[" + std::to_string(a) + "][" +
+                      std::to_string(pick[a]) + "]");
+      patches.push_back(patch);
+    }
+    apply_scale(point, scale);
+    for (std::size_t run = 0; run < runs; ++run) {
+      points.push_back(load_point(point, patches, run));
+    }
+
+    std::size_t a = axes.size();
+    while (a > 0 && ++pick[a - 1] == axes[a - 1].as_array().size()) {
+      pick[--a] = 0;
+    }
+    if (a == 0) break;
+  }
+  return points;
+}
+
+namespace {
+
+/// Runs `load` on the parsed file; errors name the path.
+template <typename Load>
+auto load_file(const std::string& path, Load&& load) {
   try {
-    return spec_from_json(json::parse_file(path));
+    return load(json::parse_file(path));
   } catch (const CheckError& e) {
     const std::string what = e.what();
     // parse_file already prefixes the path for parse errors.
     if (what.find(path) == 0) throw;
     throw CheckError(path + ": " + what);
   }
+}
+
+}  // namespace
+
+RunSpec load_spec_file(const std::string& path) {
+  return load_file(path,
+                   [](const json::Value& doc) { return spec_from_json(doc); });
+}
+
+std::vector<SweepPoint> load_sweep_file(const std::string& path,
+                                        std::size_t runs,
+                                        const ScalePatch& scale) {
+  return load_file(path, [&](const json::Value& doc) {
+    return expand_sweep(doc, runs, scale);
+  });
 }
 
 std::string spec_dir() {

@@ -18,6 +18,9 @@
 //     "network": {                       // sim substrate + protocol params
 //       "protocol": "HyParView" | "Cyclon" | "CyclonAcked" | "Scamp",
 //       "nodes": 10000 (>= 2), "seed": 42, "fanout": 4,
+//       "notify_on_crash": true,         // sim only; default: HyParView's
+//                                        // open links report a crash, the
+//                                        // others detect it on send
 //       "hyparview":  { active_capacity, passive_capacity, arwl, prwl,
 //                       shuffle_ka, shuffle_kp, shuffle_ttl,
 //                       promote_on_any_slot, warm_cache_size },
@@ -57,26 +60,54 @@
 //        "lognormal_mu": 1.5, "lognormal_sigma": 1.0,
 //        "graceful_fraction": 0.5, "probes_per_cycle": 2, ...},
 //       {"kind": "sybil_burst", "per_adversary": 8, ...},
-//       {"kind": "settle", ...}
+//       {"kind": "settle", ...},
+//       {"kind": "overlay", ...}         // graph metrics, sends nothing
+//     ],
+//     "sweep": [                         // optional; see below
+//       [{"network": {"protocol": "Cyclon"}},
+//        {"network": {"protocol": "Scamp"}}],
+//       [{"phases": {"crash": {"fraction": 0.1}}},
+//        {"phases": {"crash": {"fraction": 0.5}}}]
 //     ]
 //   }
 //
-// Every phase accepts a "label". Committed specs live in specs/ at the repo
-// root; spec_path() resolves them (HPV_SPEC_DIR overrides the compiled-in
-// location, so installed binaries and test sandboxes can relocate them).
-// The committed files are the only definition of those experiments: each
-// lists just what differs from defaults_for, and spec_json_test pins what
-// every file loads to by its event count on a scaled-down sim run.
+// Every phase accepts a "label"; without one it is labeled by its kind
+// (set_fanout: "fanout", heal_until: "heal", sybil_burst: "sybil").
+//
+// Sweeps. "sweep" is a list of axes; an axis is a list of JSON patches. A
+// spec runs one point per combination of one patch from each axis (the
+// first axis outermost), and each point runs HPV_RUNS times (innermost)
+// with network.seed = seed + run. A patch merges into the document before
+// it loads: objects merge member by member, any other value replaces. Its
+// "phases" member is keyed by phase label instead, and merges into every
+// phase carrying that label (naming no phase is an error). Every point
+// loads through spec_from_json, so each is validated like a committed
+// file; the document without its sweep must be a valid spec too.
+//
+// Scale patch. expand_sweep applies one more patch after the axes when its
+// caller passes one; hpv_run builds it from the environment: HPV_NODES sets
+// network.nodes, HPV_MSGS every broadcast "count" and heal_until
+// "probes_per_cycle", HPV_SEED network.seed. spec_from_json, and so
+// hpv_bench, never applies it.
+//
+// Committed specs live in specs/ at the repo root; spec_path() resolves
+// them (HPV_SPEC_DIR overrides the compiled-in location, so installed
+// binaries and test sandboxes can relocate them). The committed files are
+// the only definition of those experiments: each lists just what differs
+// from defaults_for, and spec_json_test pins what every file loads to by
+// its event count on a scaled-down sim run, summed over its points.
 //
 // Determinism note: loaders construct configs via the same defaults_for
-// factories and Experiment builder calls the C++ drivers use, so a spec that
-// mirrors a driver's hardcoded setup produces bit-identical event counts at
-// the same seed (pinned by spec_json_test and the bench_compare events
-// gate).
+// factories and Experiment builder calls the C++ tests use, so a spec that
+// mirrors a hand-built setup produces bit-identical event counts at the
+// same seed (pinned by spec_json_test and the bench_compare events gate).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hyparview/common/json.hpp"
 #include "hyparview/harness/experiment.hpp"
@@ -97,12 +128,39 @@ struct RunSpec {
   Experiment experiment{"unnamed"};
 };
 
-/// Decodes a whole spec document. Throws CheckError naming the offending
-/// key on schema violations.
+/// Decodes a whole spec document; a "sweep" block is shape-checked, not
+/// applied. Throws CheckError naming the offending key on schema
+/// violations.
 [[nodiscard]] RunSpec spec_from_json(const json::Value& doc);
 
 /// parse_file + spec_from_json; errors name the path.
 [[nodiscard]] RunSpec load_spec_file(const std::string& path);
+
+/// hpv_run's scale patch (file comment): an empty member keeps the
+/// document's value.
+struct ScalePatch {
+  std::optional<std::size_t> nodes;     ///< network.nodes
+  std::optional<std::size_t> messages;  ///< broadcast counts, heal probes
+  std::optional<std::uint64_t> seed;    ///< network.seed
+};
+
+/// One point of a sweep: the axis patches that made it (a JSON array, one
+/// per axis) and the spec they loaded to.
+struct SweepPoint {
+  json::Value patches;
+  RunSpec spec;
+};
+
+/// Expands `doc`'s sweep (file comment) into its points, axis-major with
+/// `runs` seeds innermost; `scale` applies after the axis patches. A spec
+/// without a sweep is one point per run. Errors name the point's patches.
+[[nodiscard]] std::vector<SweepPoint> expand_sweep(
+    const json::Value& doc, std::size_t runs = 1, const ScalePatch& scale = {});
+
+/// parse_file + expand_sweep; errors name the path.
+[[nodiscard]] std::vector<SweepPoint> load_sweep_file(
+    const std::string& path, std::size_t runs = 1,
+    const ScalePatch& scale = {});
 
 /// Directory holding the committed spec files: $HPV_SPEC_DIR when set, else
 /// the compiled-in source-tree specs/ directory.

@@ -5,9 +5,10 @@
 //    latency (TCP over a well-provisioned network);
 //  * crash failures with *detect-on-send* semantics by default — crashing a
 //    node does not announce anything, the next send/connect to it fails back
-//    to the caller, exactly the "TCP as failure detector" model of §4;
-//  * optional notify-on-crash mode (ablation A3) where open links deliver
-//    on_link_closed to peers when a node dies;
+//    to the caller;
+//  * notify-on-crash mode, where open links deliver on_link_closed to peers
+//    when a node dies, as a TCP connection reset would (§4: TCP as failure
+//    detector; the harness turns it on for HyParView);
 //  * deterministic execution: a single master seed derives independent
 //    per-node RNG streams, and the event queue breaks time ties by sequence
 //    number.
@@ -42,8 +43,11 @@ struct SimConfig {
   Duration latency_max = microseconds(1500);
   /// How long a failed send/connect takes to report back to the caller.
   Duration failure_detect_delay = milliseconds(1);
-  /// Crash announcement: false = detect-on-send (paper model), true = peers
-  /// holding open links get on_link_closed (ablation).
+  /// Crash announcement: false = detect-on-send, the next send or connect
+  /// to the dead node fails (protocols without standing connections:
+  /// Cyclon, Scamp); true = peers holding open links get on_link_closed
+  /// after failure_detect_delay, as from a TCP reset (HyParView's open
+  /// active-view connections, §4; NetworkConfig::defaults_for).
   bool notify_on_crash = false;
   /// Frames buffered toward a *blocked* (slow) node per sender before the
   /// sender's flow control gives up and reports a send failure — the §5.5

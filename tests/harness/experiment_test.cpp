@@ -102,53 +102,61 @@ TEST(ExperimentSpecTest, Fig2SpecBitIdenticalToLegacyLoop) {
 }
 
 TEST(ExperimentSpecTest, HealingExperimentBitIdenticalToLegacyLoop) {
-  auto cfg =
+  const auto cfg =
       NetworkConfig::defaults_for(ProtocolKind::kHyParView, kNodes, kSeed);
-  HealingConfig hcfg;
-  hcfg.fail_fraction = 0.6;
-  hcfg.probes_per_cycle = 4;
-  hcfg.max_cycles = 20;
-  hcfg.stabilization_cycles = 10;
+  constexpr double kFailFraction = 0.6;
+  constexpr std::size_t kProbes = 4;
+  constexpr std::size_t kMaxCycles = 20;
+  constexpr std::size_t kStabilize = 10;
 
-  // The historical hand-rolled healing loop (what run_healing_experiment
-  // used to be before it became an Experiment spec).
-  HealingResult legacy;
+  // The historical hand-rolled healing loop (the Figure 4 pipeline before
+  // it became an Experiment spec).
+  double legacy_baseline = 0.0;
+  std::vector<double> legacy_per_cycle;
+  std::size_t legacy_cycles_to_heal = 0;
+  bool legacy_recovered = false;
+  std::uint64_t legacy_events = 0;
   {
     SimBackend net(cfg);
     net.build();
-    net.run_cycles(hcfg.stabilization_cycles);
+    net.run_cycles(kStabilize);
     double sum = 0.0;
-    for (std::size_t i = 0; i < hcfg.probes_per_cycle; ++i) {
+    for (std::size_t i = 0; i < kProbes; ++i) {
       sum += net.broadcast_one().reliability();
     }
-    legacy.baseline_reliability =
-        sum / static_cast<double>(hcfg.probes_per_cycle);
-    net.fail_random_fraction(hcfg.fail_fraction);
-    for (std::size_t cycle = 1; cycle <= hcfg.max_cycles; ++cycle) {
+    legacy_baseline = sum / static_cast<double>(kProbes);
+    net.fail_random_fraction(kFailFraction);
+    for (std::size_t cycle = 1; cycle <= kMaxCycles; ++cycle) {
       net.run_cycles(1);
       double probe_sum = 0.0;
-      for (std::size_t i = 0; i < hcfg.probes_per_cycle; ++i) {
+      for (std::size_t i = 0; i < kProbes; ++i) {
         probe_sum += net.broadcast_one().reliability();
       }
-      const double reliability =
-          probe_sum / static_cast<double>(hcfg.probes_per_cycle);
-      legacy.per_cycle_reliability.push_back(reliability);
-      if (reliability >= legacy.baseline_reliability) {
-        legacy.cycles_to_heal = cycle;
-        legacy.recovered = true;
+      const double reliability = probe_sum / static_cast<double>(kProbes);
+      legacy_per_cycle.push_back(reliability);
+      if (reliability >= legacy_baseline) {
+        legacy_cycles_to_heal = cycle;
+        legacy_recovered = true;
         break;
       }
     }
-    if (!legacy.recovered) legacy.cycles_to_heal = hcfg.max_cycles;
-    legacy.events_processed = net.simulator().events_processed();
+    if (!legacy_recovered) legacy_cycles_to_heal = kMaxCycles;
+    legacy_events = net.simulator().events_processed();
   }
 
-  const HealingResult fresh = run_healing_experiment(cfg, hcfg);
-  EXPECT_EQ(legacy.baseline_reliability, fresh.baseline_reliability);
-  EXPECT_EQ(legacy.per_cycle_reliability, fresh.per_cycle_reliability);
-  EXPECT_EQ(legacy.cycles_to_heal, fresh.cycles_to_heal);
-  EXPECT_EQ(legacy.recovered, fresh.recovered);
-  EXPECT_EQ(legacy.events_processed, fresh.events_processed);
+  auto cluster = Cluster::sim(cfg);
+  const ExperimentResult fresh =
+      cluster.run(Experiment("healing")
+                      .stabilize(kStabilize)
+                      .broadcast(kProbes, "baseline")
+                      .crash(kFailFraction)
+                      .heal_until("baseline", kMaxCycles, kProbes, "heal"));
+  const PhaseResult& heal = fresh.phase("heal");
+  EXPECT_EQ(legacy_baseline, fresh.phase("baseline").avg_reliability());
+  EXPECT_EQ(legacy_per_cycle, heal.reliabilities);
+  EXPECT_EQ(legacy_cycles_to_heal, heal.cycles_to_heal);
+  EXPECT_EQ(legacy_recovered, heal.recovered);
+  EXPECT_EQ(legacy_events, cluster->events_processed());
 }
 
 TEST(ExperimentSpecTest, LeavePhaseRemovesGracefulDeparturesFromActiveViews) {

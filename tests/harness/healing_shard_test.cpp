@@ -1,97 +1,99 @@
-// fig4 sharding contract: run_healing_experiment points fanned out across
+// fig4 sharding contract: the points of specs/fig4.json fanned out across
 // the SweepRunner thread pool must be bit-identical to the serial loop.
 //
-// Each healing repetition builds its own SimBackend from a (config, seed)
-// pair and never touches another point's state, so the result is a pure
-// function of its inputs — the sharded sweep may only change wall-clock
-// order. This is the same determinism contract sweep_runner_test pins for
-// fig2/fig3; here it covers the fig4 driver's HealingResult aggregation
-// (baseline reliability, per-cycle trajectories, cycles-to-heal, event
-// counts). The TSan CI job runs this binary to race-check the pool under
-// the healing workload.
+// Each healing point builds its own SimBackend from a (config, seed) pair
+// and never touches another point's state, so its result is a pure function
+// of its inputs — the sharded sweep may only change wall-clock order. This
+// is the contract hpv_run relies on when it runs a sweep on HPV_THREADS;
+// here it covers the heal_until aggregation (baseline reliability,
+// per-cycle trajectories, cycles-to-heal, event counts) over the committed
+// Figure 4 grid. The TSan CI job runs this binary to race-check the pool
+// under the healing workload.
 #include <gtest/gtest.h>
 
 #include <functional>
 
-#include "hyparview/harness/experiment.hpp"
+#include "hyparview/harness/spec_json.hpp"
 #include "hyparview/harness/sweep_runner.hpp"
 
 namespace hyparview::harness {
 namespace {
 
-bool identical(const HealingResult& a, const HealingResult& b) {
-  return a.baseline_reliability == b.baseline_reliability &&
-         a.per_cycle_reliability == b.per_cycle_reliability &&
-         a.cycles_to_heal == b.cycles_to_heal && a.recovered == b.recovered &&
-         a.events_processed == b.events_processed;
-}
+struct HealDigest {
+  double baseline = 0.0;
+  std::vector<double> per_cycle;
+  std::size_t cycles_to_heal = 0;
+  bool recovered = false;
+  std::uint64_t events = 0;
 
-/// The fig4 grid at test scale: (fraction × kind) points, row-major — the
-/// exact sharding shape of bench/fig4_healing_time.cpp.
-std::vector<std::pair<double, ProtocolKind>> test_points() {
-  std::vector<std::pair<double, ProtocolKind>> points;
-  for (const double fraction : {0.3, 0.6}) {
-    for (const auto kind :
-         {ProtocolKind::kHyParView, ProtocolKind::kCyclonAcked}) {
-      points.emplace_back(fraction, kind);
+  friend bool operator==(const HealDigest&, const HealDigest&) = default;
+};
+
+/// specs/fig4.json's points at test scale: 128 nodes, 5 stabilization
+/// rounds, 3 probes per heal cycle and at most 8 heal cycles.
+std::vector<SweepPoint> test_points() {
+  ScalePatch scale;
+  scale.nodes = 128;
+  scale.messages = 3;
+  std::vector<SweepPoint> points =
+      load_sweep_file(spec_path("fig4"), /*runs=*/1, scale);
+  for (SweepPoint& point : points) {
+    for (Experiment::Phase& phase : point.spec.experiment.mutable_phases()) {
+      if (phase.kind == Experiment::PhaseKind::kCycles) phase.cycles = 5;
+      if (phase.kind == Experiment::PhaseKind::kHealUntil) phase.cycles = 8;
     }
   }
   return points;
 }
 
-HealingResult run_point(double fraction, ProtocolKind kind) {
-  auto cfg = NetworkConfig::defaults_for(
-      kind, 128, 42 + static_cast<std::uint64_t>(fraction * 100));
-  HealingConfig hcfg;
-  hcfg.fail_fraction = fraction;
-  hcfg.probes_per_cycle = 3;
-  hcfg.max_cycles = 8;
-  hcfg.stabilization_cycles = 5;
-  return run_healing_experiment(cfg, hcfg);
+HealDigest run_point(const SweepPoint& point) {
+  auto cluster = Cluster::sim(point.spec.net);
+  const ExperimentResult result = cluster.run(point.spec.experiment);
+  const PhaseResult& heal = result.phase("heal");
+  return {result.phase("baseline").avg_reliability(), heal.reliabilities,
+          heal.cycles_to_heal, heal.recovered, cluster->events_processed()};
 }
 
-TEST(HealingShardTest, ShardedRepetitionsBitIdenticalToSerialLoop) {
-  const auto points = test_points();
+TEST(HealingShardTest, ShardedFig4PointsBitIdenticalToSerialLoop) {
+  const std::vector<SweepPoint> points = test_points();
+  ASSERT_EQ(points.size(), 27u);  // 9 failure fractions x 3 protocols
 
   // Serial reference: the plain loop, in index order.
-  std::vector<HealingResult> serial;
+  std::vector<HealDigest> serial;
   serial.reserve(points.size());
-  for (const auto& [fraction, kind] : points) {
-    serial.push_back(run_point(fraction, kind));
-  }
+  for (const SweepPoint& point : points) serial.push_back(run_point(point));
 
-  // Sharded: one job per point, results into pre-sized slots, aggregated
-  // in index order after run() returns (the SweepRunner contract).
+  // Sharded: one job per point, results into pre-sized slots, compared in
+  // index order after run() returns (the SweepRunner contract).
   for (const std::size_t threads : {1u, 4u}) {
-    std::vector<HealingResult> sharded(points.size());
+    std::vector<HealDigest> sharded(points.size());
     std::vector<std::function<void()>> jobs;
     jobs.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      jobs.push_back([&, i] {
-        sharded[i] = run_point(points[i].first, points[i].second);
-      });
+      jobs.push_back([&, i] { sharded[i] = run_point(points[i]); });
     }
-    SweepRunner runner(threads);
-    const auto seconds = runner.run(jobs);
+    const auto seconds = SweepRunner(threads).run(jobs);
     ASSERT_EQ(seconds.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_TRUE(identical(serial[i], sharded[i]))
-          << "point " << i << " diverged at " << threads << " threads: "
-          << "serial(cycles=" << serial[i].cycles_to_heal
-          << ", events=" << serial[i].events_processed << ") vs sharded(cycles="
-          << sharded[i].cycles_to_heal
-          << ", events=" << sharded[i].events_processed << ")";
+      EXPECT_TRUE(serial[i] == sharded[i])
+          << "point " << i << " " << points[i].patches.dump()
+          << " diverged at " << threads << " threads: serial(cycles="
+          << serial[i].cycles_to_heal << ", events=" << serial[i].events
+          << ") vs sharded(cycles=" << sharded[i].cycles_to_heal
+          << ", events=" << sharded[i].events << ")";
     }
   }
 }
 
-TEST(HealingShardTest, HealingResultIsAPureFunctionOfConfigAndSeed) {
+TEST(HealingShardTest, HealingPointIsAPureFunctionOfConfigAndSeed) {
   // The premise the sharding rests on: repeated runs of one point agree
   // exactly, including the full per-cycle reliability trajectory.
-  const auto a = run_point(0.5, ProtocolKind::kHyParView);
-  const auto b = run_point(0.5, ProtocolKind::kHyParView);
-  EXPECT_TRUE(identical(a, b));
-  EXPECT_GT(a.baseline_reliability, 0.9);  // sane healing experiment
+  const std::vector<SweepPoint> points = test_points();
+  const SweepPoint& hyparview_50 = points[4 * 3];  // 50% failures, HyParView
+  ASSERT_EQ(hyparview_50.spec.net.kind, ProtocolKind::kHyParView);
+  const HealDigest a = run_point(hyparview_50);
+  EXPECT_TRUE(a == run_point(hyparview_50));
+  EXPECT_GT(a.baseline, 0.9);  // sane healing experiment
 }
 
 }  // namespace

@@ -165,38 +165,42 @@ TEST(SimBackendTest, RejectsTinyNetworks) {
   EXPECT_THROW(SimBackend net(cfg), CheckError);
 }
 
+/// The Figure 4 pipeline: stabilize, 10 baseline probes, crash, then heal
+/// with 10 probes per cycle.
+ExperimentResult run_healing(ProtocolKind kind, std::size_t nodes,
+                             std::uint64_t seed, double fail_fraction,
+                             std::size_t stabilize, std::size_t max_cycles) {
+  auto cluster = Cluster::sim(NetworkConfig::defaults_for(kind, nodes, seed));
+  return cluster.run(Experiment("healing")
+                         .stabilize(stabilize)
+                         .broadcast(10, "baseline")
+                         .crash(fail_fraction)
+                         .heal_until("baseline", max_cycles, 10, "heal"));
+}
+
 TEST(HealingTest, HealthyNetworkHealsInstantly) {
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 128, 10);
-  HealingConfig hcfg;
-  hcfg.fail_fraction = 0.0;
-  hcfg.stabilization_cycles = 3;
-  hcfg.max_cycles = 5;
-  const auto result = run_healing_experiment(cfg, hcfg);
-  EXPECT_TRUE(result.recovered);
-  EXPECT_EQ(result.cycles_to_heal, 1u);
-  EXPECT_DOUBLE_EQ(result.baseline_reliability, 1.0);
+  const auto result =
+      run_healing(ProtocolKind::kHyParView, 128, 10, 0.0, 3, 5);
+  const PhaseResult& heal = result.phase("heal");
+  EXPECT_TRUE(heal.recovered);
+  EXPECT_EQ(heal.cycles_to_heal, 1u);
+  EXPECT_DOUBLE_EQ(result.phase("baseline").avg_reliability(), 1.0);
 }
 
 TEST(HealingTest, HyParViewHealsQuicklyAfterModerateFailure) {
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 256, 11);
-  HealingConfig hcfg;
-  hcfg.fail_fraction = 0.4;
-  hcfg.stabilization_cycles = 5;
-  hcfg.max_cycles = 10;
-  const auto result = run_healing_experiment(cfg, hcfg);
-  EXPECT_TRUE(result.recovered);
-  EXPECT_LE(result.cycles_to_heal, 3u);
+  const auto result =
+      run_healing(ProtocolKind::kHyParView, 256, 11, 0.4, 5, 10);
+  const PhaseResult& heal = result.phase("heal");
+  EXPECT_TRUE(heal.recovered);
+  EXPECT_LE(heal.cycles_to_heal, 3u);
 }
 
 TEST(HealingTest, CyclonAckedHealsWithinAFewCyclesAtModerateFailure) {
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kCyclonAcked, 256, 12);
-  HealingConfig hcfg;
-  hcfg.fail_fraction = 0.4;
-  hcfg.stabilization_cycles = 5;
-  hcfg.max_cycles = 15;
-  const auto result = run_healing_experiment(cfg, hcfg);
-  EXPECT_TRUE(result.recovered);
-  EXPECT_LE(result.cycles_to_heal, 10u);
+  const auto result =
+      run_healing(ProtocolKind::kCyclonAcked, 256, 12, 0.4, 5, 15);
+  const PhaseResult& heal = result.phase("heal");
+  EXPECT_TRUE(heal.recovered);
+  EXPECT_LE(heal.cycles_to_heal, 10u);
 }
 
 TEST(SimBackendTest, SetFanoutRaisesRandomGossipReliability) {

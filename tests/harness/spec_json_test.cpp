@@ -1,19 +1,24 @@
 // JSON spec loader tests.
 //
-// Four pins:
+// Five pins:
 //  1. every committed specs/<name>.json replays a golden event count on a
-//     scaled-down sim run and keeps its golden broadcast and round totals
-//     — the files are the only definition of those experiments, so this is
-//     what notices a spec or loader drift;
+//     scaled-down sim run of each of its sweep points and keeps its golden
+//     point, broadcast and round totals — the files are the only
+//     definition of those experiments, so this is what notices a spec or
+//     loader drift; inserting overlay phases moves none of those runs;
 //  2. every key of every phase kind, of the network block and of the tcp
 //     block lands in its field (== against the builder and defaults_for);
 //  3. a spec loaded from JSON runs bit-identical (event counts) to the
 //     same experiment hand-built through the Experiment builder API;
 //  4. schema violations, and values the run itself would reject, throw
 //     CheckError naming the offending key path (a typo must fail the run,
-//     not silently fall back to a default).
+//     not silently fall back to a default);
+//  5. sweeps expand axis-major with runs innermost, patches merge as
+//     documented (phases by label), and the scale patch reaches exactly
+//     the keys it names.
 #include <algorithm>
 #include <filesystem>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -72,24 +77,34 @@ TEST(SpecJsonTest, CommittedFilesReload) {
 
 struct GoldenEvents {
   const char* spec;
-  std::uint64_t events;    ///< events_processed of the scaled_down run
+  std::size_t points;      ///< sweep points at one run
+  std::uint64_t events;    ///< events_processed of the scaled_down runs
   std::size_t broadcasts;  ///< planned_broadcasts() as committed
   std::size_t cycles;      ///< rounds of the cycles phases, as committed
 };
 
-/// Captured from the fully spelled-out files that the override-only ones
-/// replaced. The scaled-down run caps counts, so the committed broadcast
-/// and round totals are pinned beside it. A row moves only when a spec
-/// file, the loader or the simulated protocols change.
+/// Sums over every sweep point. The scaled-down runs cap counts, so the
+/// committed broadcast and round totals are pinned beside them. A row
+/// moves only when a spec file, the loader or the simulated protocols
+/// change.
 constexpr GoldenEvents kGoldenEvents[] = {
-    {"adversarial_drop", 45'369, 100, 30},
-    {"adversarial_poison", 63'332, 100, 30},
-    {"adversarial_sybil", 48'266, 100, 30},
-    {"fig1", 82'094, 400, 50},
-    {"fig1_reference", 36'556, 50, 50},
-    {"fig2", 36'053, 1'000, 50},
-    {"pubsub_eager", 113'663, 560, 50},
-    {"pubsub_plumtree", 132'009, 560, 50},
+    {"ablation_failure_detection", 8, 270'612, 1'600, 400},
+    {"ablation_passive_size", 20, 636'532, 4'000, 1'000},
+    {"ablation_walk_lengths", 5, 132'075, 250, 0},
+    {"adversarial_drop", 1, 45'369, 100, 30},
+    {"adversarial_poison", 1, 63'332, 100, 30},
+    {"adversarial_sybil", 1, 48'266, 100, 30},
+    {"fig1", 2, 222'819, 800, 100},
+    {"fig1_reference", 1, 36'556, 50, 50},
+    {"fig1c", 2, 158'750, 200, 100},
+    {"fig2", 40, 2'440'745, 40'000, 2'000},
+    {"fig3", 24, 1'456'839, 24'000, 1'200},
+    {"fig4", 27, 1'454'384, 27'270, 1'350},
+    {"fig5", 4, 236'145, 0, 200},
+    {"protocol_comparison", 4, 253'152, 240, 40},
+    {"pubsub_eager", 1, 113'663, 560, 50},
+    {"pubsub_plumtree", 1, 132'009, 560, 50},
+    {"table1", 3, 200'632, 150, 150},
 };
 
 std::size_t total_cycles(const Experiment& spec) {
@@ -101,8 +116,9 @@ std::size_t total_cycles(const Experiment& spec) {
 }
 
 /// The spec at a size a unit test can afford: 200 nodes, at most 5 cycles
-/// per cycles phase, 5 broadcasts, 3 pub/sub ticks and 2 sybils per
-/// adversary. Every other key keeps its loaded value.
+/// per cycles phase, 5 broadcasts, 5 heal cycles of 5 probes, 3 pub/sub
+/// ticks and 2 sybils per adversary. Every other key keeps its loaded
+/// value.
 RunSpec scaled_down(RunSpec spec) {
   using PK = Experiment::PhaseKind;
   spec.net.node_count = 200;
@@ -110,6 +126,10 @@ RunSpec scaled_down(RunSpec spec) {
     switch (p.kind) {
       case PK::kCycles: p.cycles = std::min<std::size_t>(p.cycles, 5); break;
       case PK::kBroadcast: p.count = std::min<std::size_t>(p.count, 5); break;
+      case PK::kHealUntil:
+        p.cycles = std::min<std::size_t>(p.cycles, 5);
+        p.count = std::min<std::size_t>(p.count, 5);
+        break;
       case PK::kPubSub:
         p.pubsub.ticks = std::min<std::size_t>(p.pubsub.ticks, 3);
         break;
@@ -133,14 +153,57 @@ TEST(SpecJsonTest, CommittedSpecsReplayGoldenEventCounts) {
         [&](const GoldenEvents& g) { return name == g.spec; });
     ASSERT_NE(row, std::end(kGoldenEvents))
         << "specs/" << name << ".json has no kGoldenEvents row";
-    const RunSpec committed = load_spec_file(spec_path(name));
-    EXPECT_EQ(committed.experiment.planned_broadcasts(), row->broadcasts);
-    EXPECT_EQ(total_cycles(committed.experiment), row->cycles);
+    const std::vector<SweepPoint> points = load_sweep_file(spec_path(name));
+    std::size_t broadcasts = 0;
+    std::size_t cycles = 0;
+    std::uint64_t events = 0;
+    for (const SweepPoint& point : points) {
+      broadcasts += point.spec.experiment.planned_broadcasts();
+      cycles += total_cycles(point.spec.experiment);
+      const RunSpec spec = scaled_down(point.spec);
+      auto cluster = Cluster::sim(spec.net);
+      cluster.run(spec.experiment);
+      events += cluster->events_processed();
+    }
+    EXPECT_EQ(points.size(), row->points);
+    EXPECT_EQ(broadcasts, row->broadcasts);
+    EXPECT_EQ(cycles, row->cycles);
+    EXPECT_EQ(events, row->events);
+  }
+}
 
-    const RunSpec spec = scaled_down(committed);
-    auto cluster = Cluster::sim(spec.net);
-    cluster.run(spec.experiment);
-    EXPECT_EQ(cluster->events_processed(), row->events);
+TEST(SpecJsonTest, OverlayPhasesMoveNoEventOrReliability) {
+  // An overlay phase reads the views and draws only from its own sampler,
+  // so inserting one before and after every phase of every committed point
+  // (scaled down further, to 64 nodes) changes no phase's events or
+  // reliabilities.
+  for (const std::string& name : committed_spec_names()) {
+    for (const SweepPoint& point : load_sweep_file(spec_path(name))) {
+      SCOPED_TRACE(name + " " + point.patches.dump());
+      RunSpec spec = scaled_down(point.spec);
+      spec.net.node_count = 64;
+      Experiment observed(spec.experiment.name());
+      observed.overlay("overlay_first");
+      for (const Experiment::Phase& phase : spec.experiment.phases()) {
+        observed.mutable_phases().push_back(phase);
+        observed.overlay("overlay_after_" + phase.label);
+      }
+      auto plain_cluster = Cluster::sim(spec.net);
+      const ExperimentResult plain = plain_cluster.run(spec.experiment);
+      auto observed_cluster = Cluster::sim(spec.net);
+      const ExperimentResult with = observed_cluster.run(observed);
+
+      EXPECT_EQ(plain.events, with.events);
+      ASSERT_EQ(with.phases.size(), 2 * plain.phases.size() + 1);
+      for (std::size_t i = 0; i < plain.phases.size(); ++i) {
+        const PhaseResult& a = plain.phases[i];
+        const PhaseResult& b = with.phases[2 * i + 1];
+        EXPECT_EQ(a.events, b.events) << a.label;
+        EXPECT_EQ(a.reliabilities, b.reliabilities) << a.label;
+        EXPECT_EQ(with.phases[2 * i + 2].events, 0u) << a.label;
+      }
+      EXPECT_GT(with.phases.back().overlay.alive, 0u);
+    }
   }
 }
 
@@ -167,7 +230,8 @@ TEST(SpecJsonTest, EveryPhaseKeyReachesItsField) {
       {"kind": "pubsub", "sources": 3, "ticks": 12, "rate": 4,
        "churn_fraction": 0.5, "cycles_per_tick": 2, "label": "ps"},
       {"kind": "sybil_burst", "per_adversary": 5, "label": "sy"},
-      {"kind": "settle", "label": "st"}
+      {"kind": "settle", "label": "st"},
+      {"kind": "overlay", "label": "o"}
     ]
   })"));
 
@@ -202,7 +266,8 @@ TEST(SpecJsonTest, EveryPhaseKeyReachesItsField) {
       .heavy_churn(heavy, "hc")
       .pubsub(pubsub, "ps")
       .sybil_burst(5, "sy")
-      .settle("st");
+      .settle("st")
+      .overlay("o");
 
   EXPECT_EQ(loaded.name(), "keys");
   ASSERT_EQ(loaded.phases().size(), built.phases().size());
@@ -217,6 +282,7 @@ TEST(SpecJsonTest, EveryNetworkKeyReachesItsField) {
     "name": "x",
     "network": {
       "protocol": "Scamp", "nodes": 300, "seed": 9, "fanout": 6,
+      "notify_on_crash": true,
       "hyparview": {"active_capacity": 4, "passive_capacity": 17,
                     "arwl": 7, "prwl": 2, "shuffle_ka": 2, "shuffle_kp": 5,
                     "shuffle_ttl": 4, "promote_on_any_slot": false,
@@ -279,6 +345,8 @@ TEST(SpecJsonTest, EveryNetworkKeyReachesItsField) {
                     .sybil_ttl = 3};
   EXPECT_TRUE(static_cast<const ClusterConfig&>(spec.net) == want);
   EXPECT_EQ(spec.net.sim.seed, 9u);
+  // Scamp detects crashes on send by default.
+  EXPECT_TRUE(spec.net.sim.notify_on_crash);
 }
 
 constexpr const char* kSmallSpec = R"({
@@ -491,6 +559,142 @@ TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
   inherited.node_count = spec.net.node_count;
   inherited.seed = spec.net.seed;
   EXPECT_TRUE(inherited == static_cast<const ClusterConfig&>(spec.net));
+}
+
+constexpr const char* kSweepSpec = R"({
+  "name": "grid",
+  "network": {"protocol": "HyParView", "nodes": 100, "seed": 7},
+  "phases": [
+    {"kind": "stabilize", "cycles": 3},
+    {"kind": "broadcast", "count": 4, "label": "base"},
+    {"kind": "crash", "fraction": 0.5},
+    {"kind": "leave", "count": 2, "graceful_fraction": 0.5},
+    {"kind": "broadcast", "count": 6, "label": "measure"},
+    {"kind": "broadcast", "count": 8, "label": "measure"},
+    {"kind": "heal_until", "baseline": "base", "max_cycles": 9,
+     "probes_per_cycle": 2}
+  ],
+  "sweep": [
+    [{"network": {"protocol": "Cyclon"}}, {"network": {"protocol": "Scamp"}}],
+    [{"phases": {"crash": {"fraction": 0.25}}},
+     {"phases": {"measure": {"count": 1}, "heal": {"max_cycles": 3}}}]
+  ]
+})";
+
+TEST(SpecJsonTest, SweepCrossesAxesInOrderWithRunsInnermost) {
+  const auto points = expand_sweep(json::Value::parse(kSweepSpec), 2);
+  ASSERT_EQ(points.size(), 2u * 2u * 2u);
+  const ProtocolKind kinds[] = {ProtocolKind::kCyclon, ProtocolKind::kScamp};
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RunSpec& spec = points[i].spec;
+    EXPECT_EQ(spec.name, "grid");
+    EXPECT_EQ(spec.net.kind, kinds[i / 4]);
+    EXPECT_EQ(spec.net.node_count, 100u);
+    // seed + run, in both the cluster and the simulator config.
+    EXPECT_EQ(spec.net.seed, 7u + i % 2);
+    EXPECT_EQ(spec.net.sim.seed, 7u + i % 2);
+    ASSERT_EQ(points[i].patches.as_array().size(), 2u);
+    EXPECT_EQ(points[i].patches.as_array()[0].dump(),
+              i / 4 == 0 ? R"({"network":{"protocol":"Cyclon"}})"
+                         : R"({"network":{"protocol":"Scamp"}})");
+    const auto& phases = spec.experiment.phases();
+    if (i / 2 % 2 == 0) {
+      // A patch keyed by a default label ("crash") reaches that phase only.
+      EXPECT_EQ(phases[2].fraction, 0.25);
+      EXPECT_EQ(phases[4].count, 6u);
+      EXPECT_EQ(phases[6].cycles, 9u);
+    } else {
+      // A label shared by two phases patches both; the heal phase is
+      // keyed by its default label.
+      EXPECT_EQ(phases[2].fraction, 0.5);
+      EXPECT_EQ(phases[4].count, 1u);
+      EXPECT_EQ(phases[5].count, 1u);
+      EXPECT_EQ(phases[6].cycles, 3u);
+    }
+    EXPECT_EQ(phases[1].count, 4u);
+  }
+}
+
+TEST(SpecJsonTest, SpecWithoutSweepIsOnePointPerRun) {
+  const auto points = expand_sweep(json::Value::parse(kSmallSpec), 3);
+  ASSERT_EQ(points.size(), 3u);
+  for (std::size_t run = 0; run < 3; ++run) {
+    EXPECT_TRUE(points[run].patches.as_array().empty());
+    EXPECT_EQ(points[run].spec.net.seed, 7u + run);
+  }
+  // A document naming no seed starts from the default 42.
+  const auto unseeded = expand_sweep(
+      json::Value::parse(R"({"name":"x","phases":[]})"), 2);
+  EXPECT_EQ(unseeded[0].spec.net.seed, 42u);
+  EXPECT_EQ(unseeded[1].spec.net.seed, 43u);
+}
+
+TEST(SpecJsonTest, ScalePatchReachesExactlyItsKeys) {
+  ScalePatch scale;
+  scale.nodes = 60;
+  scale.messages = 11;
+  scale.seed = 1000;
+  const auto points = expand_sweep(json::Value::parse(kSweepSpec), 2, scale);
+  ASSERT_EQ(points.size(), 8u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RunSpec& spec = points[i].spec;
+    EXPECT_EQ(spec.net.node_count, 60u);
+    EXPECT_EQ(spec.net.seed, 1000u + i % 2);
+    const auto& phases = spec.experiment.phases();
+    // Every broadcast count, a sweep patch's too, and the heal probes.
+    EXPECT_EQ(phases[1].count, 11u);
+    EXPECT_EQ(phases[4].count, 11u);
+    EXPECT_EQ(phases[5].count, 11u);
+    EXPECT_EQ(phases[6].count, 11u);
+    // Not the leave count, the stabilize rounds or the heal cycles.
+    EXPECT_EQ(phases[3].count, 2u);
+    EXPECT_EQ(phases[0].cycles, 3u);
+    EXPECT_EQ(phases[6].cycles, i / 2 % 2 == 0 ? 9u : 3u);
+  }
+}
+
+/// Expects expand_sweep on `text` to throw a CheckError containing every
+/// needle.
+void expect_sweep_rejected(const std::string& text,
+                           std::initializer_list<std::string> needles) {
+  SCOPED_TRACE(text);
+  try {
+    (void)expand_sweep(json::Value::parse(text));
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "error was: " << e.what();
+    }
+  }
+}
+
+TEST(SpecJsonTest, RejectsMalformedSweeps) {
+  const auto with_sweep = [](const std::string& sweep) {
+    return R"({"name":"x","network":{"nodes":10},"phases":[)"
+           R"({"kind":"crash","fraction":0.5}],"sweep":)" +
+           sweep + "}";
+  };
+  expect_sweep_rejected(with_sweep("{}"), {"spec.sweep"});
+  expect_sweep_rejected(with_sweep("[[]]"), {"sweep[0]", "non-empty"});
+  expect_sweep_rejected(with_sweep("[[{}],[5]]"), {"sweep[1][0]"});
+  expect_sweep_rejected(with_sweep(R"([[{"phases":{"crsh":{}}}]])"),
+                        {"sweep[0][0].phases.crsh", "names no phase"});
+  expect_sweep_rejected(with_sweep(R"([[{"phases":[]}]])"),
+                        {"sweep[0][0].phases", "keyed by phase label"});
+  expect_sweep_rejected(with_sweep(R"([[{"sweep":[]}]])"),
+                        {"sweep[0][0]", "cannot hold a sweep"});
+  // A point that does not load names its patches and the offending key.
+  expect_sweep_rejected(
+      with_sweep(R"([[{},{"phases":{"crash":{"fraction":2}}}]])"),
+      {R"(sweep point [{"phases":{"crash":{"fraction":2}}}])",
+       "phases[0].fraction"});
+  expect_sweep_rejected(with_sweep(R"([[{"network":{"nodez":3}}]])"),
+                        {"network.nodez"});
+  // spec_from_json checks the block's shape too.
+  expect_rejected(with_sweep("[[]]"), "sweep[0]");
 }
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {

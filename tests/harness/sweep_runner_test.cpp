@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "hyparview/common/assert.hpp"
 #include "hyparview/harness/sim_backend.hpp"
 
 namespace hyparview::harness {
@@ -48,6 +50,34 @@ TEST(SweepRunnerTest, SingleThreadRunsInline) {
 
 TEST(SweepRunnerTest, EmptyJobListIsFine) {
   EXPECT_TRUE(SweepRunner(4).run({}).empty());
+}
+
+TEST(SweepRunnerTest, ThrowingJobsRethrowTheLowestIndexAtAnyThreadCount) {
+  // A throw inside a pool thread must not reach std::terminate: every
+  // worker is joined, then the lowest-index thrower's exception propagates
+  // — the one the serial path meets first.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    constexpr std::size_t kJobs = 16;
+    std::vector<std::atomic<int>> runs(kJobs);
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      jobs.push_back([&runs, i] {
+        ++runs[i];
+        if (i == 5 || i == 9) throw CheckError("job " + std::to_string(i));
+      });
+    }
+    try {
+      (void)SweepRunner(threads).run(jobs);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_STREQ(e.what(), "job 5");
+    }
+    // Jobs are claimed in index order, so everything below the first
+    // thrower ran, exactly once.
+    for (std::size_t i = 0; i <= 5; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+    for (std::size_t i = 6; i < kJobs; ++i) EXPECT_LE(runs[i].load(), 1) << i;
+  }
 }
 
 /// The determinism contract behind the threaded figure sweeps: each point is

@@ -49,16 +49,21 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DeterminismTest2, HealingExperimentReproducible) {
-  auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 150, 55);
-  HealingConfig hcfg;
-  hcfg.fail_fraction = 0.5;
-  hcfg.stabilization_cycles = 4;
-  hcfg.max_cycles = 10;
-  const auto a = run_healing_experiment(cfg, hcfg);
-  const auto b = run_healing_experiment(cfg, hcfg);
-  EXPECT_EQ(a.cycles_to_heal, b.cycles_to_heal);
-  EXPECT_EQ(a.per_cycle_reliability, b.per_cycle_reliability);
-  EXPECT_DOUBLE_EQ(a.baseline_reliability, b.baseline_reliability);
+  const auto run = [] {
+    auto cluster = Cluster::sim(
+        NetworkConfig::defaults_for(ProtocolKind::kHyParView, 150, 55));
+    return cluster.run(Experiment("healing")
+                           .stabilize(4)
+                           .broadcast(10, "baseline")
+                           .crash(0.5)
+                           .heal_until("baseline", 10, 10, "heal"));
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a.phase("heal").cycles_to_heal, b.phase("heal").cycles_to_heal);
+  EXPECT_EQ(a.phase("heal").reliabilities, b.phase("heal").reliabilities);
+  EXPECT_DOUBLE_EQ(a.phase("baseline").avg_reliability(),
+                   b.phase("baseline").avg_reliability());
 }
 
 TEST(DeterminismTest2, ChurnRunReproducible) {

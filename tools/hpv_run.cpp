@@ -1,19 +1,30 @@
-// hpv_run — run a JSON experiment spec on either backend.
+// hpv_run — run JSON experiment specs, sweeps included, on either backend.
 //
 //   hpv_run <spec.json | spec-name> [...]   run each spec in order
-//     --backend=sim|tcp    override the spec's default substrate
+//     --backend=sim|tcp    override every point's substrate
 //     --stats-port=N       override the TCP stats endpoint port (-1 off,
 //                          0 ephemeral; the bound port is printed)
 //     --out=<path>         BENCH-style JSON output path; one spec only
 //                          (default BENCH_<spec-name>.json in the working
 //                          directory)
-//     --validate           load and check the specs and exit (no runs) —
-//                          the `specs` CTest target runs this over specs/
+//     --validate           load every sweep point of the specs and exit (no
+//                          runs) — the `specs` CTest target runs this over
+//                          specs/
+//
+// Scale: HPV_NODES, HPV_MSGS and HPV_SEED form the scale patch of
+// spec_json.hpp, applied to every point; HPV_RUNS runs each point with
+// seeds seed + run; HPV_THREADS sizes the SweepRunner pool (TCP points run
+// one at a time). Unset or malformed values keep the spec's; negative ones
+// fail naming the variable.
 //
 // A positional argument containing '/' or ending in ".json" is a file path;
 // anything else names a committed spec and resolves through spec_path()
 // (specs/<name>.json, HPV_SPEC_DIR overrides the directory). The JSON file
 // is the experiment's only definition.
+//
+// Output: one row per point, in index order, and one BENCH json per spec:
+// the scale header, `events` summed over the points, and under "points"
+// each point's patches, seed, events and phase metrics.
 //
 // Determinism: this binary never reads a clock — wall timings come from
 // ExperimentResult, which the harness stamps (tools/ is inside the
@@ -21,19 +32,27 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hyparview/common/assert.hpp"
 #include "hyparview/common/json.hpp"
 #include "hyparview/common/options.hpp"
+#include "hyparview/harness/scale.hpp"
 #include "hyparview/harness/spec_json.hpp"
 #include "hyparview/harness/stats_export.hpp"
+#include "hyparview/harness/sweep_runner.hpp"
 #include "hyparview/harness/tcp_backend.hpp"
 
 namespace {
 
 using namespace hyparview;
+using harness::Experiment;
+using harness::ExperimentResult;
+using harness::PhaseResult;
+using harness::SweepPoint;
 
 bool looks_like_path(const std::string& arg) {
   if (arg.find('/') != std::string::npos) return true;
@@ -42,97 +61,199 @@ bool looks_like_path(const std::string& arg) {
          arg.compare(arg.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// The BENCH_<name>.json record the bench drivers emit, fed from the
-/// experiment result instead of a stopwatch.
-void write_bench_json(const std::string& path, const harness::RunSpec& spec,
-                      const std::string& backend,
-                      const harness::ExperimentResult& result,
-                      std::size_t nodes) {
-  json::Value doc = json::Value::object();
-  doc.set("bench", spec.name);
-  doc.set("backend", backend);
-  doc.set("nodes", nodes);
-  doc.set("messages", spec.experiment.planned_broadcasts());
-  doc.set("runs", 1);
-  doc.set("seed", backend == "tcp" ? spec.tcp.seed : spec.net.seed);
-  doc.set("quick", false);
-  doc.set("wall_seconds", result.wall_seconds);
-  doc.set("events", result.events);
-  doc.set("events_per_second",
-          result.wall_seconds > 0.0
-              ? static_cast<double>(result.events) / result.wall_seconds
-              : 0.0);
-  for (const harness::PhaseResult& phase : result.phases) {
-    if (phase.kind == harness::Experiment::PhaseKind::kSetFanout) continue;
-    doc.set("phase_seconds_" + phase.label, phase.wall_seconds);
+struct Options {
+  std::string backend;  ///< "" = each point's own
+  std::optional<int> stats_port;
+  std::string out;
+};
+
+struct PointRun {
+  bool tcp = false;
+  std::size_t nodes = 0;
+  std::uint64_t seed = 0;
+  ExperimentResult result;
+};
+
+PointRun run_point(const harness::RunSpec& spec, const Options& opt) {
+  PointRun run;
+  run.tcp = (opt.backend.empty() ? spec.backend : opt.backend) == "tcp";
+  if (!run.tcp) {
+    run.nodes = spec.net.node_count;
+    run.seed = spec.net.seed;
+    run.result = harness::Cluster::sim(spec.net).run(spec.experiment);
+    return run;
+  }
+  harness::TcpBackendConfig cfg = spec.tcp;
+  if (opt.stats_port) cfg.stats_port = *opt.stats_port;
+  run.nodes = cfg.node_count;
+  run.seed = cfg.seed;
+  harness::Cluster cluster = harness::Cluster::tcp(cfg);
+  // Build before running so the stats endpoint is announced while the run
+  // is still live (that is the point of polling it).
+  auto& tcp = dynamic_cast<harness::TcpBackend&>(cluster.backend());
+  tcp.build();
+  if (harness::StatsExporter* stats = tcp.stats_exporter()) {
+    std::printf("[stats endpoint: 127.0.0.1:%u — one JSON snapshot per "
+                "connection]\n",
+                static_cast<unsigned>(stats->port()));
+  }
+  run.result = cluster.run(spec.experiment);
+  return run;
+}
+
+void print_row(std::size_t index, const SweepPoint& point,
+               const PointRun& run) {
+  std::string row = "  [" + std::to_string(index) + "]";
+  for (const json::Value& patch : point.patches.as_array()) {
+    row += " " + patch.dump();
+  }
+  row += " seed=" + std::to_string(run.seed) +
+         " events=" + std::to_string(run.result.events);
+  char buf[160];
+  for (const PhaseResult& phase : run.result.phases) {
+    const char* label = phase.label.c_str();
     if (!phase.reliabilities.empty()) {
-      doc.set("reliability_" + phase.label, phase.avg_reliability());
+      std::snprintf(buf, sizeof(buf), " %s=%.4f", label,
+                    phase.avg_reliability());
+      row += buf;
     }
-    if (phase.kind == harness::Experiment::PhaseKind::kHealUntil) {
-      doc.set("cycles_to_heal_" + phase.label, phase.cycles_to_heal);
-      doc.set("recovered_" + phase.label, phase.recovered);
+    if (phase.kind == Experiment::PhaseKind::kHealUntil) {
+      std::snprintf(buf, sizeof(buf), " %s_cycles=%s%zu", label,
+                    phase.recovered ? "" : ">", phase.cycles_to_heal);
+      row += buf;
+    }
+    if (phase.kind == Experiment::PhaseKind::kOverlay) {
+      const harness::OverlayStats& o = phase.overlay;
+      std::snprintf(buf, sizeof(buf),
+                    " %s: %s lcc=%zu/%zu clustering=%.6f asp=%.5f "
+                    "indeg=%.2f±%.2f[%.0f,%.0f] backup=%.2f",
+                    label, o.connected ? "connected" : "PARTITIONED",
+                    o.largest_component, o.alive, o.clustering,
+                    o.avg_shortest_path, o.in_degree.mean, o.in_degree.stddev,
+                    o.in_degree.min, o.in_degree.max, o.backup_view_mean);
+      row += buf;
     }
   }
+  std::printf("%s\n", row.c_str());
+}
+
+template <typename T>
+json::Value array_of(const std::vector<T>& values) {
+  return json::Value(json::Value::Array(values.begin(), values.end()));
+}
+
+void add_overlay(json::Value& p, const std::string& label,
+                 const harness::OverlayStats& o) {
+  p.set("alive_" + label, o.alive);
+  p.set("connected_" + label, o.connected);
+  p.set("largest_component_" + label, o.largest_component);
+  p.set("clustering_" + label, o.clustering);
+  p.set("avg_shortest_path_" + label, o.avg_shortest_path);
+  p.set("in_degree_histogram_" + label, array_of(o.in_degree_histogram));
+  p.set("in_degree_mean_" + label, o.in_degree.mean);
+  p.set("in_degree_stddev_" + label, o.in_degree.stddev);
+  p.set("in_degree_min_" + label, o.in_degree.min);
+  p.set("in_degree_max_" + label, o.in_degree.max);
+  p.set("backup_view_mean_" + label, o.backup_view_mean);
+}
+
+json::Value point_json(const SweepPoint& point, const PointRun& run) {
+  json::Value p = json::Value::object();
+  p.set("patches", point.patches);
+  p.set("seed", run.seed);
+  p.set("events", run.result.events);
+  p.set("wall_seconds", run.result.wall_seconds);
+  for (const PhaseResult& phase : run.result.phases) {
+    if (phase.kind == Experiment::PhaseKind::kSetFanout) continue;
+    const std::string& label = phase.label;
+    p.set("phase_seconds_" + label, phase.wall_seconds);
+    if (!phase.reliabilities.empty()) {
+      p.set("reliability_" + label, phase.avg_reliability());
+      p.set("min_reliability_" + label, phase.min_reliability());
+      p.set("last_reliability_" + label, phase.last_reliability());
+      p.set("reliabilities_" + label, array_of(phase.reliabilities));
+    }
+    if (!phase.broadcasts.empty()) {
+      double hops = 0.0;
+      for (const auto& m : phase.broadcasts) hops += m.max_hops;
+      p.set("max_hops_" + label,
+            hops / static_cast<double>(phase.broadcasts.size()));
+    }
+    if (phase.kind == Experiment::PhaseKind::kHealUntil) {
+      p.set("cycles_to_heal_" + label, phase.cycles_to_heal);
+      p.set("recovered_" + label, phase.recovered);
+    }
+    if (phase.kind == Experiment::PhaseKind::kOverlay) {
+      add_overlay(p, label, phase.overlay);
+    }
+  }
+  return p;
+}
+
+/// Runs every point, prints one row per point in index order and writes
+/// the BENCH_<name>.json record: the scale of point 0, totals over every
+/// point, and the points themselves.
+void run_sweep(const std::string& name, const std::vector<SweepPoint>& points,
+               std::size_t runs, const Options& opt) {
+  bool any_tcp = false;
+  for (const SweepPoint& p : points) {
+    any_tcp = any_tcp ||
+              (opt.backend.empty() ? p.spec.backend : opt.backend) == "tcp";
+  }
+  // Real sockets share the machine's ports and timing: one TCP point at a
+  // time.
+  const harness::SweepRunner runner(any_tcp ? 1 : 0);
+  const std::size_t threads = std::min(runner.threads(), points.size());
+  std::printf("== %s: %zu points across %zu threads ==\n", name.c_str(),
+              points.size(), threads);
+
+  std::vector<PointRun> done(points.size());
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    jobs.push_back([&, i] {
+      try {
+        done[i] = run_point(points[i].spec, opt);
+      } catch (const CheckError& e) {
+        throw CheckError("point " + std::to_string(i) + " " +
+                         points[i].patches.dump() + ": " + e.what());
+      }
+    });
+  }
+  (void)runner.run(jobs);
+
+  std::uint64_t events = 0;
+  double wall = 0.0;
+  json::Value list = json::Value::array();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    print_row(i, points[i], done[i]);
+    events += done[i].result.events;
+    wall += done[i].result.wall_seconds;
+    list.push_back(point_json(points[i], done[i]));
+  }
+  std::printf("total: %llu events in %.3fs\n",
+              static_cast<unsigned long long>(events), wall);
+
+  json::Value doc = json::Value::object();
+  doc.set("bench", name);
+  doc.set("backend", done.front().tcp ? "tcp" : "sim");
+  doc.set("nodes", done.front().nodes);
+  doc.set("messages", points.front().spec.experiment.planned_broadcasts());
+  doc.set("runs", runs);
+  doc.set("seed", done.front().seed);
+  doc.set("quick", false);
+  doc.set("threads", threads);
+  doc.set("wall_seconds", wall);
+  doc.set("events", events);
+  doc.set("events_per_second",
+          wall > 0.0 ? static_cast<double>(events) / wall : 0.0);
+  doc.set("points", std::move(list));
+  const std::string path =
+      opt.out.empty() ? "BENCH_" + name + ".json" : opt.out;
   std::ofstream out(path, std::ios::binary);
   HPV_CHECK_THROW(out.good(), "hpv_run: cannot write " + path);
   out << doc.dump(2);
   std::printf("[bench json -> %s]\n", path.c_str());
-}
-
-int run_spec(const harness::RunSpec& spec, const std::string& backend,
-             std::int64_t stats_port_override, bool has_port_override,
-             const std::string& out_path) {
-  std::printf("== %s (backend: %s) ==\n", spec.name.c_str(), backend.c_str());
-
-  harness::Cluster cluster = [&] {
-    if (backend == "tcp") {
-      harness::TcpBackendConfig cfg = spec.tcp;
-      if (has_port_override) {
-        cfg.stats_port = static_cast<int>(stats_port_override);
-      }
-      return harness::Cluster::tcp(cfg);
-    }
-    return harness::Cluster::sim(spec.net);
-  }();
-
-  std::size_t nodes = 0;
-  if (backend == "tcp") {
-    // Build before running so the stats endpoint is announced while the
-    // run is still live (that is the point of polling it).
-    auto& tcp = dynamic_cast<harness::TcpBackend&>(cluster.backend());
-    tcp.build();
-    nodes = tcp.node_count();
-    if (harness::StatsExporter* stats = tcp.stats_exporter()) {
-      std::printf("[stats endpoint: 127.0.0.1:%u — one JSON snapshot per "
-                  "connection]\n",
-                  static_cast<unsigned>(stats->port()));
-    }
-  } else {
-    nodes = spec.net.node_count;
-  }
-
-  const harness::ExperimentResult result = cluster.run(spec.experiment);
-
-  for (const harness::PhaseResult& phase : result.phases) {
-    std::printf("  %-16s events=%llu", phase.label.c_str(),
-                static_cast<unsigned long long>(phase.events));
-    if (!phase.reliabilities.empty()) {
-      std::printf(" reliability=%.4f", phase.avg_reliability());
-    }
-    if (phase.kind == harness::Experiment::PhaseKind::kHealUntil) {
-      std::printf(" cycles_to_heal=%zu recovered=%s", phase.cycles_to_heal,
-                  phase.recovered ? "yes" : "no");
-    }
-    std::printf("\n");
-  }
-  std::printf("total: %llu events in %.3fs\n",
-              static_cast<unsigned long long>(result.events),
-              result.wall_seconds);
-
-  write_bench_json(out_path.empty() ? "BENCH_" + spec.name + ".json"
-                                    : out_path,
-                   spec, backend, result, nodes);
-  return 0;
 }
 
 int run_main(int argc, char** argv) {
@@ -147,33 +268,47 @@ int run_main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string backend_override = args.get("backend", "");
-  HPV_CHECK_THROW(backend_override.empty() || backend_override == "sim" ||
-                      backend_override == "tcp",
+  Options opt;
+  opt.backend = args.get("backend", "");
+  HPV_CHECK_THROW(opt.backend.empty() || opt.backend == "sim" ||
+                      opt.backend == "tcp",
                   "hpv_run: --backend expects sim or tcp");
-  const bool has_port_override = args.has("stats-port");
-  const std::int64_t stats_port = args.get_int("stats-port", -1);
-  HPV_CHECK_THROW(stats_port >= -1 && stats_port <= 65535,
-                  "hpv_run: --stats-port expects -1..65535");
+  if (args.has("stats-port")) {
+    const std::int64_t port = args.get_int("stats-port", -1);
+    HPV_CHECK_THROW(port >= -1 && port <= 65535,
+                    "hpv_run: --stats-port expects -1..65535");
+    opt.stats_port = static_cast<int>(port);
+  }
   // Every run would write the same file, each overwriting the one before.
   HPV_CHECK_THROW(!args.has("out") || args.positional().size() == 1,
                   "hpv_run: --out names one output file, so it takes exactly "
                   "one spec");
+  opt.out = args.get("out", "");
+
+  const bool validate = args.has("validate");
+  harness::ScalePatch scale;
+  std::size_t runs = 1;
+  if (!validate) {
+    scale.nodes = harness::env_count("HPV_NODES");
+    scale.messages = harness::env_count("HPV_MSGS");
+    scale.seed = harness::env_count("HPV_SEED");
+    runs = harness::env_count("HPV_RUNS").value_or(1);
+    HPV_CHECK_THROW(runs >= 1, "hpv_run: env var HPV_RUNS: expected >= 1");
+  }
 
   for (const std::string& arg : args.positional()) {
     const std::string path =
         looks_like_path(arg) ? arg : harness::spec_path(arg);
-    const harness::RunSpec spec = harness::load_spec_file(path);
-    if (args.has("validate")) {
-      std::printf("%s: OK (%s, %zu phases)\n", path.c_str(),
-                  spec.name.c_str(), spec.experiment.phases().size());
+    const std::vector<SweepPoint> points =
+        harness::load_sweep_file(path, runs, scale);
+    const std::string& name = points.front().spec.name;
+    if (validate) {
+      std::printf("%s: OK (%s, %zu points, %zu phases)\n", path.c_str(),
+                  name.c_str(), points.size(),
+                  points.front().spec.experiment.phases().size());
       continue;
     }
-    const std::string backend =
-        backend_override.empty() ? spec.backend : backend_override;
-    const int rc = run_spec(spec, backend, stats_port, has_port_override,
-                            args.get("out", ""));
-    if (rc != 0) return rc;
+    run_sweep(name, points, runs, opt);
   }
   return 0;
 }
