@@ -91,9 +91,9 @@ AttackOutcome run_heavy_churn_sim(harness::ProtocolKind kind,
                       .stabilize(20)
                       .heavy_churn(churn));
   const auto health = harness::collect_overlay_health(cluster.backend());
-  const auto& heavy = result.phase("heavy_churn").heavy;
   return {health.eclipse_ratio(), health.backup_poison_ratio(),
-          health.honest_component_fraction(), heavy.avg_reliability,
+          health.honest_component_fraction(),
+          result.phase("heavy_churn").avg_reliability(),
           cluster->events_processed()};
 }
 
@@ -212,11 +212,10 @@ int main() {
     churn.probes_per_cycle = 1;
     const auto result = cluster.run(
         harness::Experiment("heavy_churn").stabilize(3).heavy_churn(churn));
-    bench_json.add_metric("reliability_tcp_hyparview_heavychurn",
-                          result.phase("heavy_churn").heavy.avg_reliability);
+    const double reliability = result.phase("heavy_churn").avg_reliability();
+    bench_json.add_metric("reliability_tcp_hyparview_heavychurn", reliability);
     std::printf("[tcp_hyparview_heavychurn: reliability %.1f%%, %.1fs]\n",
-                100.0 * result.phase("heavy_churn").heavy.avg_reliability,
-                watch.seconds());
+                100.0 * reliability, watch.seconds());
   }
 
   std::printf(

@@ -43,7 +43,7 @@ int main() {
           cluster.run(harness::Experiment("churn_stability")
                           .stabilize(50)
                           .churn(churn, "churn"));
-      const harness::ChurnStats& stats = result.phase("churn").churn;
+      const harness::PhaseResult& churned = result.phase("churn");
 
       const auto g = cluster->dissemination_graph(/*alive_only=*/true);
       const double connected =
@@ -53,14 +53,17 @@ int main() {
       bench_json.add_events(cluster->events_processed());
       table.add_row({harness::kind_name(kind),
                      analysis::fmt(rate * 100.0, 1),
-                     analysis::fmt_percent(stats.avg_reliability, 1),
-                     analysis::fmt_percent(stats.min_reliability, 1),
+                     analysis::fmt_percent(churned.avg_reliability(), 1),
+                     analysis::fmt_percent(churned.min_reliability(), 1),
                      analysis::fmt_percent(connected, 1),
                      analysis::fmt(cluster->view_accuracy(), 3)});
-      std::printf("[%s @ %.1f%%/cycle: %.1fs (%zu joins, %zu leaves, %zu "
+      const harness::Counters& c = churned.counters;
+      std::printf("[%s @ %.1f%%/cycle: %.1fs (%llu joins, %llu leaves, %llu "
                   "crashes)]\n",
                   harness::kind_name(kind), rate * 100.0, watch.seconds(),
-                  stats.joins, stats.graceful_leaves, stats.crashes);
+                  static_cast<unsigned long long>(c.joins),
+                  static_cast<unsigned long long>(c.graceful_leaves),
+                  static_cast<unsigned long long>(c.crashes));
     }
   }
   std::cout << table.to_string();

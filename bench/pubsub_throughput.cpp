@@ -31,22 +31,25 @@ using namespace hyparview;
 namespace {
 
 struct PubSubOutcome {
-  harness::PubSubStats steady;
-  harness::PubSubStats churn;
+  harness::PhaseResult steady;
+  harness::PhaseResult churn;
   std::uint64_t events = 0;
 };
 
-/// Exact equality over every deterministic field — the two certification
-/// runs must agree bit-for-bit on the sim backend.
-bool identical(const harness::PubSubStats& a, const harness::PubSubStats& b) {
-  return a.published == b.published && a.payload_bytes == b.payload_bytes &&
-         a.control_bytes == b.control_bytes &&
-         a.messages_forwarded == b.messages_forwarded &&
-         a.duplicates == b.duplicates && a.grafts == b.grafts &&
-         a.prunes == b.prunes && a.avg_reliability == b.avg_reliability &&
-         a.min_reliability == b.min_reliability &&
-         a.avg_latency_us == b.avg_latency_us &&
-         a.max_latency_us == b.max_latency_us;
+/// Publish-to-last-delivery latency over the phase's messages.
+analysis::Summary latency_us(const harness::PhaseResult& phase) {
+  std::vector<double> values;
+  for (const analysis::MessageResult& m : phase.broadcasts) {
+    values.push_back(static_cast<double>(m.latency_to_last()));
+  }
+  return analysis::summarize(values);
+}
+
+/// Exact equality over every deterministic field (each counter, each
+/// message's record) — the two certification runs must agree bit-for-bit
+/// on the sim backend.
+bool identical(const harness::PhaseResult& a, const harness::PhaseResult& b) {
+  return a.counters == b.counters && a.broadcasts == b.broadcasts;
 }
 
 bool identical(const PubSubOutcome& a, const PubSubOutcome& b) {
@@ -55,8 +58,8 @@ bool identical(const PubSubOutcome& a, const PubSubOutcome& b) {
 }
 
 /// Payload + control: everything the engines put on the wire.
-std::uint64_t bytes_on_wire(const harness::PubSubStats& s) {
-  return s.payload_bytes + s.control_bytes;
+std::uint64_t bytes_on_wire(const harness::PhaseResult& p) {
+  return p.counters.payload_bytes + p.counters.control_bytes;
 }
 
 /// One engine leg: load the committed spec, patch the scale-dependent knobs
@@ -84,7 +87,7 @@ PubSubOutcome run_leg(const std::string& spec_name,
 
   auto cluster = harness::Cluster::sim(spec.net);
   const auto result = cluster.run(exp);
-  return {result.phase("steady").pubsub, result.phase("churn").pubsub,
+  return {result.phase("steady"), result.phase("churn"),
           cluster->events_processed()};
 }
 
@@ -102,22 +105,24 @@ PubSubOutcome certified(const char* label, const std::string& spec_name,
         "payload=%llu dups=%llu} vs run2 {events=%llu payload=%llu "
         "dups=%llu}\n",
         label, static_cast<unsigned long long>(first.events),
-        static_cast<unsigned long long>(first.steady.payload_bytes),
-        static_cast<unsigned long long>(first.steady.duplicates),
+        static_cast<unsigned long long>(first.steady.counters.payload_bytes),
+        static_cast<unsigned long long>(first.steady.counters.duplicates),
         static_cast<unsigned long long>(second.events),
-        static_cast<unsigned long long>(second.steady.payload_bytes),
-        static_cast<unsigned long long>(second.steady.duplicates));
+        static_cast<unsigned long long>(second.steady.counters.payload_bytes),
+        static_cast<unsigned long long>(second.steady.counters.duplicates));
     std::exit(1);
   }
   return first;
 }
 
 void add_phase_metrics(bench::JsonRecorder& rec, const std::string& engine,
-                       const char* phase, const harness::PubSubStats& s) {
-  rec.add_metric("reliability_" + engine + "_" + phase, s.avg_reliability);
+                       const char* phase, const harness::PhaseResult& p) {
+  rec.add_metric("reliability_" + engine + "_" + phase,
+                 p.message_reliability().mean);
   rec.add_metric("bytes_on_wire_" + engine + "_" + phase,
-                 static_cast<double>(bytes_on_wire(s)));
-  rec.add_metric("latency_to_last_" + engine + "_" + phase, s.avg_latency_us);
+                 static_cast<double>(bytes_on_wire(p)));
+  rec.add_metric("latency_to_last_" + engine + "_" + phase,
+                 latency_us(p).mean);
 }
 
 }  // namespace
@@ -152,18 +157,20 @@ int main() {
                          "control MB", "dups/msg", "grafts", "prunes",
                          "avg latency"});
   const auto add_row = [&](const char* engine, const char* phase,
-                           const harness::PubSubStats& s) {
+                           const harness::PhaseResult& p) {
+    const harness::Counters& c = p.counters;
+    const std::size_t published = p.broadcasts.size();
     table.add_row(
-        {engine, phase, analysis::fmt_percent(s.avg_reliability, 2),
-         analysis::fmt(static_cast<double>(s.payload_bytes) / 1e6, 2),
-         analysis::fmt(static_cast<double>(s.control_bytes) / 1e6, 2),
-         analysis::fmt(s.published == 0
+        {engine, phase, analysis::fmt_percent(p.message_reliability().mean, 2),
+         analysis::fmt(static_cast<double>(c.payload_bytes) / 1e6, 2),
+         analysis::fmt(static_cast<double>(c.control_bytes) / 1e6, 2),
+         analysis::fmt(published == 0
                            ? 0.0
-                           : static_cast<double>(s.duplicates) /
-                                 static_cast<double>(s.published),
+                           : static_cast<double>(c.duplicates) /
+                                 static_cast<double>(published),
                        1),
-         std::to_string(s.grafts), std::to_string(s.prunes),
-         analysis::fmt(s.avg_latency_us / 1000.0, 2) + "ms"});
+         std::to_string(c.grafts), std::to_string(c.prunes),
+         analysis::fmt(latency_us(p).mean / 1000.0, 2) + "ms"});
   };
   add_row("plumtree", "steady", plumtree.steady);
   add_row("plumtree", "churn", plumtree.churn);
@@ -182,28 +189,32 @@ int main() {
   add_phase_metrics(bench_json, "eager", "churn", eager.churn);
 
   // --- Hard gates: the payload-plane claim itself ------------------------
+  const std::uint64_t plumtree_payload =
+      plumtree.steady.counters.payload_bytes;
+  const std::uint64_t eager_payload = eager.steady.counters.payload_bytes;
   const double payload_ratio =
-      eager.steady.payload_bytes == 0
-          ? 1.0
-          : static_cast<double>(plumtree.steady.payload_bytes) /
-                static_cast<double>(eager.steady.payload_bytes);
+      eager_payload == 0 ? 1.0
+                         : static_cast<double>(plumtree_payload) /
+                               static_cast<double>(eager_payload);
+  const double plumtree_reliability =
+      plumtree.steady.message_reliability().mean;
+  const double eager_reliability = eager.steady.message_reliability().mean;
   std::printf(
       "steady state: plumtree %.2f%% reliability at %.1f%% of eager's "
       "payload bytes (%.2fx total wire bytes)\n",
-      100.0 * plumtree.steady.avg_reliability, 100.0 * payload_ratio,
-      eager.steady.payload_bytes + eager.steady.control_bytes == 0
+      100.0 * plumtree_reliability, 100.0 * payload_ratio,
+      bytes_on_wire(eager.steady) == 0
           ? 1.0
           : static_cast<double>(bytes_on_wire(plumtree.steady)) /
                 static_cast<double>(bytes_on_wire(eager.steady)));
   bench_json.add_metric("bytes_on_wire_payload_ratio", payload_ratio);
 
   bool failed = false;
-  if (plumtree.steady.avg_reliability < eager.steady.avg_reliability) {
+  if (plumtree_reliability < eager_reliability) {
     std::fprintf(stderr,
                  "pubsub_throughput: GATE FAIL: plumtree steady reliability "
                  "%.6f below eager %.6f\n",
-                 plumtree.steady.avg_reliability,
-                 eager.steady.avg_reliability);
+                 plumtree_reliability, eager_reliability);
     failed = true;
   }
   if (payload_ratio > 0.6) {

@@ -12,9 +12,8 @@
 #include <cstdio>
 
 #include "hyparview/common/options.hpp"
-#include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/sim_backend.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 using namespace hyparview;
 
@@ -54,33 +53,31 @@ int main(int argc, char** argv) {
   churn.leaves_per_cycle = per_cycle;
   churn.graceful_fraction = graceful;
   churn.probes_per_cycle = 3;
-  const auto stats = net.run_churn(churn);
+  const harness::PhaseResult churned =
+      harness::run_experiment(net, harness::Experiment("elastic_swarm")
+                                       .churn(churn))
+          .phases.front();
 
-  for (std::size_t c = 0; c < stats.per_cycle_reliability.size(); ++c) {
-    if (c % 5 == 0 || c + 1 == stats.per_cycle_reliability.size()) {
+  const auto& series = churned.reliabilities;
+  for (std::size_t c = 0; c < series.size(); ++c) {
+    if (c % 5 == 0 || c + 1 == series.size()) {
       std::printf("  cycle %2zu: reliability %5.1f%%\n", c + 1,
-                  stats.per_cycle_reliability[c] * 100);
+                  series[c] * 100);
     }
   }
-  std::printf("\nover the whole run: avg %.2f%%, worst cycle %.2f%% "
-              "(%zu joins, %zu graceful leaves, %zu crashes)\n",
-              stats.avg_reliability * 100, stats.min_reliability * 100,
-              stats.joins, stats.graceful_leaves, stats.crashes);
-
-  // How much repair ran over pre-opened connections?
-  std::uint64_t promotions = 0;
-  std::uint64_t warm_promotions = 0;
-  for (std::size_t i = 0; i < net.node_count(); ++i) {
-    if (!net.alive(i)) continue;
-    if (const auto* hpv =
-            dynamic_cast<const core::HyParView*>(&net.protocol(i))) {
-      promotions += hpv->stats().promotions;
-      warm_promotions += hpv->stats().warm_promotions;
-    }
-  }
-  std::printf("repairs: %llu promotions, %llu initiated over warm links\n",
-              static_cast<unsigned long long>(promotions),
-              static_cast<unsigned long long>(warm_promotions));
+  // What the churn phase did, from its counter delta: the harness's
+  // departures, and how much repair ran over pre-opened connections.
+  const harness::Counters& done = churned.counters;
+  const analysis::Summary rel = analysis::summarize(series);
+  std::printf("\nover the whole churn: avg %.2f%%, worst cycle %.2f%% "
+              "(%llu joins, %llu graceful leaves, %llu crashes)\n",
+              rel.mean * 100, rel.min * 100,
+              static_cast<unsigned long long>(done.joins),
+              static_cast<unsigned long long>(done.graceful_leaves),
+              static_cast<unsigned long long>(done.crashes));
+  std::printf("repairs during churn: %llu promotions, %llu initiated over warm links\n",
+              static_cast<unsigned long long>(done.promotions),
+              static_cast<unsigned long long>(done.warm_promotions));
 
   const auto g = net.dissemination_graph(true);
   std::printf("final overlay: %zu alive, largest component %zu, accuracy "

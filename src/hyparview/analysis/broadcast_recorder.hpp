@@ -40,6 +40,8 @@ struct MessageResult {
   [[nodiscard]] Duration latency_to_last() const {
     return last_delivery - begin_time;
   }
+
+  bool operator==(const MessageResult&) const = default;
 };
 
 class BroadcastRecorder final : public gossip::DeliveryObserver {

@@ -36,6 +36,7 @@ class NodeRuntime final : public membership::Endpoint {
     return *protocol_;
   }
   [[nodiscard]] BroadcastEngine& gossip() { return *engine_; }
+  [[nodiscard]] const BroadcastEngine& gossip() const { return *engine_; }
 
   // --- membership::Endpoint --------------------------------------------------
   // Frames are routed by wire tag: membership traffic goes straight to the

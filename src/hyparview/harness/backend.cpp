@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <utility>
 
 #include "hyparview/baselines/cyclon.hpp"
 #include "hyparview/baselines/scamp.hpp"
@@ -36,14 +37,66 @@ double draw_session(Rng& rng, const HeavyChurnConfig& cfg) {
   return 1.0;
 }
 
-double mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total / static_cast<double>(values.size());
+/// The scalar counters by report name; named() and operator- walk it.
+struct CounterField {
+  const char* name;
+  std::uint64_t Counters::*member;
+};
+constexpr CounterField kCounterFields[] = {
+    {"frames_sent", &Counters::frames_sent},
+    {"bytes_sent", &Counters::bytes_sent},
+    {"send_failures", &Counters::send_failures},
+    {"connections_opened", &Counters::connections_opened},
+    {"payload_bytes", &Counters::payload_bytes},
+    {"control_bytes", &Counters::control_bytes},
+    {"forwards", &Counters::forwards},
+    {"duplicates", &Counters::duplicates},
+    {"grafts", &Counters::grafts},
+    {"prunes", &Counters::prunes},
+    {"promotions", &Counters::promotions},
+    {"warm_promotions", &Counters::warm_promotions},
+    {"joins", &Counters::joins},
+    {"graceful_leaves", &Counters::graceful_leaves},
+    {"crashes", &Counters::crashes},
+};
+
+template <std::size_t... I>
+std::array<const char*, sizeof...(I)> wire_type_names(
+    std::index_sequence<I...>) {
+  return {wire::type_name(wire::Message(std::in_place_index<I>))...};
 }
 
 }  // namespace
+
+Counters Counters::operator-(const Counters& before) const {
+  Counters d;
+  for (const CounterField& f : kCounterFields) {
+    d.*f.member = this->*f.member - before.*f.member;
+  }
+  for (std::size_t t = 0; t < kWireTypes; ++t) {
+    d.frames_by_type[t] = frames_by_type[t] - before.frames_by_type[t];
+    d.bytes_by_type[t] = bytes_by_type[t] - before.bytes_by_type[t];
+  }
+  return d;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> Counters::named() const {
+  static const auto type_names =
+      wire_type_names(std::make_index_sequence<kWireTypes>{});
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  out.reserve(std::size(kCounterFields) + 2 * kWireTypes);
+  for (const CounterField& f : kCounterFields) {
+    out.emplace_back(f.name, this->*f.member);
+  }
+  for (std::size_t t = 0; t < kWireTypes; ++t) {
+    out.emplace_back(std::string("frames_") + type_names[t],
+                     frames_by_type[t]);
+  }
+  for (std::size_t t = 0; t < kWireTypes; ++t) {
+    out.emplace_back(std::string("bytes_") + type_names[t], bytes_by_type[t]);
+  }
+  return out;
+}
 
 const char* kind_name(ProtocolKind kind) {
   switch (kind) {
@@ -190,6 +243,7 @@ std::size_t Backend::add_node() {
   while (contact == index) contact = random_alive_node();
   protocol(index).start(id_of(contact));
   settle_join();
+  ++performed_.joins;
   return index;
 }
 
@@ -235,6 +289,7 @@ void Backend::leave_node(std::size_t i, bool graceful) {
   // participating (e.g. accepting NEIGHBOR requests back into active
   // views) while they are in flight.
   kill_node(i);
+  ++(graceful ? performed_.graceful_leaves : performed_.crashes);
   settle();
 }
 
@@ -251,6 +306,7 @@ void Backend::fail_random_fraction(double fraction) {
   for (const std::size_t i : rng().sample(alive_ids, count)) {
     kill_node(i);
   }
+  performed_.crashes += count;
 }
 
 analysis::MessageResult Backend::broadcast_one() {
@@ -272,17 +328,33 @@ double Backend::probe_reliability(std::size_t count) {
   return sum / static_cast<double>(count);
 }
 
-LeaveWaveStats Backend::leave_random(std::size_t count,
-                                     double graceful_fraction) {
-  LeaveWaveStats stats;
+void Backend::leave_random(std::size_t count, double graceful_fraction) {
   for (std::size_t l = 0; l < count; ++l) {
     if (alive_count() <= 2) break;
     const std::size_t victim = random_alive_node();
     const bool graceful = rng().chance(graceful_fraction);
     leave_node(victim, graceful);
-    ++(graceful ? stats.graceful : stats.crashes);
   }
-  return stats;
+}
+
+Counters Backend::counters() const {
+  Counters c = performed_;
+  read_substrate_counters(c);
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const gossip::BroadcastEngine& e = runtime(i).gossip();
+    c.payload_bytes += e.payload_bytes_sent();
+    c.control_bytes += e.control_bytes_sent();
+    c.forwards += e.messages_forwarded();
+    c.duplicates += e.duplicates_received();
+    c.grafts += e.grafts_sent();
+    c.prunes += e.prunes_sent();
+    if (const auto* hpv =
+            dynamic_cast<const core::HyParView*>(&protocol(i))) {
+      c.promotions += hpv->stats().promotions;
+      c.warm_promotions += hpv->stats().warm_promotions;
+    }
+  }
+  return c;
 }
 
 graph::Digraph Backend::dissemination_graph(bool alive_only) const {
@@ -318,37 +390,30 @@ double Backend::view_accuracy() const {
   return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
 }
 
-ChurnStats Backend::run_churn(const ChurnConfig& cfg) {
+std::vector<double> Backend::run_churn(const ChurnConfig& cfg) {
   HPV_CHECK(built());
-  ChurnStats stats;
+  std::vector<double> per_cycle;
   for (std::size_t cycle = 0; cycle < cfg.cycles; ++cycle) {
-    for (std::size_t j = 0; j < cfg.joins_per_cycle; ++j) {
-      add_node();
-      ++stats.joins;
-    }
-    const LeaveWaveStats wave =
-        leave_random(cfg.leaves_per_cycle, cfg.graceful_fraction);
-    stats.graceful_leaves += wave.graceful;
-    stats.crashes += wave.crashes;
+    for (std::size_t j = 0; j < cfg.joins_per_cycle; ++j) add_node();
+    leave_random(cfg.leaves_per_cycle, cfg.graceful_fraction);
     run_cycles(1);
     if (cfg.probes_per_cycle > 0) {
-      const double reliability = probe_reliability(cfg.probes_per_cycle);
-      stats.per_cycle_reliability.push_back(reliability);
-      stats.min_reliability = std::min(stats.min_reliability, reliability);
+      per_cycle.push_back(probe_reliability(cfg.probes_per_cycle));
     }
   }
-  stats.avg_reliability = mean(stats.per_cycle_reliability);
-  return stats;
+  return per_cycle;
 }
 
-HeavyChurnStats Backend::run_heavy_churn(const HeavyChurnConfig& cfg) {
+std::vector<double> Backend::run_heavy_churn(const HeavyChurnConfig& cfg,
+                                             HeavyChurnStats& stats) {
   HPV_CHECK(built());
-  HeavyChurnStats stats;
+  stats = {};
   struct Session {
     std::size_t index;
     std::size_t expires_at;  ///< cycle number the session ends on
   };
   std::vector<Session> sessions;
+  std::vector<double> per_cycle;
   double session_sum = 0.0;
   for (std::size_t cycle = 0; cycle < cfg.cycles; ++cycle) {
     for (std::size_t j = 0; j < cfg.joins_per_cycle; ++j) {
@@ -358,7 +423,6 @@ HeavyChurnStats Backend::run_heavy_churn(const HeavyChurnConfig& cfg) {
       stats.max_session_cycles = std::max(stats.max_session_cycles, drawn);
       sessions.push_back(
           Session{index, cycle + static_cast<std::size_t>(drawn)});
-      ++stats.joins;
     }
     // Expire due sessions in join order (one deterministic order for both
     // backends). The graceful/crash draw happens per expiry, like
@@ -370,29 +434,23 @@ HeavyChurnStats Backend::run_heavy_churn(const HeavyChurnConfig& cfg) {
         continue;
       }
       if (alive_count() <= 2 || !alive(s.index)) continue;
-      const bool graceful = rng().chance(cfg.graceful_fraction);
-      leave_node(s.index, graceful);
-      ++(graceful ? stats.graceful_leaves : stats.crashes);
+      leave_node(s.index, rng().chance(cfg.graceful_fraction));
     }
     sessions.resize(kept);
     run_cycles(1);
     if (cfg.probes_per_cycle > 0) {
-      const double reliability = probe_reliability(cfg.probes_per_cycle);
-      stats.per_cycle_reliability.push_back(reliability);
-      stats.min_reliability = std::min(stats.min_reliability, reliability);
+      per_cycle.push_back(probe_reliability(cfg.probes_per_cycle));
     }
   }
-  if (stats.joins > 0) {
-    stats.mean_session_cycles =
-        session_sum / static_cast<double>(stats.joins);
+  const std::size_t joins = cfg.cycles * cfg.joins_per_cycle;
+  if (joins > 0) {
+    stats.mean_session_cycles = session_sum / static_cast<double>(joins);
   }
-  stats.avg_reliability = mean(stats.per_cycle_reliability);
-  return stats;
+  return per_cycle;
 }
 
-PubSubStats Backend::run_pubsub(const PubSubConfig& cfg) {
+std::vector<double> Backend::run_pubsub(const PubSubConfig& cfg) {
   HPV_CHECK(built());
-  PubSubStats stats;
 
   // Distinct publishers off the shared harness stream (same draw order on
   // both backends). Capped by the population when a small cluster is asked
@@ -407,33 +465,7 @@ PubSubStats Backend::run_pubsub(const PubSubConfig& cfg) {
     }
   }
 
-  // Engine counters are cumulative; the workload reports deltas so warmup
-  // traffic (bootstrap, stabilization rounds) is excluded.
-  struct Totals {
-    std::uint64_t payload = 0;
-    std::uint64_t control = 0;
-    std::uint64_t forwarded = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t grafts = 0;
-    std::uint64_t prunes = 0;
-  };
-  const auto totals = [this] {
-    Totals t;
-    for (std::size_t i = 0; i < node_count(); ++i) {
-      gossip::BroadcastEngine& e = engine(i);
-      t.payload += e.payload_bytes_sent();
-      t.control += e.control_bytes_sent();
-      t.forwarded += e.messages_forwarded();
-      t.duplicates += e.duplicates_received();
-      t.grafts += e.grafts_sent();
-      t.prunes += e.prunes_sent();
-    }
-    return t;
-  };
-  const Totals before = totals();
-
-  std::vector<std::uint64_t> all_ids;
-  all_ids.reserve(cfg.sources * cfg.ticks * cfg.rate);
+  std::vector<double> per_tick;
   std::vector<std::uint64_t> tick_ids;
   tick_ids.reserve(cfg.sources * cfg.rate);
   const std::size_t mid_tick = cfg.ticks / 2;
@@ -471,36 +503,10 @@ PubSubStats Backend::run_pubsub(const PubSubConfig& cfg) {
       sum += recorder().result(id).reliability();
     }
     if (!tick_ids.empty()) {
-      stats.per_tick_reliability.push_back(
-          sum / static_cast<double>(tick_ids.size()));
+      per_tick.push_back(sum / static_cast<double>(tick_ids.size()));
     }
-    all_ids.insert(all_ids.end(), tick_ids.begin(), tick_ids.end());
   }
-
-  stats.published = all_ids.size();
-  double reliability_sum = 0.0;
-  double latency_sum = 0.0;
-  for (const std::uint64_t id : all_ids) {
-    const analysis::MessageResult& r = recorder().result(id);
-    reliability_sum += r.reliability();
-    stats.min_reliability = std::min(stats.min_reliability, r.reliability());
-    latency_sum += static_cast<double>(r.latency_to_last());
-    stats.max_latency_us = std::max(stats.max_latency_us, r.latency_to_last());
-  }
-  if (stats.published > 0) {
-    stats.avg_reliability =
-        reliability_sum / static_cast<double>(stats.published);
-    stats.avg_latency_us = latency_sum / static_cast<double>(stats.published);
-  }
-
-  const Totals after = totals();
-  stats.payload_bytes = after.payload - before.payload;
-  stats.control_bytes = after.control - before.control;
-  stats.messages_forwarded = after.forwarded - before.forwarded;
-  stats.duplicates = after.duplicates - before.duplicates;
-  stats.grafts = after.grafts - before.grafts;
-  stats.prunes = after.prunes - before.prunes;
-  return stats;
+  return per_tick;
 }
 
 std::size_t Backend::sybil_burst(std::size_t per_adversary) {

@@ -22,9 +22,13 @@
 // node is spawned, killed, cycled and drained.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "hyparview/analysis/broadcast_recorder.hpp"
@@ -36,6 +40,7 @@
 #include "hyparview/graph/digraph.hpp"
 #include "hyparview/membership/env.hpp"
 #include "hyparview/membership/protocol.hpp"
+#include "hyparview/membership/wire.hpp"
 
 namespace hyparview::harness {
 
@@ -69,21 +74,6 @@ struct ChurnConfig {
   bool operator==(const ChurnConfig&) const = default;
 };
 
-struct ChurnStats {
-  std::vector<double> per_cycle_reliability;
-  double avg_reliability = 0.0;
-  double min_reliability = 1.0;
-  std::size_t joins = 0;
-  std::size_t graceful_leaves = 0;
-  std::size_t crashes = 0;
-};
-
-/// Outcome of one leave_random wave.
-struct LeaveWaveStats {
-  std::size_t graceful = 0;
-  std::size_t crashes = 0;
-};
-
 /// Trace-driven churn: joiners receive heavy-tailed session lengths (in
 /// membership cycles) instead of the uniform kill fractions of ChurnConfig.
 /// Measured session-time distributions (Gnutella/Kad traces) are Pareto or
@@ -109,13 +99,9 @@ struct HeavyChurnConfig {
   bool operator==(const HeavyChurnConfig&) const = default;
 };
 
+/// Session-length summary of one heavy-churn run: the part of the
+/// workload no counter delta recounts.
 struct HeavyChurnStats {
-  std::vector<double> per_cycle_reliability;
-  double avg_reliability = 0.0;
-  double min_reliability = 1.0;
-  std::size_t joins = 0;
-  std::size_t graceful_leaves = 0;
-  std::size_t crashes = 0;
   double mean_session_cycles = 0.0;
   double max_session_cycles = 0.0;
 };
@@ -143,26 +129,47 @@ struct PubSubConfig {
   bool operator==(const PubSubConfig&) const = default;
 };
 
-struct PubSubStats {
-  std::size_t published = 0;
-  std::vector<double> per_tick_reliability;
-  /// Mean/min over *messages* (not ticks).
-  double avg_reliability = 0.0;
-  double min_reliability = 1.0;
-  /// Engine-counter deltas summed over every node, measured across the
-  /// workload (deterministic on the sim backend).
+/// Cluster-wide monotonic counters (Backend::counters). A snapshot is a
+/// running total; the difference of two is what happened in between, which
+/// is how run_experiment fills PhaseResult::counters.
+struct Counters {
+  static constexpr std::size_t kWireTypes = std::variant_size_v<wire::Message>;
+
+  // Substrate. The sim counts everything here; TCP counts frames_sent and
+  // bytes_sent (what its transports handed to the kernel).
+  std::uint64_t frames_sent = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t send_failures = 0;
+  std::uint64_t connections_opened = 0;
+  /// Per wire type, indexed by wire::type_tag (sim only).
+  std::array<std::uint64_t, kWireTypes> frames_by_type{};
+  std::array<std::uint64_t, kWireTypes> bytes_by_type{};
+  // Broadcast engines, summed over every node.
   std::uint64_t payload_bytes = 0;
   std::uint64_t control_bytes = 0;
-  std::uint64_t messages_forwarded = 0;
+  std::uint64_t forwards = 0;
   std::uint64_t duplicates = 0;
-  /// Tree-stability counters (always 0 for the eager engine).
   std::uint64_t grafts = 0;
   std::uint64_t prunes = 0;
-  /// Publish-to-last-delivery latency over all messages, in the backend's
-  /// time unit (simulated µs on sim, wall-clock µs on TCP). Zero when the
-  /// recorder has no time source.
-  double avg_latency_us = 0.0;
-  std::int64_t max_latency_us = 0;
+  // HyParView nodes, summed (adversarially wrapped nodes are not counted).
+  std::uint64_t promotions = 0;
+  std::uint64_t warm_promotions = 0;
+  // What the harness did: add_node joins (the bootstrap's are not counted),
+  // graceful leave_node departures, and crashes by leave_node or
+  // fail_random_fraction.
+  std::uint64_t joins = 0;
+  std::uint64_t graceful_leaves = 0;
+  std::uint64_t crashes = 0;
+
+  [[nodiscard]] Counters operator-(const Counters& before) const;
+  /// Every counter with its report name, in a fixed order: the scalars by
+  /// field name, then frames_<TYPE> and bytes_<TYPE> per wire type
+  /// (frames_GOSSIP, bytes_SHUFFLE_REPLY...). Both backends report under
+  /// these names; what a substrate does not count stays 0.
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> named()
+      const;
+
+  bool operator==(const Counters&) const = default;
 };
 
 class Backend {
@@ -258,22 +265,26 @@ class Backend {
 
   /// Runs the continuous-churn workload (see ChurnConfig). Implemented on
   /// the primitives above, so both backends execute the identical step
-  /// sequence.
-  ChurnStats run_churn(const ChurnConfig& cfg);
+  /// sequence. Returns the per-cycle probe reliability (empty without
+  /// probes).
+  std::vector<double> run_churn(const ChurnConfig& cfg);
 
   /// Runs the trace-driven churn workload (see HeavyChurnConfig): every
   /// cycle `joins_per_cycle` nodes join, each with a heavy-tailed session
   /// length drawn from the harness RNG stream; sessions that expire this
   /// cycle end (gracefully or by crashing); probes measure reliability.
   /// Shared implementation — both backends execute the identical draw
-  /// sequence.
-  HeavyChurnStats run_heavy_churn(const HeavyChurnConfig& cfg);
+  /// sequence. Returns the per-cycle probe reliability; `stats` gets the
+  /// drawn session lengths' mean and max.
+  std::vector<double> run_heavy_churn(const HeavyChurnConfig& cfg,
+                                      HeavyChurnStats& stats);
 
   /// Runs the sustained pub/sub workload (see PubSubConfig). Shared
   /// implementation on inject_broadcast/settle_broadcasts, so both
   /// backends execute the identical source-selection and injection
-  /// sequence.
-  PubSubStats run_pubsub(const PubSubConfig& cfg);
+  /// sequence. Returns the per-tick mean reliability; the messages
+  /// themselves are the recorder's newest results.
+  std::vector<double> run_pubsub(const PubSubConfig& cfg);
 
   /// Fires one sybil burst: every alive adversarial node injects
   /// `per_adversary` fabricated joins (AttackKind::kSybil; a no-op on
@@ -286,7 +297,7 @@ class Backend {
   /// remain). The single definition of the departure draw sequence — churn
   /// cycles and Experiment leave phases both use it, keeping their
   /// RNG-draw order in lockstep.
-  LeaveWaveStats leave_random(std::size_t count, double graceful_fraction);
+  void leave_random(std::size_t count, double graceful_fraction);
 
   /// Uniformly random alive node index (harness RNG stream). Throws
   /// CheckError when every node is dead.
@@ -344,6 +355,10 @@ class Backend {
   /// two are not comparable across backends.
   [[nodiscard]] virtual std::uint64_t events_processed() const = 0;
 
+  /// Snapshot of the cluster-wide counters (see Counters). Reads only: it
+  /// sends nothing and draws nothing, so taking one moves no event.
+  [[nodiscard]] Counters counters() const;
+
  protected:
   /// Validates the shared config and selects the adversarial minority.
   /// `real_addresses` picks the fabricated-identity scheme (adversary.hpp).
@@ -359,6 +374,9 @@ class Backend {
 
   /// Lets one join's traffic finish before the next node joins.
   virtual void settle_join() = 0;
+
+  /// Fills the substrate's share of a counters() snapshot.
+  virtual void read_substrate_counters(Counters& out) const = 0;
 
   /// Gives a graceful leaver's goodbyes time to flush before its process
   /// exits. A no-op where writes survive the sender's exit (the simulator).
@@ -380,6 +398,9 @@ class Backend {
   /// the substrate; protocol and engine destructors never call their Env.
   std::vector<std::unique_ptr<gossip::NodeRuntime>> runtimes_;
   std::uint64_t next_msg_id_ = 1;
+  /// The joins, graceful leaves and crashes performed so far (the rest of
+  /// the struct stays 0).
+  Counters performed_;
   bool built_ = false;
 };
 

@@ -242,6 +242,15 @@ double PhaseResult::last_reliability() const {
   return reliabilities.back();
 }
 
+analysis::Summary PhaseResult::message_reliability() const {
+  std::vector<double> values;
+  values.reserve(broadcasts.size());
+  for (const analysis::MessageResult& m : broadcasts) {
+    values.push_back(m.reliability());
+  }
+  return analysis::summarize(values);
+}
+
 const PhaseResult& ExperimentResult::phase(const std::string& label) const {
   for (const PhaseResult& p : phases) {
     if (p.label == label) return p;
@@ -278,6 +287,7 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
     pr.kind = phase.kind;
     const double phase_start = now_seconds();
     const std::uint64_t events_start = backend.events_processed();
+    const Counters counters_start = backend.counters();
 
     switch (phase.kind) {
       case Experiment::PhaseKind::kCycles:
@@ -334,8 +344,7 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
         break;
       }
       case Experiment::PhaseKind::kChurn:
-        pr.churn = backend.run_churn(phase.churn);
-        pr.reliabilities = pr.churn.per_cycle_reliability;
+        pr.reliabilities = backend.run_churn(phase.churn);
         break;
       case Experiment::PhaseKind::kSettle:
         backend.settle();
@@ -344,13 +353,16 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
         pr.adversaries_fired = backend.sybil_burst(phase.count);
         break;
       case Experiment::PhaseKind::kHeavyChurn:
-        pr.heavy = backend.run_heavy_churn(phase.heavy);
-        pr.reliabilities = pr.heavy.per_cycle_reliability;
+        pr.reliabilities = backend.run_heavy_churn(phase.heavy, pr.heavy);
         break;
-      case Experiment::PhaseKind::kPubSub:
-        pr.pubsub = backend.run_pubsub(phase.pubsub);
-        pr.reliabilities = pr.pubsub.per_tick_reliability;
+      case Experiment::PhaseKind::kPubSub: {
+        const std::size_t first = backend.recorder().results().size();
+        pr.reliabilities = backend.run_pubsub(phase.pubsub);
+        const auto& all = backend.recorder().results();
+        pr.broadcasts.assign(
+            all.begin() + static_cast<std::ptrdiff_t>(first), all.end());
         break;
+      }
       case Experiment::PhaseKind::kOverlay:
         pr.overlay = measure_overlay(backend);
         break;
@@ -358,6 +370,8 @@ ExperimentResult run_experiment(Backend& backend, const Experiment& spec) {
 
     pr.wall_seconds = now_seconds() - phase_start;
     pr.events = backend.events_processed() - events_start;
+    pr.counters = backend.counters() - counters_start;
+    pr.alive = backend.alive_count();
     result.phases.push_back(std::move(pr));
   }
 

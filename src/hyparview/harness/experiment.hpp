@@ -6,7 +6,9 @@
 // (membership rounds, fanout changes, fault injection, broadcast
 // measurements, healing loops, churn workloads, overlay snapshots), each
 // with a label. The runner executes the phases against a Backend and
-// returns per-phase metric sinks: wall seconds, backend events, every
+// returns per-phase metric sinks: wall seconds, backend events, the
+// difference of two Backend::counters() snapshots taken around the phase
+// (frames, bytes, engine and repair counts, joins/leaves/crashes), every
 // broadcast's MessageResult and the overlay's graph metrics.
 //
 // Because the runner invokes exactly the primitives the historical drivers
@@ -17,7 +19,7 @@
 // Cluster is the owning handle: it pairs a backend with its config and runs
 // specs against it. Phases compose across run() calls (the backend is built
 // once), so drivers can interleave declarative phases with direct backend
-// access (counter resets, graph snapshots) where a figure needs it.
+// access (fault injection, graph snapshots) where a figure needs it.
 #pragma once
 
 #include <cstdint>
@@ -168,25 +170,25 @@ struct PhaseResult {
   /// Backend events dispatched during this phase (sim: simulator events;
   /// TCP: frames observed).
   std::uint64_t events = 0;
+  /// What the phase did: Backend::counters() after it minus before it.
+  Counters counters;
+  /// Alive nodes when the phase ended.
+  std::size_t alive = 0;
 
-  /// kBroadcast: one entry per broadcast. kHealUntil/kChurn: one entry per
-  /// cycle (the per-cycle probe average).
+  /// kBroadcast: one entry per broadcast. kHealUntil/kChurn/kHeavyChurn:
+  /// one entry per cycle (the per-cycle probe average). kPubSub: one entry
+  /// per tick (the mean over that tick's messages).
   std::vector<double> reliabilities;
-  /// kBroadcast only: the full per-message records.
+  /// kBroadcast and kPubSub: every message the phase published, in
+  /// publication order.
   std::vector<analysis::MessageResult> broadcasts;
 
   // kHealUntil:
   std::size_t cycles_to_heal = 0;
   bool recovered = false;
 
-  // kChurn:
-  ChurnStats churn;
-
   // kHeavyChurn:
   HeavyChurnStats heavy;
-
-  // kPubSub:
-  PubSubStats pubsub;
 
   // kSybilBurst:
   std::size_t adversaries_fired = 0;
@@ -199,6 +201,9 @@ struct PhaseResult {
   /// silent 0.0 is indistinguishable from a genuine total delivery failure.
   [[nodiscard]] double min_reliability() const;
   [[nodiscard]] double last_reliability() const;
+  /// Reliability over `broadcasts`, one value per message (for kPubSub,
+  /// `reliabilities` holds tick means instead).
+  [[nodiscard]] analysis::Summary message_reliability() const;
 };
 
 struct ExperimentResult {
@@ -244,8 +249,8 @@ class Cluster {
   Backend* operator->() { return backend_.get(); }
 
   /// The sim backend, when this cluster is simulated (nullptr over TCP) —
-  /// for drivers that need simulator-only facilities (traffic counters,
-  /// fault injection beyond crashes).
+  /// for drivers that need simulator-only facilities (fault injection
+  /// beyond crashes).
   [[nodiscard]] SimBackend* sim_backend();
 
  private:

@@ -1,5 +1,6 @@
 #include "hyparview/harness/sim_backend.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -80,6 +81,17 @@ void SimBackend::run_cycles(std::size_t n) {
       sim_.run_until_quiescent();
     }
   }
+}
+
+void SimBackend::read_substrate_counters(Counters& out) const {
+  out.frames_sent = sim_.messages_sent();
+  out.bytes_sent = sim_.bytes_sent();
+  out.send_failures = sim_.sends_failed();
+  out.connections_opened = sim_.connections_opened();
+  std::copy_n(sim_.sent_by_type().begin(), Counters::kWireTypes,
+              out.frames_by_type.begin());
+  std::copy_n(sim_.bytes_by_type().begin(), Counters::kWireTypes,
+              out.bytes_by_type.begin());
 }
 
 void SimBackend::kill_node(std::size_t i) {

@@ -100,6 +100,7 @@ class SimBackend final : public Backend {
   /// before the first broadcast), so a full drain retires exactly the
   /// join's own traffic and its cascades.
   void settle_join() override { sim_.run_until_quiescent(); }
+  void read_substrate_counters(Counters& out) const override;
   [[nodiscard]] std::size_t assign_class();
 
   NetworkConfig config_;

@@ -392,6 +392,10 @@ void load_phase(Experiment& spec, const json::Value& v,
   ObjectReader r(v, path);
   const std::string kind = r.require_string("kind");
   std::string label = r.get_string("label", default_label(kind));
+  // hpv_run keys the k-th phase sharing a label as "<label>#k".
+  HPV_CHECK_THROW(label.find('#') == std::string::npos,
+                  "spec: " + r.key_path("label") +
+                      ": '#' is reserved for hpv_run's repeated-label keys");
   // Phases go through the same builder calls the C++ tests make, so a
   // loaded spec is *constructed* identically, not merely equal.
   if (kind == "stabilize" || kind == "cycles") {

@@ -72,7 +72,9 @@
 //   }
 //
 // Every phase accepts a "label"; without one it is labeled by its kind
-// (set_fanout: "fanout", heal_until: "heal", sybil_burst: "sybil").
+// (set_fanout: "fanout", heal_until: "heal", sybil_burst: "sybil"). Labels
+// may repeat but may not contain '#': hpv_run reports the k-th phase
+// carrying a label (k >= 2) as "<label>#k".
 //
 // Sweeps. "sweep" is a list of axes; an axis is a list of JSON patches. A
 // spec runs one point per combination of one patch from each axis (the

@@ -86,6 +86,13 @@ void TcpBackend::kill_node(std::size_t i) {
   --alive_count_;
 }
 
+void TcpBackend::read_substrate_counters(Counters& out) const {
+  for (const TcpNode& node : nodes_) {
+    out.frames_sent += node.transport->stats().frames_sent;
+    out.bytes_sent += node.transport->stats().bytes_sent;
+  }
+}
+
 void TcpBackend::run_cycles(std::size_t n) {
   cycle_order_.resize(nodes_.size());
   std::iota(cycle_order_.begin(), cycle_order_.end(), 0);

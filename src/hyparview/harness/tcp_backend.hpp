@@ -147,6 +147,9 @@ class TcpBackend final : public Backend {
   /// Binds a transport and builds its runtime; registers the id.
   std::unique_ptr<gossip::NodeRuntime> spawn_node(std::size_t index) override;
   void settle_join() override { wait(config_.join_settle); }
+  /// Frames and bytes every transport (dead ones included) handed to the
+  /// kernel; the transport keeps no per-type, failure or dial counts.
+  void read_substrate_counters(Counters& out) const override;
   /// A real shutdown discards unflushed frames: one leave_settle window
   /// between Protocol::leave and the socket teardown.
   void flush_goodbyes() override { wait(config_.leave_settle); }

@@ -323,16 +323,6 @@ std::size_t Simulator::link_count(const NodeId& id) const {
   return nodes_[id.ip].link_peers.size();
 }
 
-void Simulator::reset_counters() {
-  sent_total_ = 0;
-  delivered_total_ = 0;
-  send_failures_ = 0;
-  std::fill(sent_by_type_.begin(), sent_by_type_.end(), 0);
-  bytes_total_ = 0;
-  std::fill(bytes_by_type_.begin(), bytes_by_type_.end(), 0);
-  connections_opened_ = 0;
-}
-
 void Simulator::do_send(std::uint32_t from, std::uint32_t to,
                         const wire::Message& msg) {
   // Dead nodes initiate nothing; blocked nodes are frozen applications.

@@ -146,6 +146,8 @@ class Simulator {
   [[nodiscard]] std::size_t link_count(const NodeId& id) const;
 
   // --- Traffic counters (overhead analysis & tests) ------------------------
+  // Monotonic since construction; a phase's share is the difference of two
+  // reads (harness::Backend::counters, PhaseResult::counters).
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_total_; }
   [[nodiscard]] std::uint64_t messages_delivered() const {
     return delivered_total_;
@@ -167,7 +169,6 @@ class Simulator {
   [[nodiscard]] std::uint64_t connections_opened() const {
     return connections_opened_;
   }
-  void reset_counters();
 
  private:
   friend class SimEnv;

@@ -1,5 +1,5 @@
-// Declarative Experiment specs vs the hand-rolled legacy loops, and the
-// run_cycles contract.
+// Declarative Experiment specs vs the hand-rolled legacy loops, the
+// per-phase counter deltas, and the run_cycles contract.
 //
 // The experiment runner promises that a spec executed on the sim backend is
 // *bit-identical* to the historical driver loop it replaced at a fixed seed
@@ -14,6 +14,7 @@
 
 #include "hyparview/common/assert.hpp"
 #include "hyparview/harness/experiment.hpp"
+#include "hyparview/harness/spec_json.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -286,10 +287,49 @@ TEST(ExperimentSpecTest, PubSubChurnBelowTheSourceCountEndsSurplusStreams) {
       Experiment("churn_most").stabilize(2).pubsub(churn_most));
 
   ASSERT_EQ(cluster.backend().alive_count(), 5u);
-  const PubSubStats& stats = result.phase("pubsub").pubsub;
-  EXPECT_EQ(stats.per_tick_reliability.size(), 4u);
+  const PhaseResult& stream = result.phase("pubsub");
+  EXPECT_EQ(stream.reliabilities.size(), 4u);
   // Two ticks of 8 before the crash, then two ticks of 5.
-  EXPECT_EQ(stats.published, 2u * 8u + 2u * 5u);
+  EXPECT_EQ(stream.broadcasts.size(), 2u * 8u + 2u * 5u);
+}
+
+// --- per-phase counters --------------------------------------------------------
+
+TEST(PhaseCountersTest, PhasesSumToTheRunTotalMinusTheBuild) {
+  // The committed Plumtree stream at 200 nodes, with its stabilization and
+  // ticks trimmed: payload, IHave/Graft/Prune control traffic and a quarter
+  // of the nodes crashing mid-stream. Each counter summed over the phases
+  // equals what the run added on top of the build.
+  RunSpec spec = load_spec_file(spec_path("pubsub_plumtree"));
+  spec.net.node_count = 200;
+  for (Experiment::Phase& phase : spec.experiment.mutable_phases()) {
+    if (phase.kind == Experiment::PhaseKind::kCycles) phase.cycles = 10;
+    if (phase.kind == Experiment::PhaseKind::kPubSub) phase.pubsub.ticks = 4;
+  }
+  SimBackend net(spec.net);
+  net.build();
+  const Counters built = net.counters();
+  const ExperimentResult result = run_experiment(net, spec.experiment);
+  const Counters run = net.counters() - built;
+
+  const auto total = run.named();
+  std::vector<std::uint64_t> summed(total.size(), 0);
+  for (const PhaseResult& phase : result.phases) {
+    const auto named = phase.counters.named();
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      summed[i] += named[i].second;
+    }
+  }
+  for (std::size_t i = 0; i < total.size(); ++i) {
+    EXPECT_EQ(summed[i], total[i].second) << total[i].first;
+  }
+  EXPECT_EQ(result.phases.back().alive, net.alive_count());
+  // Not vacuous: the stream moved payload and repaired its tree, and the
+  // churn phase crashed a quarter of the nodes.
+  EXPECT_GT(run.payload_bytes, 0u);
+  EXPECT_GT(run.control_bytes, 0u);
+  EXPECT_GT(run.prunes, 0u);
+  EXPECT_EQ(result.phase("churn").counters.crashes, 50u);
 }
 
 // --- run_cycles ----------------------------------------------------------------

@@ -91,6 +91,7 @@ constexpr GoldenEvents kGoldenEvents[] = {
     {"ablation_failure_detection", 8, 270'612, 1'600, 400},
     {"ablation_passive_size", 20, 636'532, 4'000, 1'000},
     {"ablation_walk_lengths", 5, 132'075, 250, 0},
+    {"ablation_warm_cache", 9, 435'083, 900, 540},
     {"adversarial_drop", 1, 45'369, 100, 30},
     {"adversarial_poison", 1, 63'332, 100, 30},
     {"adversarial_sybil", 1, 48'266, 100, 30},
@@ -101,6 +102,7 @@ constexpr GoldenEvents kGoldenEvents[] = {
     {"fig3", 24, 1'456'839, 24'000, 1'200},
     {"fig4", 27, 1'454'384, 27'270, 1'350},
     {"fig5", 4, 236'145, 0, 200},
+    {"overhead_accounting", 4, 290'565, 400, 240},
     {"protocol_comparison", 4, 253'152, 240, 40},
     {"pubsub_eager", 1, 113'663, 560, 50},
     {"pubsub_plumtree", 1, 132'009, 560, 50},
@@ -175,8 +177,8 @@ TEST(SpecJsonTest, CommittedSpecsReplayGoldenEventCounts) {
 TEST(SpecJsonTest, OverlayPhasesMoveNoEventOrReliability) {
   // An overlay phase reads the views and draws only from its own sampler,
   // so inserting one before and after every phase of every committed point
-  // (scaled down further, to 64 nodes) changes no phase's events or
-  // reliabilities.
+  // (scaled down further, to 64 nodes) changes no phase's events,
+  // reliabilities or counters.
   for (const std::string& name : committed_spec_names()) {
     for (const SweepPoint& point : load_sweep_file(spec_path(name))) {
       SCOPED_TRACE(name + " " + point.patches.dump());
@@ -200,7 +202,9 @@ TEST(SpecJsonTest, OverlayPhasesMoveNoEventOrReliability) {
         const PhaseResult& b = with.phases[2 * i + 1];
         EXPECT_EQ(a.events, b.events) << a.label;
         EXPECT_EQ(a.reliabilities, b.reliabilities) << a.label;
+        EXPECT_EQ(a.counters, b.counters) << a.label;
         EXPECT_EQ(with.phases[2 * i + 2].events, 0u) << a.label;
+        EXPECT_EQ(with.phases[2 * i + 2].counters, Counters{}) << a.label;
       }
       EXPECT_GT(with.phases.back().overlay.alive, 0u);
     }
@@ -699,6 +703,14 @@ TEST(SpecJsonTest, RejectsMalformedSweeps) {
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {
   expect_rejected(R"({"name":"x","phases":[{"kind":"warp"}]})", "kind");
+}
+
+TEST(SpecJsonTest, RejectsHashInPhaseLabels) {
+  // hpv_run keys a repeated label as "<label>#k"; a label of that shape
+  // could collide with it.
+  expect_rejected(
+      R"({"name":"x","phases":[{"kind":"settle","label":"a#2"}]})",
+      "phases[0].label");
 }
 
 }  // namespace

@@ -8,13 +8,19 @@
 
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/sim_backend.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
 namespace {
 
 bool contains(std::span<const NodeId> v, const NodeId& id) {
   return std::find(v.begin(), v.end(), id) != v.end();
+}
+
+/// One churn phase on the built cluster: its per-cycle reliability and the
+/// joins/leaves/crashes it performed.
+PhaseResult churn_phase(SimBackend& net, const ChurnConfig& cfg) {
+  return run_experiment(net, Experiment("churn").churn(cfg)).phases.front();
 }
 
 TEST(AddNodeTest, NewcomerIsIntegratedAndReachable) {
@@ -131,20 +137,20 @@ TEST_P(ChurnAllProtocolsTest, SystemSurvivesSustainedChurn) {
   churn.leaves_per_cycle = 6;
   churn.graceful_fraction = 0.5;
   churn.probes_per_cycle = 2;
-  const ChurnStats stats = net.run_churn(churn);
+  const PhaseResult churned = churn_phase(net, churn);
 
-  EXPECT_EQ(stats.joins, 90u);
-  EXPECT_EQ(stats.graceful_leaves + stats.crashes, 90u);
-  EXPECT_EQ(stats.per_cycle_reliability.size(), 15u);
+  EXPECT_EQ(churned.counters.joins, 90u);
+  EXPECT_EQ(churned.counters.graceful_leaves + churned.counters.crashes, 90u);
+  EXPECT_EQ(churned.reliabilities.size(), 15u);
 
   // Reliability under churn: HyParView's reactive repair keeps the flood
   // near-atomic; the cyclic baselines degrade but must not collapse at
   // this modest (2%/cycle) turnover.
   if (GetParam() == ProtocolKind::kHyParView) {
-    EXPECT_GT(stats.avg_reliability, 0.99);
-    EXPECT_GT(stats.min_reliability, 0.95);
+    EXPECT_GT(churned.avg_reliability(), 0.99);
+    EXPECT_GT(churned.min_reliability(), 0.95);
   } else {
-    EXPECT_GT(stats.avg_reliability, 0.70) << kind_name(GetParam());
+    EXPECT_GT(churned.avg_reliability(), 0.70) << kind_name(GetParam());
   }
 
   // The alive part of the overlay must remain one component.
@@ -230,8 +236,7 @@ TEST(ChurnHyParViewTest, WarmCacheSurvivesChurn) {
   churn.joins_per_cycle = 5;
   churn.leaves_per_cycle = 5;
   churn.probes_per_cycle = 1;
-  const ChurnStats stats = net.run_churn(churn);
-  EXPECT_GT(stats.avg_reliability, 0.99);
+  EXPECT_GT(churn_phase(net, churn).avg_reliability(), 0.99);
 
   // Invariant: warm ⊆ passive everywhere, all cycle long.
   for (std::size_t i = 0; i < net.node_count(); ++i) {

@@ -77,14 +77,14 @@ TEST(DeterminismTest2, ChurnRunReproducible) {
     churn.joins_per_cycle = 4;
     churn.leaves_per_cycle = 4;
     churn.probes_per_cycle = 2;
-    return net.run_churn(churn);
+    return run_experiment(net, Experiment("churn").churn(churn)).phase("churn");
   };
   const auto a = run();
   const auto b = run();
-  EXPECT_EQ(a.per_cycle_reliability, b.per_cycle_reliability);
-  EXPECT_EQ(a.joins, b.joins);
-  EXPECT_EQ(a.graceful_leaves, b.graceful_leaves);
-  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.reliabilities, b.reliabilities);
+  EXPECT_EQ(a.counters.joins, b.counters.joins);
+  EXPECT_EQ(a.counters.graceful_leaves, b.counters.graceful_leaves);
+  EXPECT_EQ(a.counters.crashes, b.counters.crashes);
 }
 
 TEST(DeterminismTest2, HeterogeneousClassAssignmentReproducible) {
@@ -110,13 +110,13 @@ TEST(TrafficConservationTest, FloodFrameCountMatchesDeliveriesPlusDuplicates) {
   SimBackend net(cfg);
   net.build();
   net.run_cycles(5);
-  auto& sim = net.simulator();
-  sim.reset_counters();
-  const auto result = net.broadcast_one();
+  const PhaseResult flood =
+      run_experiment(net, Experiment("flood").broadcast(1)).phase("broadcast");
+  const analysis::MessageResult& result = flood.broadcasts.front();
   const auto gossip_tag = wire::type_tag(wire::Message{wire::Gossip{}});
-  EXPECT_EQ(sim.sent_by_type()[gossip_tag],
+  EXPECT_EQ(flood.counters.frames_by_type[gossip_tag],
             (result.delivered - 1) + result.duplicates);
-  EXPECT_EQ(sim.sends_failed(), 0u);
+  EXPECT_EQ(flood.counters.send_failures, 0u);
 }
 
 TEST(TrafficConservationTest, ExplicitAcksChangeTrafficButNotOutcomes) {

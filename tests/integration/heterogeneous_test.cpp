@@ -7,7 +7,7 @@
 
 #include "hyparview/core/hyparview.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/sim_backend.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -132,8 +132,9 @@ TEST(HeterogeneousTest, ChurnedJoinersGetClassAssignments) {
   churn.joins_per_cycle = 10;
   churn.leaves_per_cycle = 10;
   churn.probes_per_cycle = 1;
-  const auto stats = net.run_churn(churn);
-  EXPECT_GT(stats.avg_reliability, 0.99);
+  const ExperimentResult churned =
+      run_experiment(net, Experiment("churn").churn(churn));
+  EXPECT_GT(churned.phase("churn").avg_reliability(), 0.99);
   // The joiners (indices >= 300) were classed too.
   std::size_t joiner_hubs = 0;
   for (std::size_t i = 300; i < net.node_count(); ++i) {

@@ -135,9 +135,9 @@ TEST(TrafficTest, ShuffleTrafficFlowsEveryCycle) {
   auto cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView, 100, 29);
   SimBackend net(cfg);
   net.build();
-  net.simulator().reset_counters();
-  net.run_cycles(1);
-  const auto& by_type = net.simulator().sent_by_type();
+  const ExperimentResult round =
+      run_experiment(net, Experiment("round").cycles(1));
+  const auto& by_type = round.phase("cycles").counters.frames_by_type;
   const auto shuffles =
       by_type[wire::type_tag(wire::Message{wire::Shuffle{}})];
   // Every alive node initiates one shuffle; walks add more traffic.

@@ -34,56 +34,57 @@ RunSpec trimmed_spec(const std::string& name) {
   return spec;
 }
 
-PubSubStats run_on_tcp(const std::string& name, const std::string& phase) {
+PhaseResult run_on_tcp(const std::string& name, const std::string& phase) {
   const RunSpec spec = trimmed_spec(name);
   auto cluster = Cluster::tcp(spec.tcp);
   const ExperimentResult result = cluster.run(spec.experiment);
   EXPECT_EQ(result.backend, std::string("tcp"));
-  return result.phase(phase).pubsub;
+  return result.phase(phase);
 }
 
 TEST(PubSubTcpTest, PlumtreeStreamDeliversOnRealSockets) {
-  const PubSubStats steady = run_on_tcp("pubsub_plumtree", "steady");
+  const PhaseResult steady = run_on_tcp("pubsub_plumtree", "steady");
 
-  EXPECT_EQ(steady.published, 8u * 6u * 2u);
+  EXPECT_EQ(steady.broadcasts.size(), 8u * 6u * 2u);
   // Real-socket timing is not deterministic, so the floors sit a hair
   // under the sim's 100%.
-  EXPECT_GE(steady.avg_reliability, 0.95);
-  EXPECT_GE(steady.per_tick_reliability.back(), 0.95);
+  EXPECT_GE(steady.message_reliability().mean, 0.95);
+  EXPECT_GE(steady.reliabilities.back(), 0.95);
   // A per-tick value above 1 means some node delivered a payload twice —
   // the dedup window failed, not the network over-performing.
-  for (double r : steady.per_tick_reliability) EXPECT_LE(r, 1.0 + 1e-9);
+  for (double r : steady.reliabilities) EXPECT_LE(r, 1.0 + 1e-9);
   // The tree actually formed: duplicates triggered prunes, and the stream
   // kept flowing on the thinned overlay.
-  EXPECT_GT(steady.prunes, 0u);
-  EXPECT_GT(steady.payload_bytes, 0u);
+  EXPECT_GT(steady.counters.prunes, 0u);
+  EXPECT_GT(steady.counters.payload_bytes, 0u);
 }
 
 TEST(PubSubTcpTest, PlumtreeStreamSurvivesMidpointCrashOnRealSockets) {
-  const PubSubStats churn = run_on_tcp("pubsub_plumtree", "churn");
+  const PhaseResult churn = run_on_tcp("pubsub_plumtree", "churn");
 
-  EXPECT_EQ(churn.published, 8u * 4u * 2u);
-  for (double r : churn.per_tick_reliability) EXPECT_LE(r, 1.0 + 1e-9);
+  EXPECT_EQ(churn.broadcasts.size(), 8u * 4u * 2u);
+  for (double r : churn.reliabilities) EXPECT_LE(r, 1.0 + 1e-9);
   // The crash tick may lose in-flight payloads to dying sockets; the final
   // tick must see the stream flowing over the repaired overlay again.
-  EXPECT_GE(churn.per_tick_reliability.back(), 0.90);
+  EXPECT_GE(churn.reliabilities.back(), 0.90);
 }
 
 TEST(PubSubTcpTest, PlumtreePaysFewerPayloadBytesThanEagerOnRealSockets) {
-  const PubSubStats tree = run_on_tcp("pubsub_plumtree", "steady");
-  const PubSubStats eager = run_on_tcp("pubsub_eager", "steady");
+  const PhaseResult tree = run_on_tcp("pubsub_plumtree", "steady");
+  const PhaseResult eager = run_on_tcp("pubsub_eager", "steady");
 
-  EXPECT_GE(eager.avg_reliability, 0.95);
-  EXPECT_GE(tree.avg_reliability, eager.avg_reliability - 0.02);
+  EXPECT_GE(eager.message_reliability().mean, 0.95);
+  EXPECT_GE(tree.message_reliability().mean,
+            eager.message_reliability().mean - 0.02);
   // Short TCP streams include the eager warm-up flood, so the bound is
   // looser than the bench's steady-state ≤0.6 gate — but the direction
   // must hold even here.
-  EXPECT_LT(tree.payload_bytes, eager.payload_bytes)
-      << "plumtree " << tree.payload_bytes << " vs eager "
-      << eager.payload_bytes;
+  EXPECT_LT(tree.counters.payload_bytes, eager.counters.payload_bytes)
+      << "plumtree " << tree.counters.payload_bytes << " vs eager "
+      << eager.counters.payload_bytes;
   // The eager engine never sends control traffic or prunes.
-  EXPECT_EQ(eager.prunes, 0u);
-  EXPECT_EQ(eager.grafts, 0u);
+  EXPECT_EQ(eager.counters.prunes, 0u);
+  EXPECT_EQ(eager.counters.grafts, 0u);
 }
 
 }  // namespace

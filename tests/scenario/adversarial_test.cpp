@@ -271,17 +271,17 @@ TEST(HeavyChurn, ParetoSessionsRunAndStayReliable) {
   const auto result = cluster.run(
       Experiment("heavy_churn").stabilize(10).heavy_churn(churn));
 
-  const auto& heavy = result.phase("heavy_churn").heavy;
-  EXPECT_EQ(heavy.joins, churn.cycles * churn.joins_per_cycle);
-  EXPECT_EQ(static_cast<std::size_t>(heavy.per_cycle_reliability.size()),
-            churn.cycles);
+  const PhaseResult& phase = result.phase("heavy_churn");
+  const HeavyChurnStats& heavy = phase.heavy;
+  EXPECT_EQ(phase.counters.joins, churn.cycles * churn.joins_per_cycle);
+  EXPECT_EQ(phase.reliabilities.size(), churn.cycles);
   // Pareto(1.5, xm=2): every session lasts ≥ xm cycles, the mean well above.
   EXPECT_GE(heavy.mean_session_cycles, churn.pareto_xm);
   EXPECT_GE(heavy.max_session_cycles, heavy.mean_session_cycles);
   // Some sessions expired within the workload (the short-session mass).
-  EXPECT_GT(heavy.graceful_leaves + heavy.crashes, 0u);
+  EXPECT_GT(phase.counters.graceful_leaves + phase.counters.crashes, 0u);
   // HyParView under churn: reactive repair keeps the probes near-perfect.
-  EXPECT_GE(heavy.avg_reliability, 0.9);
+  EXPECT_GE(phase.avg_reliability(), 0.9);
 }
 
 TEST(HeavyChurn, LognormalSessionsRunAndStayReliable) {
@@ -294,10 +294,10 @@ TEST(HeavyChurn, LognormalSessionsRunAndStayReliable) {
   const auto result = cluster.run(
       Experiment("heavy_churn").stabilize(10).heavy_churn(churn));
 
-  const auto& heavy = result.phase("heavy_churn").heavy;
-  EXPECT_EQ(heavy.joins, churn.cycles * churn.joins_per_cycle);
-  EXPECT_GE(heavy.max_session_cycles, heavy.mean_session_cycles);
-  EXPECT_GE(heavy.avg_reliability, 0.9);
+  const PhaseResult& phase = result.phase("heavy_churn");
+  EXPECT_EQ(phase.counters.joins, churn.cycles * churn.joins_per_cycle);
+  EXPECT_GE(phase.heavy.max_session_cycles, phase.heavy.mean_session_cycles);
+  EXPECT_GE(phase.avg_reliability(), 0.9);
 }
 
 TEST(HeavyChurn, DeterministicAtFixedSeed) {
@@ -309,10 +309,10 @@ TEST(HeavyChurn, DeterministicAtFixedSeed) {
     churn.joins_per_cycle = 2;
     const auto result = cluster.run(
         Experiment("heavy_churn").stabilize(5).heavy_churn(churn));
-    auto fingerprint = result.phase("heavy_churn").heavy.per_cycle_reliability;
-    fingerprint.push_back(result.phase("heavy_churn").heavy.mean_session_cycles);
-    fingerprint.push_back(
-        static_cast<double>(result.phase("heavy_churn").heavy.crashes));
+    const PhaseResult& phase = result.phase("heavy_churn");
+    auto fingerprint = phase.reliabilities;
+    fingerprint.push_back(phase.heavy.mean_session_cycles);
+    fingerprint.push_back(static_cast<double>(phase.counters.crashes));
     return fingerprint;
   };
   EXPECT_EQ(run_once(), run_once());
@@ -369,9 +369,9 @@ TEST(AdversarialTcp, HeavyChurnRunsOverRealSockets) {
   churn.probes_per_cycle = 1;
   const auto result =
       cluster.run(Experiment("heavy_churn").stabilize(3).heavy_churn(churn));
-  const auto& heavy = result.phase("heavy_churn").heavy;
-  EXPECT_EQ(heavy.joins, churn.cycles * churn.joins_per_cycle);
-  EXPECT_GE(heavy.avg_reliability, 0.5);
+  const PhaseResult& phase = result.phase("heavy_churn");
+  EXPECT_EQ(phase.counters.joins, churn.cycles * churn.joins_per_cycle);
+  EXPECT_GE(phase.avg_reliability(), 0.5);
 }
 
 }  // namespace

@@ -60,22 +60,13 @@ PubSubConfig steady_stream(std::size_t ticks) {
 // The full pub/sub outcome of a run, down to exact counters. Everything in
 // here must be bit-identical across two runs at the same seed.
 struct RunFingerprint {
-  PubSubStats stats;
+  PhaseResult stream;
   std::uint64_t events = 0;
 
   bool operator==(const RunFingerprint& o) const {
-    return stats.published == o.stats.published &&
-           stats.per_tick_reliability == o.stats.per_tick_reliability &&
-           stats.avg_reliability == o.stats.avg_reliability &&
-           stats.min_reliability == o.stats.min_reliability &&
-           stats.payload_bytes == o.stats.payload_bytes &&
-           stats.control_bytes == o.stats.control_bytes &&
-           stats.messages_forwarded == o.stats.messages_forwarded &&
-           stats.duplicates == o.stats.duplicates &&
-           stats.grafts == o.stats.grafts &&
-           stats.prunes == o.stats.prunes &&
-           stats.max_latency_us == o.stats.max_latency_us &&
-           events == o.events;
+    return stream.broadcasts == o.stream.broadcasts &&
+           stream.reliabilities == o.stream.reliabilities &&
+           stream.counters == o.stream.counters && events == o.events;
   }
 };
 
@@ -84,7 +75,7 @@ RunFingerprint run_once(std::uint64_t seed, const PubSubConfig& stream) {
   auto result = cluster.run(Experiment("plumtree_determinism")
                                 .stabilize(50)
                                 .pubsub(stream, "stream"));
-  return {result.phase("stream").pubsub, cluster->events_processed()};
+  return {result.phase("stream"), cluster->events_processed()};
 }
 
 TEST(PlumtreeDeterminism, TwoRunsBitIdentical) {
@@ -95,8 +86,9 @@ TEST(PlumtreeDeterminism, TwoRunsBitIdentical) {
   EXPECT_TRUE(a == b)
       << "plumtree pub/sub diverged across two identically-seeded runs: "
       << "events " << a.events << " vs " << b.events << ", forwarded "
-      << a.stats.messages_forwarded << " vs " << b.stats.messages_forwarded
-      << ", grafts " << a.stats.grafts << " vs " << b.stats.grafts;
+      << a.stream.counters.forwards << " vs " << b.stream.counters.forwards
+      << ", grafts " << a.stream.counters.grafts << " vs "
+      << b.stream.counters.grafts;
   // A second seed must actually change the run (guards against the
   // fingerprint accidentally comparing constants).
   const RunFingerprint c = run_once(8, stream);
@@ -112,29 +104,29 @@ TEST(PlumtreeChurnHeal, StreamRecoversAfterQuarterCrash) {
   auto result = cluster.run(Experiment("plumtree_churn_heal")
                                 .stabilize(50)
                                 .pubsub(stream, "stream"));
-  const PubSubStats& stats = result.phase("stream").pubsub;
+  const PhaseResult& streamed = result.phase("stream");
+  const std::vector<double>& per_tick = streamed.reliabilities;
 
-  ASSERT_EQ(stats.per_tick_reliability.size(), stream.ticks);
+  ASSERT_EQ(per_tick.size(), stream.ticks);
   // Reliability is deliveries over alive non-source nodes: a value above
   // 1 + epsilon would mean a node delivered the same payload twice (dedup
   // failure), not good luck.
-  for (double r : stats.per_tick_reliability) EXPECT_LE(r, 1.0 + 1e-9);
+  for (double r : per_tick) EXPECT_LE(r, 1.0 + 1e-9);
 
   // Pre-crash steady state is a converged tree: full delivery.
   const std::size_t mid = stream.ticks / 2;
   for (std::size_t t = 0; t + 1 < mid; ++t)
-    EXPECT_GE(stats.per_tick_reliability[t], 0.999)
-        << "pre-crash tick " << t;
+    EXPECT_GE(per_tick[t], 0.999) << "pre-crash tick " << t;
 
   // The crash tick itself may lose in-flight payloads; by the final tick
   // the tree must have re-formed over the healed overlay.
-  EXPECT_GE(stats.per_tick_reliability.back(), 0.999)
+  EXPECT_GE(per_tick.back(), 0.999)
       << "stream did not recover by the last tick";
-  EXPECT_GE(stats.min_reliability, 0.5)
+  EXPECT_GE(streamed.message_reliability().min, 0.5)
       << "losing half the alive nodes' deliveries means the tree "
          "disconnected, not just dropped in-flight traffic";
   // Repair actually exercised the Plumtree path (not a silent re-flood).
-  EXPECT_GT(stats.prunes, 0u);
+  EXPECT_GT(streamed.counters.prunes, 0u);
 }
 
 // --- randomized link drops ---------------------------------------------------
@@ -150,7 +142,7 @@ TEST(PlumtreeDropProperty, GraftRepairSurvivesRandomResetsAcrossSeeds) {
     auto warm = cluster.run(Experiment("plumtree_drop_warm")
                                 .stabilize(50)
                                 .pubsub(steady_stream(8), "warm"));
-    EXPECT_GE(warm.phase("warm").pubsub.per_tick_reliability.back(), 0.999);
+    EXPECT_GE(warm.phase("warm").reliabilities.back(), 0.999);
 
     // Reset 30% of the open connections: eager tree edges die with them.
     const std::size_t dropped =
@@ -162,11 +154,11 @@ TEST(PlumtreeDropProperty, GraftRepairSurvivesRandomResetsAcrossSeeds) {
     // surviving lazy links cover the cut tree edges, grafts promote them.
     auto healed = cluster.run(
         Experiment("plumtree_drop_heal").pubsub(steady_stream(8), "healed"));
-    const PubSubStats& stats = healed.phase("healed").pubsub;
-    EXPECT_GE(stats.per_tick_reliability.back(), 0.999)
+    const PhaseResult& stream = healed.phase("healed");
+    EXPECT_GE(stream.reliabilities.back(), 0.999)
         << "stream did not recover after dropping " << dropped << " links";
-    EXPECT_GE(stats.min_reliability, 0.9);
-    for (double r : stats.per_tick_reliability) EXPECT_LE(r, 1.0 + 1e-9);
+    EXPECT_GE(stream.message_reliability().min, 0.9);
+    for (double r : stream.reliabilities) EXPECT_LE(r, 1.0 + 1e-9);
   }
 }
 
@@ -181,22 +173,21 @@ TEST(PlumtreeVsEager, FewerPayloadBytesAtEqualReliability) {
   auto eager_cfg = NetworkConfig::defaults_for(ProtocolKind::kHyParView,
                                                nodes, 5);
   eager_cfg.gossip.dedup_window = 1024;
-  auto eager = Cluster::sim(eager_cfg).run(spec).phase("stream").pubsub;
+  const PhaseResult eager =
+      Cluster::sim(eager_cfg).run(spec).phase("stream");
+  const PhaseResult tree =
+      Cluster::sim(plumtree_config(nodes, 5)).run(spec).phase("stream");
 
-  auto tree = Cluster::sim(plumtree_config(nodes, 5))
-                  .run(spec)
-                  .phase("stream")
-                  .pubsub;
-
-  EXPECT_GE(tree.avg_reliability, eager.avg_reliability - 1e-9);
+  EXPECT_GE(tree.message_reliability().mean,
+            eager.message_reliability().mean - 1e-9);
   // The bench gates ≤0.6 at scale in steady state; this row includes the
   // eager warm-up ticks, so just pin a solid reduction.
-  EXPECT_LT(tree.payload_bytes, eager.payload_bytes * 3 / 4)
-      << "plumtree " << tree.payload_bytes << " vs eager "
-      << eager.payload_bytes;
+  EXPECT_LT(tree.counters.payload_bytes, eager.counters.payload_bytes * 3 / 4)
+      << "plumtree " << tree.counters.payload_bytes << " vs eager "
+      << eager.counters.payload_bytes;
   // The flood pays a duplicate to almost every edge; the converged tree
   // pays almost none.
-  EXPECT_LT(tree.duplicates, eager.duplicates / 2);
+  EXPECT_LT(tree.counters.duplicates, eager.counters.duplicates / 2);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@
 
 #include "hyparview/common/options.hpp"
 #include "hyparview/graph/metrics.hpp"
-#include "hyparview/harness/sim_backend.hpp"
+#include "hyparview/harness/experiment.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -153,11 +153,13 @@ class ScenarioMatrixTest : public ::testing::TestWithParam<ScenarioCase> {
         churn.joins_per_cycle = std::max<std::size_t>(1, c.nodes / 32);
         churn.leaves_per_cycle = churn.joins_per_cycle;
         churn.probes_per_cycle = 1;
-        const ChurnStats stats = net.run_churn(churn);
+        const ExperimentResult churned =
+            run_experiment(net, Experiment("churn").churn(churn));
         // Reliability observed *during* churn: the paper's continuous-churn
         // runs stay near-perfect for HyParView because repair is reactive
         // and immediate; the baselines only promise what view aging can.
-        EXPECT_GT(stats.avg_reliability, c.min_churn_reliability)
+        EXPECT_GT(churned.phase("churn").avg_reliability(),
+                  c.min_churn_reliability)
             << "reliability under churn";
         break;
       }
@@ -230,8 +232,10 @@ class ScenarioMatrixTest : public ::testing::TestWithParam<ScenarioCase> {
         churn.joins_per_cycle = std::max<std::size_t>(1, c.nodes / 32);
         churn.leaves_per_cycle = churn.joins_per_cycle;
         churn.probes_per_cycle = 1;
-        const ChurnStats spiked = net.run_churn(churn);
-        EXPECT_GT(spiked.avg_reliability, c.min_churn_reliability)
+        const ExperimentResult spiked =
+            run_experiment(net, Experiment("churn").churn(churn));
+        EXPECT_GT(spiked.phase("churn").avg_reliability(),
+                  c.min_churn_reliability)
             << "reliability under churn during the latency spike";
         net.simulator().set_latency(sim_cfg.latency_min, sim_cfg.latency_max);
         break;

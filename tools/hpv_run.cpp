@@ -24,7 +24,13 @@
 //
 // Output: one row per point, in index order, and one BENCH json per spec:
 // the scale header, `events` summed over the points, and under "points"
-// each point's patches, seed, events and phase metrics.
+// each point's patches, seed, events and phase metrics. A phase's metrics
+// are keyed `<metric>_<key>`, where the key is the phase's label, or
+// `<label>#k` for the k-th phase carrying a label (k >= 2; the loader
+// rejects '#' in labels, so a repeated label never reuses a key). Every
+// phase writes `alive_<key>` and `counters_<key>`, an object of its nonzero
+// counters under the names of harness::Counters::named (frames_sent,
+// payload_bytes, crashes, frames_GOSSIP...), which both backends share.
 //
 // Determinism: this binary never reads a clock — wall timings come from
 // ExperimentResult, which the harness stamps (tools/ is inside the
@@ -33,6 +39,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -101,6 +108,19 @@ PointRun run_point(const harness::RunSpec& spec, const Options& opt) {
   return run;
 }
 
+/// Each phase's report key: its label, or `<label>#k` for the k-th phase
+/// carrying that label.
+std::vector<std::string> phase_keys(const ExperimentResult& result) {
+  std::map<std::string, std::size_t> seen;
+  std::vector<std::string> keys;
+  for (const PhaseResult& phase : result.phases) {
+    const std::size_t k = ++seen[phase.label];
+    keys.push_back(k == 1 ? phase.label
+                          : phase.label + "#" + std::to_string(k));
+  }
+  return keys;
+}
+
 void print_row(std::size_t index, const SweepPoint& point,
                const PointRun& run) {
   std::string row = "  [" + std::to_string(index) + "]";
@@ -110,8 +130,10 @@ void print_row(std::size_t index, const SweepPoint& point,
   row += " seed=" + std::to_string(run.seed) +
          " events=" + std::to_string(run.result.events);
   char buf[160];
-  for (const PhaseResult& phase : run.result.phases) {
-    const char* label = phase.label.c_str();
+  const std::vector<std::string> keys = phase_keys(run.result);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const PhaseResult& phase = run.result.phases[i];
+    const char* label = keys[i].c_str();
     if (!phase.reliabilities.empty()) {
       std::snprintf(buf, sizeof(buf), " %s=%.4f", label,
                     phase.avg_reliability());
@@ -144,7 +166,6 @@ json::Value array_of(const std::vector<T>& values) {
 
 void add_overlay(json::Value& p, const std::string& label,
                  const harness::OverlayStats& o) {
-  p.set("alive_" + label, o.alive);
   p.set("connected_" + label, o.connected);
   p.set("largest_component_" + label, o.largest_component);
   p.set("clustering_" + label, o.clustering);
@@ -163,10 +184,18 @@ json::Value point_json(const SweepPoint& point, const PointRun& run) {
   p.set("seed", run.seed);
   p.set("events", run.result.events);
   p.set("wall_seconds", run.result.wall_seconds);
-  for (const PhaseResult& phase : run.result.phases) {
+  const std::vector<std::string> keys = phase_keys(run.result);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const PhaseResult& phase = run.result.phases[i];
     if (phase.kind == Experiment::PhaseKind::kSetFanout) continue;
-    const std::string& label = phase.label;
+    const std::string& label = keys[i];
     p.set("phase_seconds_" + label, phase.wall_seconds);
+    p.set("alive_" + label, phase.alive);
+    json::Value counters = json::Value::object();
+    for (const auto& [name, value] : phase.counters.named()) {
+      if (value != 0) counters.set(name, value);
+    }
+    p.set("counters_" + label, std::move(counters));
     if (!phase.reliabilities.empty()) {
       p.set("reliability_" + label, phase.avg_reliability());
       p.set("min_reliability_" + label, phase.min_reliability());
