@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(done.joins),
               static_cast<unsigned long long>(done.graceful_leaves),
               static_cast<unsigned long long>(done.crashes));
-  std::printf("repairs during churn: %llu promotions, %llu initiated over warm links\n",
+  std::printf("repairs during churn: %llu promotions, %llu of them over warm links\n",
               static_cast<unsigned long long>(done.promotions),
               static_cast<unsigned long long>(done.warm_promotions));
 

@@ -18,15 +18,19 @@ namespace hyparview {
 
 class BinaryWriter {
  public:
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+  BinaryWriter() = default;
+  /// Appends to `out` instead of an owned buffer; `out` must outlive the
+  /// writer. The TCP transport encodes frames straight into a connection's
+  /// output buffer this way.
+  explicit BinaryWriter(std::vector<std::uint8_t>& out) : buf_(&out) {}
 
-  /// Pre-sizes the buffer: with ByteCounter/encoded_size() the exact frame
-  /// size is known before encoding, so a frame can be built in a single
-  /// allocation (the TCP transport's framing path).
-  void reserve(std::size_t n) { buf_.reserve(n); }
+  BinaryWriter(const BinaryWriter&) = delete;
+  BinaryWriter& operator=(const BinaryWriter&) = delete;
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return *buf_; }
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(*buf_); }
+
+  void u8(std::uint8_t v) { buf_->push_back(v); }
 
   void u16(std::uint16_t v) { append(&v, sizeof(v)); }
   void u32(std::uint32_t v) { append(&v, sizeof(v)); }
@@ -59,10 +63,11 @@ class BinaryWriter {
  private:
   void append(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    buf_->insert(buf_->end(), p, p + n);
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> owned_;
+  std::vector<std::uint8_t>* buf_ = &owned_;
 };
 
 /// Drop-in replacement for BinaryWriter that only counts bytes. Lets

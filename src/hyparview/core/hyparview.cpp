@@ -146,12 +146,15 @@ void HyParView::handle_neighbor(const NodeId& from, const wire::Neighbor& m) {
 
 void HyParView::handle_neighbor_reply(const NodeId& from,
                                       const wire::NeighborReply& m) {
-  if (promote_candidate_.has_value() && *promote_candidate_ == from) {
+  const bool answers_episode =
+      promote_candidate_.has_value() && *promote_candidate_ == from;
+  if (answers_episode) {
     promote_candidate_.reset();
     promote_in_flight_ = false;
   }
   if (m.accepted) {
     ++stats_.promotions;
+    if (answers_episode && promote_warm_) ++stats_.warm_promotions;
     add_to_active(from);
     promote_attempted_.clear();
   } else if (!is_warm(from)) {
@@ -416,10 +419,10 @@ void HyParView::maybe_promote() {
   promote_attempted_.push_back(candidate);
   promote_in_flight_ = true;
   promote_candidate_ = candidate;
+  promote_warm_ = use_warm;
   if (use_warm) {
     // The cached connection stands in for the §4.3 liveness probe; if it
     // went stale the NEIGHBOR send fails back and repair moves on.
-    ++stats_.warm_promotions;
     env_.send(candidate, wire::Neighbor{active_.empty()});
     return;
   }

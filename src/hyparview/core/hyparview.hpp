@@ -70,7 +70,9 @@ struct Stats {
   std::uint64_t disconnects_received = 0;
   std::uint64_t asymmetry_heals = 0;
   std::uint64_t warm_dials = 0;       ///< cache-refresh connection attempts
-  std::uint64_t warm_promotions = 0;  ///< promotions that skipped the dial
+  /// Accepted NEIGHBOR replies to a request sent over a warm-cache link:
+  /// promotions that skipped the dial (attempts are not counted).
+  std::uint64_t warm_promotions = 0;
   // Hostile-frame accounting: entries of a received shuffle list that were
   // dropped instead of integrated. Decoder-legal frames can still be
   // protocol-hostile (self-IDs, duplicated IDs, over-budget lists); the
@@ -181,6 +183,8 @@ class HyParView final : public membership::Protocol {
 
   // Repair episode state.
   bool promote_in_flight_ = false;
+  /// The in-flight NEIGHBOR request went over a warm-cache link.
+  bool promote_warm_ = false;
   std::optional<NodeId> promote_candidate_;
   std::vector<NodeId> promote_attempted_;
   /// Candidate scratch for maybe_promote(), reused across calls: the

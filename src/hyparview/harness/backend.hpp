@@ -135,13 +135,16 @@ struct PubSubConfig {
 struct Counters {
   static constexpr std::size_t kWireTypes = std::variant_size_v<wire::Message>;
 
-  // Substrate. The sim counts everything here; TCP counts frames_sent and
-  // bytes_sent (what its transports handed to the kernel).
+  // Substrate. The sim charges a frame its wire::wire_cost (synthetic
+  // gossip payload included) and counts established links. On TCP, frames
+  // and per-type bytes are those queued on a connection (length prefix
+  // included, no synthetic payload), bytes_sent is what the transports
+  // handed to the kernel and connections_opened counts dial attempts.
   std::uint64_t frames_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t send_failures = 0;
   std::uint64_t connections_opened = 0;
-  /// Per wire type, indexed by wire::type_tag (sim only).
+  /// Per wire type, indexed by wire::type_tag.
   std::array<std::uint64_t, kWireTypes> frames_by_type{};
   std::array<std::uint64_t, kWireTypes> bytes_by_type{};
   // Broadcast engines, summed over every node.
@@ -165,7 +168,8 @@ struct Counters {
   /// Every counter with its report name, in a fixed order: the scalars by
   /// field name, then frames_<TYPE> and bytes_<TYPE> per wire type
   /// (frames_GOSSIP, bytes_SHUFFLE_REPLY...). Both backends report under
-  /// these names; what a substrate does not count stays 0.
+  /// these names (with the meanings above); what a substrate does not
+  /// count stays 0.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> named()
       const;
 

@@ -87,9 +87,17 @@ void TcpBackend::kill_node(std::size_t i) {
 }
 
 void TcpBackend::read_substrate_counters(Counters& out) const {
+  static_assert(net::TransportStats::kWireTypes == Counters::kWireTypes);
   for (const TcpNode& node : nodes_) {
-    out.frames_sent += node.transport->stats().frames_sent;
-    out.bytes_sent += node.transport->stats().bytes_sent;
+    const net::TransportStats& st = node.transport->stats();
+    out.frames_sent += st.frames_sent;
+    out.bytes_sent += st.bytes_sent;
+    out.send_failures += st.send_failures;
+    out.connections_opened += st.dials;
+    for (std::size_t t = 0; t < Counters::kWireTypes; ++t) {
+      out.frames_by_type[t] += st.frames_by_type[t];
+      out.bytes_by_type[t] += st.bytes_by_type[t];
+    }
   }
 }
 

@@ -147,8 +147,8 @@ class TcpBackend final : public Backend {
   /// Binds a transport and builds its runtime; registers the id.
   std::unique_ptr<gossip::NodeRuntime> spawn_node(std::size_t index) override;
   void settle_join() override { wait(config_.join_settle); }
-  /// Frames and bytes every transport (dead ones included) handed to the
-  /// kernel; the transport keeps no per-type, failure or dial counts.
+  /// Sums every transport's stats (dead ones included): frames and bytes,
+  /// per wire type too, send failures and dials.
   void read_substrate_counters(Counters& out) const override;
   /// A real shutdown discards unflushed frames: one leave_settle window
   /// between Protocol::leave and the socket teardown.

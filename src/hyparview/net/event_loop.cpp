@@ -54,6 +54,7 @@ void EventLoop::run() {
   loop_thread_.store(&t_current_loop, std::memory_order_relaxed);
   stop_.store(false, std::memory_order_relaxed);
   while (!stop_.load(std::memory_order_relaxed)) {
+    run_pre_poll();
     iterate(next_timeout_ms());
   }
   loop_thread_.store(nullptr, std::memory_order_relaxed);
@@ -64,11 +65,13 @@ bool EventLoop::run_until(const std::function<bool()>& pred,
   loop_thread_.store(&t_current_loop, std::memory_order_relaxed);
   const TimePoint deadline = now() + timeout;
   while (!pred() && now() < deadline) {
+    run_pre_poll();
     int wait_ms = next_timeout_ms();
     const auto remaining_ms = static_cast<int>((deadline - now()) / 1000);
     if (wait_ms < 0 || wait_ms > remaining_ms) wait_ms = remaining_ms;
     iterate(wait_ms < 1 ? 1 : wait_ms);
   }
+  run_pre_poll();
   loop_thread_.store(nullptr, std::memory_order_relaxed);
   return pred();
 }
@@ -106,6 +109,10 @@ void EventLoop::iterate(int timeout_ms) {
   }
   drain_posted();
   fire_due_timers();
+}
+
+void EventLoop::run_pre_poll() {
+  for (PrePollHook* hook : pre_poll_) hook->before_poll();
 }
 
 void EventLoop::drain_posted() {
@@ -187,6 +194,15 @@ void EventLoop::update_fd(int fd, bool want_read, bool want_write) {
 void EventLoop::unregister_fd(int fd) {
   handlers_.erase(fd);
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+}
+
+void EventLoop::add_pre_poll(PrePollHook* hook) {
+  HPV_CHECK(hook != nullptr);
+  pre_poll_.push_back(hook);
+}
+
+void EventLoop::remove_pre_poll(PrePollHook* hook) {
+  std::erase(pre_poll_, hook);
 }
 
 }  // namespace hyparview::net

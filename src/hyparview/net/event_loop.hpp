@@ -35,6 +35,15 @@ class IoHandler {
   virtual void on_io_error() { on_readable(); }
 };
 
+/// Work deferred to just before the loop blocks. TcpTransport flushes the
+/// frames each connection gathered during one loop iteration here, so one
+/// send() carries them all.
+class PrePollHook {
+ public:
+  virtual ~PrePollHook() = default;
+  virtual void before_poll() = 0;
+};
+
 class EventLoop {
  public:
   EventLoop();
@@ -47,7 +56,9 @@ class EventLoop {
   void run();
 
   /// Runs pending work until `pred` returns true or `timeout` elapses.
-  /// Returns pred(). For tests and single-threaded drivers.
+  /// Returns pred(). For tests and single-threaded drivers. The pre-poll
+  /// hooks run once more before it returns, so work they defer (unsent
+  /// frames) never outlives the call.
   bool run_until(const std::function<bool()>& pred, Duration timeout);
 
   /// Thread-safe: wakes the loop and stops run().
@@ -65,6 +76,12 @@ class EventLoop {
                    bool want_write);
   void update_fd(int fd, bool want_read, bool want_write);
   void unregister_fd(int fd);
+
+  /// Loop thread only: `hook` runs before every epoll_wait, in registration
+  /// order. Remove it before destroying it. A running hook must not add or
+  /// remove hooks.
+  void add_pre_poll(PrePollHook* hook);
+  void remove_pre_poll(PrePollHook* hook);
 
   /// Monotonic clock in microseconds.
   [[nodiscard]] TimePoint now() const;
@@ -85,6 +102,7 @@ class EventLoop {
   };
 
   void iterate(int timeout_ms);
+  void run_pre_poll();
   void drain_posted();
   void fire_due_timers();
   [[nodiscard]] int next_timeout_ms() const;
@@ -102,6 +120,7 @@ class EventLoop {
   std::unordered_map<std::uint64_t, bool> timer_alive_;
 
   std::unordered_map<int, IoHandler*> handlers_;
+  std::vector<PrePollHook*> pre_poll_;
 };
 
 }  // namespace hyparview::net

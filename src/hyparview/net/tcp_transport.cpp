@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -45,24 +46,27 @@ sockaddr_in make_addr(std::uint32_t ip, std::uint16_t port) {
   return addr;
 }
 
-std::vector<std::uint8_t> frame_message(const wire::Message& msg) {
-  // Flat wire messages have a cheaply computable exact size (encoded_size
-  // walks no heap payloads), so the whole frame — length prefix plus body —
-  // is built in one exactly-sized buffer with a single allocation, instead
-  // of encode-into-scratch-then-copy.
-  const std::size_t body_bytes = wire::encoded_size(msg);
-  const auto len = static_cast<std::uint32_t>(body_bytes);
-  BinaryWriter w;
-  w.reserve(kLenPrefixBytes + body_bytes);
-  // Little-endian length prefix, written byte-wise (byte pushes into the
-  // freshly reserved buffer also sidestep a GCC memmove false positive).
-  w.u8(static_cast<std::uint8_t>(len & 0xff));
-  w.u8(static_cast<std::uint8_t>((len >> 8) & 0xff));
-  w.u8(static_cast<std::uint8_t>((len >> 16) & 0xff));
-  w.u8(static_cast<std::uint8_t>((len >> 24) & 0xff));
-  wire::encode(msg, w);
-  return w.take();
+/// Reads a frame's little-endian length prefix.
+std::uint32_t frame_length(const std::uint8_t* prefix) {
+  return static_cast<std::uint32_t>(prefix[0]) |
+         (static_cast<std::uint32_t>(prefix[1]) << 8) |
+         (static_cast<std::uint32_t>(prefix[2]) << 16) |
+         (static_cast<std::uint32_t>(prefix[3]) << 24);
 }
+
+/// Size of the frame starting at `at` in a buffer of whole frames.
+std::size_t frame_size(const std::vector<std::uint8_t>& buf, std::size_t at) {
+  return kLenPrefixBytes + frame_length(buf.data() + at);
+}
+
+/// Read buffer sizing: the first read gets kReadStartBytes, and the buffer
+/// doubles whenever less than kMinReadSpace is free behind the unread bytes.
+constexpr std::size_t kReadStartBytes = 4 * 1024;
+constexpr std::size_t kMinReadSpace = 1024;
+
+/// A drained output buffer keeps up to this much capacity, so steady
+/// traffic allocates nothing; what a backlog grew past it is given back.
+constexpr std::size_t kKeptOutputBytes = 64 * 1024;
 
 }  // namespace
 
@@ -133,13 +137,15 @@ class TcpTransport::Connection final : public IoHandler {
     if (rc == 0) {
       state_ = State::kEstablished;
       transport_->loop_.register_fd(fd_.get(), this, true, false);
-      send_hello();
     } else if (errno == EINPROGRESS) {
       state_ = State::kConnecting;
+      want_write_ = true;  // the dial completes as writable
       transport_->loop_.register_fd(fd_.get(), this, true, true);
     } else {
       state_ = State::kClosed;
+      return;
     }
+    queue_frame(wire::Hello{transport_->local_id()});
   }
 
   /// Inbound constructor: accepted socket, peer unknown until HELLO.
@@ -152,7 +158,7 @@ class TcpTransport::Connection final : public IoHandler {
     const int one = 1;
     ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     transport_->loop_.register_fd(fd_.get(), this, true, false);
-    send_hello();
+    queue_frame(wire::Hello{transport_->local_id()});
   }
 
   ~Connection() override {
@@ -164,21 +170,35 @@ class TcpTransport::Connection final : public IoHandler {
   [[nodiscard]] const NodeId& peer() const { return peer_; }
   [[nodiscard]] bool identified() const { return peer_ != kNoNode; }
   [[nodiscard]] bool inbound() const { return inbound_; }
+  /// True when queued frames wait for the next flush pass.
+  [[nodiscard]] bool flush_due() const {
+    return state_ == State::kEstablished && !want_write_ &&
+           out_sent_ < out_.size();
+  }
 
   void add_connect_callback(membership::ConnectCallback cb) {
     connect_callbacks_.push_back(std::move(cb));
   }
 
-  /// Queues a frame (kept with its Message until flushed, for failure
-  /// reporting) and flushes opportunistically.
+  /// Encodes the frame into the output buffer; the flush pass sends it. A
+  /// frame that would grow the buffer past kMaxOutputBytes fails the
+  /// connection instead.
   void send_message(const wire::Message& msg) {
     if (state_ == State::kClosed) {
       transport_->report_send_failed(peer_, msg);
       return;
     }
-    ++transport_->stats_.frames_sent;
-    pending_.push_back(Pending{frame_message(msg), 0, msg});
-    if (state_ == State::kEstablished) flush();
+    const std::size_t frame_bytes = kLenPrefixBytes + wire::encoded_size(msg);
+    if (out_.size() + frame_bytes > kMaxOutputBytes) {
+      HPV_LOG_WARN("tcp %s: %zu bytes buffered for %s; closing",
+                   transport_->local_id().to_string().c_str(), out_.size(),
+                   peer_.to_string().c_str());
+      ++transport_->stats_.output_overflows;
+      close_now(/*notify=*/true, /*error=*/true, &msg);
+      return;
+    }
+    queue_frame(msg, frame_bytes);
+    if (flush_due()) transport_->mark_dirty(this);
   }
 
   /// Shutdown teardown: drop everything silently — no callbacks, no
@@ -186,8 +206,10 @@ class TcpTransport::Connection final : public IoHandler {
   /// (and possibly the endpoint) are being destroyed.
   void abandon() {
     expected_close_ = true;
+    dirty_ = false;
     connect_callbacks_.clear();
-    pending_.clear();
+    out_.clear();
+    out_sent_ = 0;
     if (state_ != State::kClosed) {
       state_ = State::kClosed;
       detach();
@@ -203,18 +225,16 @@ class TcpTransport::Connection final : public IoHandler {
       return;
     }
     closing_after_flush_ = true;
-    if (state_ == State::kEstablished) {
-      if (pending_.empty()) {
-        half_close();
-      } else {
-        flush();
-      }
-    }
-    // kConnecting: on_writable() completes the dial and flushes, then the
-    // closing_after_flush_ flag triggers the half-close.
+    // An empty buffer half-closes at once; kConnecting: on_writable()
+    // completes the dial and flushes, then closing_after_flush_ triggers
+    // the half-close.
+    flush();
   }
 
-  void close_now(bool notify, bool error) {
+  /// `unqueued`: a frame that never entered the buffer, reported after the
+  /// buffered ones.
+  void close_now(bool notify, bool error,
+                 const wire::Message* unqueued = nullptr) {
     if (state_ == State::kClosed) return;
     HPV_LOG_DEBUG("tcp %s: close conn to %s (notify=%d error=%d fd %d)",
                   transport_->local_id().to_string().c_str(),
@@ -227,16 +247,29 @@ class TcpTransport::Connection final : public IoHandler {
     connect_callbacks_.clear();
     for (auto& cb : cbs) cb(false);
     transport_->on_closed(this, notify && !expected_close_ && error);
-    if (notify && !expected_close_) {
+    // Taken before any upcall: the endpoint may send again, and a frame
+    // for this peer must then dial afresh, not land in this buffer.
+    std::vector<std::uint8_t> out = std::move(out_);
+    const std::size_t sent = out_sent_;
+    out_.clear();
+    out_sent_ = 0;
+    const bool failed = notify && !expected_close_;
+    if (failed) {
       // Report undelivered frames so the failure detector semantics match
-      // the simulator (send_failed per queued message).
-      auto pending = std::move(pending_);
-      pending_.clear();
-      for (auto& p : pending) {
-        transport_->report_send_failed(peer_, p.msg);
+      // the simulator (send_failed per queued message). A frame the kernel
+      // took only part of never arrives whole, so it is reported too.
+      for (std::size_t at = 0; at < out.size();) {
+        const std::size_t end = at + frame_size(out, at);
+        if (end > sent) {
+          transport_->report_send_failed(
+              peer_, wire::decode_bytes({out.data() + at + kLenPrefixBytes,
+                                         end - at - kLenPrefixBytes}));
+        }
+        at = end;
       }
-      if (identified()) transport_->report_link_closed(peer_);
     }
+    if (unqueued != nullptr) transport_->report_send_failed(peer_, *unqueued);
+    if (failed && identified()) transport_->report_link_closed(peer_);
     transport_->remove_connection(this);
     // `this` is destroyed here.
   }
@@ -247,13 +280,22 @@ class TcpTransport::Connection final : public IoHandler {
       if (state_ != State::kEstablished) return;
     }
     while (true) {
-      std::uint8_t buf[16 * 1024];
-      const ssize_t n = ::read(fd_.get(), buf, sizeof(buf));
+      if (in_.size() - in_end_ < kMinReadSpace) {
+        in_.resize(std::max(kReadStartBytes, 2 * in_.size()));
+      }
+      const std::size_t space = in_.size() - in_end_;
+      const ssize_t n = ::read(fd_.get(), in_.data() + in_end_, space);
       if (n > 0) {
         transport_->stats_.bytes_received += static_cast<std::uint64_t>(n);
-        if (draining_) continue;  // half-closed: discard until peer EOF
-        read_buf_.insert(read_buf_.end(), buf, buf + n);
-        if (!parse_frames()) return;  // fatal decode error closed us
+        // Half-closed: the bytes stay past in_end_, discarded, until the
+        // peer's EOF.
+        if (!draining_) {
+          in_end_ += static_cast<std::size_t>(n);
+          if (!parse_frames()) return;  // fatal decode error closed us
+        }
+        // A short read emptied the socket; the level-triggered loop
+        // reports any bytes that arrive later.
+        if (static_cast<std::size_t>(n) < space) return;
         continue;
       }
       if (n == 0) {
@@ -282,24 +324,56 @@ class TcpTransport::Connection final : public IoHandler {
       HPV_LOG_DEBUG("tcp %s: dial to %s completed (fd %d)",
                     transport_->local_id().to_string().c_str(),
                     peer_.to_string().c_str(), fd_.get());
-      transport_->loop_.update_fd(fd_.get(), true, false);
-      send_hello(/*prepend=*/true);
       auto cbs = std::move(connect_callbacks_);
       connect_callbacks_.clear();
       for (auto& cb : cbs) cb(true);
       transport_->on_connected(this);
     }
+    // The HELLO queued at the dial, the frames queued while it was in
+    // flight, and any the callbacks just sent go out together.
     flush();
   }
 
   void on_io_error() override { close_now(/*notify=*/true, /*error=*/true); }
 
  private:
-  struct Pending {
-    std::vector<std::uint8_t> bytes;
-    std::size_t offset = 0;
-    wire::Message msg;
-  };
+  /// Hands the unsent bytes to the kernel in one send() (more only when it
+  /// takes a part and more fits); on EAGAIN the rest waits for EPOLLOUT.
+  void flush() {
+    if (state_ != State::kEstablished) return;
+    while (out_sent_ < out_.size()) {
+      // MSG_NOSIGNAL: a peer that crashed mid-stream RSTs the connection;
+      // the write must surface EPIPE to the close_now path below, not
+      // raise SIGPIPE and kill the process (sustained pub/sub streams
+      // write into dying sockets routinely during churn).
+      const ssize_t n = ::send(fd_.get(), out_.data() + out_sent_,
+                               out_.size() - out_sent_, MSG_NOSIGNAL);
+      ++transport_->stats_.send_calls;
+      HPV_LOG_DEBUG("tcp %s: write %zd/%zu to %s (fd %d, errno %d)",
+                    transport_->local_id().to_string().c_str(), n,
+                    out_.size() - out_sent_, peer_.to_string().c_str(),
+                    fd_.get(), n < 0 ? errno : 0);
+      if (n < 0) {
+        if (err_would_block(errno)) {
+          drop_sent_frames();
+          want_write(true);
+          return;
+        }
+        if (errno == EINTR) continue;
+        close_now(/*notify=*/true, /*error=*/true);
+        return;
+      }
+      transport_->stats_.bytes_sent += static_cast<std::uint64_t>(n);
+      out_sent_ += static_cast<std::size_t>(n);
+    }
+    out_.clear();
+    if (out_.capacity() > kKeptOutputBytes) {
+      std::vector<std::uint8_t>().swap(out_);
+    }
+    out_sent_ = 0;
+    want_write(false);
+    if (closing_after_flush_) half_close();
+  }
 
   void detach() {
     if (fd_.valid()) {
@@ -308,47 +382,48 @@ class TcpTransport::Connection final : public IoHandler {
     }
   }
 
-  void send_hello(bool prepend = false) {
-    ++transport_->stats_.frames_sent;
-    Pending hello{frame_message(wire::Hello{transport_->local_id()}), 0,
-                  wire::Hello{transport_->local_id()}};
-    if (prepend) {
-      pending_.push_front(std::move(hello));
-    } else {
-      pending_.push_back(std::move(hello));
-    }
-    flush();
+  /// Appends one length-prefixed frame to the output buffer.
+  void queue_frame(const wire::Message& msg) {
+    queue_frame(msg, kLenPrefixBytes + wire::encoded_size(msg));
+  }
+  void queue_frame(const wire::Message& msg, std::size_t frame_bytes) {
+    const auto len = static_cast<std::uint32_t>(frame_bytes - kLenPrefixBytes);
+    BinaryWriter w(out_);
+    // Little-endian length prefix, written byte-wise.
+    w.u8(static_cast<std::uint8_t>(len & 0xff));
+    w.u8(static_cast<std::uint8_t>((len >> 8) & 0xff));
+    w.u8(static_cast<std::uint8_t>((len >> 16) & 0xff));
+    w.u8(static_cast<std::uint8_t>((len >> 24) & 0xff));
+    wire::encode(msg, w);
+    TransportStats& st = transport_->stats_;
+    const std::uint8_t tag = wire::type_tag(msg);
+    ++st.frames_sent;
+    ++st.frames_by_type[tag];
+    st.bytes_by_type[tag] += frame_bytes;
+    st.peak_output_bytes =
+        std::max<std::uint64_t>(st.peak_output_bytes, out_.size());
   }
 
-  void flush() {
-    if (state_ != State::kEstablished) return;
-    while (!pending_.empty()) {
-      Pending& p = pending_.front();
-      // MSG_NOSIGNAL: a peer that crashed mid-stream RSTs the connection;
-      // the write must surface EPIPE to the close_now path below, not
-      // raise SIGPIPE and kill the process (sustained pub/sub streams
-      // write into dying sockets routinely during churn).
-      const ssize_t n = ::send(fd_.get(), p.bytes.data() + p.offset,
-                               p.bytes.size() - p.offset, MSG_NOSIGNAL);
-      HPV_LOG_DEBUG("tcp %s: write %zd/%zu to %s (fd %d, errno %d)",
-                    transport_->local_id().to_string().c_str(), n,
-                    p.bytes.size() - p.offset,
-                    peer_.to_string().c_str(), fd_.get(), n < 0 ? errno : 0);
-      if (n < 0) {
-        if (err_would_block(errno)) {
-          transport_->loop_.update_fd(fd_.get(), true, true);
-          return;
-        }
-        if (errno == EINTR) continue;
-        close_now(/*notify=*/true, /*error=*/true);
-        return;
-      }
-      transport_->stats_.bytes_sent += static_cast<std::uint64_t>(n);
-      p.offset += static_cast<std::size_t>(n);
-      if (p.offset == p.bytes.size()) pending_.pop_front();
+  /// After a partial send: once the sent prefix passes half the buffer,
+  /// erase its whole frames, so the buffer keeps starting on a frame
+  /// boundary (close_now decodes from there) and, when the cap is reached,
+  /// at least about half of it is unsent.
+  void drop_sent_frames() {
+    if (out_sent_ <= out_.size() / 2) return;
+    std::size_t boundary = 0;
+    while (boundary + frame_size(out_, boundary) <= out_sent_) {
+      boundary += frame_size(out_, boundary);
     }
-    transport_->loop_.update_fd(fd_.get(), true, false);
-    if (closing_after_flush_) half_close();
+    out_.erase(out_.begin(),
+               out_.begin() + static_cast<std::ptrdiff_t>(boundary));
+    out_sent_ -= boundary;
+  }
+
+  /// EPOLLOUT is armed only while the kernel refuses bytes.
+  void want_write(bool on) {
+    if (want_write_ == on) return;
+    want_write_ = on;
+    transport_->loop_.update_fd(fd_.get(), true, on);
   }
 
   /// Graceful TCP termination: send FIN but keep reading (and discarding)
@@ -368,15 +443,12 @@ class TcpTransport::Connection final : public IoHandler {
                                });
   }
 
-  /// Returns false if the connection was closed due to a malformed frame.
+  /// Dispatches every whole frame in the read buffer. Returns false if the
+  /// connection was closed (malformed frame, or by the endpoint).
   bool parse_frames() {
-    std::size_t consumed = 0;
-    while (read_buf_.size() - consumed >= kLenPrefixBytes) {
-      const std::uint8_t* base = read_buf_.data() + consumed;
-      const std::uint32_t len = static_cast<std::uint32_t>(base[0]) |
-                                (static_cast<std::uint32_t>(base[1]) << 8) |
-                                (static_cast<std::uint32_t>(base[2]) << 16) |
-                                (static_cast<std::uint32_t>(base[3]) << 24);
+    while (in_end_ - in_head_ >= kLenPrefixBytes) {
+      const std::uint8_t* base = in_.data() + in_head_;
+      const std::uint32_t len = frame_length(base);
       if (len > transport_->config_.max_frame_bytes) {
         HPV_LOG_WARN("tcp: oversized frame (%u bytes) from %s; closing", len,
                      peer_.to_string().c_str());
@@ -385,11 +457,11 @@ class TcpTransport::Connection final : public IoHandler {
         close_now(/*notify=*/true, /*error=*/true);
         return false;
       }
-      if (read_buf_.size() - consumed - kLenPrefixBytes < len) break;
+      if (in_end_ - in_head_ - kLenPrefixBytes < len) break;
       try {
         const wire::Message msg = wire::decode_bytes(
             {base + kLenPrefixBytes, static_cast<std::size_t>(len)});
-        consumed += kLenPrefixBytes + len;
+        in_head_ += kLenPrefixBytes + len;
         ++transport_->stats_.frames_received;
         handle_frame(msg);
         if (state_ == State::kClosed) return false;
@@ -401,8 +473,15 @@ class TcpTransport::Connection final : public IoHandler {
         return false;
       }
     }
-    read_buf_.erase(read_buf_.begin(),
-                    read_buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
+    // Consume by offset; move the partial frame to the front only once the
+    // consumed prefix passes half the buffer.
+    if (in_head_ == in_end_) {
+      in_head_ = in_end_ = 0;
+    } else if (in_head_ > in_.size() / 2) {
+      std::memmove(in_.data(), in_.data() + in_head_, in_end_ - in_head_);
+      in_end_ -= in_head_;
+      in_head_ = 0;
+    }
     return true;
   }
 
@@ -433,8 +512,16 @@ class TcpTransport::Connection final : public IoHandler {
   bool expected_close_ = false;
   bool closing_after_flush_ = false;
   bool draining_ = false;
-  std::deque<Pending> pending_;
-  std::vector<std::uint8_t> read_buf_;
+  bool want_write_ = false;  ///< EPOLLOUT armed
+  bool dirty_ = false;       ///< on the transport's flush list
+  /// Queued frames, whole, from a frame boundary; the first out_sent_
+  /// bytes are already in the kernel.
+  std::vector<std::uint8_t> out_;
+  std::size_t out_sent_ = 0;
+  /// Received bytes: [in_head_, in_end_) is not yet parsed.
+  std::vector<std::uint8_t> in_;
+  std::size_t in_head_ = 0;
+  std::size_t in_end_ = 0;
   std::vector<membership::ConnectCallback> connect_callbacks_;
   /// Guards deferred timers against the connection being deleted first.
   std::shared_ptr<bool> alive_flag_ = std::make_shared<bool>(true);
@@ -474,6 +561,7 @@ TcpTransport::TcpTransport(EventLoop& loop, membership::Endpoint* endpoint,
   listener_ = std::make_unique<Listener>(this, config_.bind_ip,
                                          config_.bind_port);
   local_id_ = NodeId{config_.bind_ip, listener_->port()};
+  loop_.add_pre_poll(this);
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
@@ -481,6 +569,8 @@ TcpTransport::~TcpTransport() { shutdown(); }
 void TcpTransport::shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
+  loop_.remove_pre_poll(this);
+  dirty_.clear();
   if (listener_ != nullptr) listener_->close();
   // Steal the list first so nothing re-enters connections_ while we drop
   // every connection without callbacks (the endpoint may already be gone).
@@ -500,6 +590,7 @@ TcpTransport::Connection* TcpTransport::find_connection(const NodeId& peer) {
 }
 
 TcpTransport::Connection* TcpTransport::dial(const NodeId& peer) {
+  ++stats_.dials;
   auto owned = std::make_unique<Connection>(this, peer);
   Connection* conn = owned.get();
   if (conn->state() == Connection::State::kClosed) {
@@ -507,6 +598,7 @@ TcpTransport::Connection* TcpTransport::dial(const NodeId& peer) {
   }
   connections_.push_back(std::move(owned));
   by_peer_[peer.raw()] = conn;
+  if (conn->flush_due()) mark_dirty(conn);  // the HELLO
   return conn;
 }
 
@@ -514,6 +606,7 @@ void TcpTransport::adopt_inbound(std::unique_ptr<Connection> conn) {
   // Drop connections that died in their constructor (instant write error)
   // and anything accepted mid-shutdown.
   if (shutdown_ || conn->state() == Connection::State::kClosed) return;
+  mark_dirty(conn.get());  // the HELLO
   connections_.push_back(std::move(conn));
 }
 
@@ -577,16 +670,39 @@ void TcpTransport::on_closed(Connection* conn, bool /*error*/) {
 
 void TcpTransport::report_send_failed(const NodeId& to,
                                       const wire::Message& msg) {
-  if (endpoint_ != nullptr && !std::holds_alternative<wire::Hello>(msg)) {
-    endpoint_->send_failed(to, msg);
-  }
+  if (std::holds_alternative<wire::Hello>(msg)) return;
+  ++stats_.send_failures;
+  if (endpoint_ != nullptr) endpoint_->send_failed(to, msg);
 }
 
 void TcpTransport::report_link_closed(const NodeId& peer) {
   if (endpoint_ != nullptr) endpoint_->link_closed(peer);
 }
 
+void TcpTransport::mark_dirty(Connection* conn) {
+  if (conn->dirty_) return;
+  conn->dirty_ = true;
+  dirty_.push_back(conn);
+}
+
+void TcpTransport::before_poll() {
+  // Index loop: a flush that fails reports upcalls, which may queue frames
+  // on other connections; those join this pass.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    Connection* conn = dirty_[i];
+    if (conn == nullptr) continue;
+    conn->dirty_ = false;
+    conn->flush();
+  }
+  dirty_.clear();
+}
+
 void TcpTransport::remove_connection(Connection* conn) {
+  if (conn->dirty_) {
+    conn->dirty_ = false;
+    std::replace(dirty_.begin(), dirty_.end(), conn,
+                 static_cast<Connection*>(nullptr));
+  }
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     if (connections_[i].get() == conn) {
       // Deleting `conn` inside one of its own callbacks is unsafe; defer.

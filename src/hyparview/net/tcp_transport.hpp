@@ -11,16 +11,43 @@
 //  * disconnect() flushes pending frames and then closes (so a DISCONNECT
 //    notification sent immediately before is not lost).
 //
+// When frames reach the kernel: send() encodes the frame straight into
+// its connection's output buffer and returns. Every frame a connection
+// gathers during one loop iteration goes out in one send() call, made by
+// the transport's pre-poll hook just before the loop blocks in epoll_wait,
+// and once more before EventLoop::run_until returns, so no frame is left
+// in user space when the caller gets control back. Only a send() that
+// would block (EAGAIN) arms EPOLLOUT; the rest goes out when the socket
+// drains, and EPOLLOUT is disarmed once the buffer is empty.
+//
+// How failures are reported: when a connection fails (connect refused,
+// write error, reset, peer EOF), every frame not yet fully handed to the
+// kernel is decoded back from the buffer and reported through
+// Endpoint::send_failed exactly once, in send order (never the HELLO);
+// then an identified peer gets Endpoint::link_closed. Frames sent on a
+// closed connection fail at once.
+//
+// The output cap: a connection's output buffer never holds more than
+// TcpTransport::kMaxOutputBytes (sent bytes not yet erased included). A
+// frame that would grow it past the cap closes the connection as failed:
+// its unsent frames and that frame report send_failed and the link reports
+// link_closed, so the membership protocol repairs around a peer that
+// stopped reading instead of buffering for it without limit. A peer that
+// stops reading therefore costs its sender the kernel's send buffer plus
+// at most kMaxOutputBytes in user space (the vector's allocation, grown by
+// doubling, can reach twice that), and a buffer that drains gives back
+// what a backlog grew.
+//
 // Threading: everything runs on the owning EventLoop's thread. Multiple
 // transports (nodes) may share one loop, which is how the in-process
 // cluster tests and the tcp_cluster example run.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "hyparview/common/node_id.hpp"
@@ -42,10 +69,13 @@ struct TcpTransportConfig {
   std::uint64_t rng_seed = 1;
 };
 
-/// Hostile/garbage traffic counters. A malicious frame only ever costs its
+/// Monotonic counters over the transport's life (the stats exporter derives
+/// rates from deltas between polls). A malicious frame only ever costs its
 /// own connection (closed and counted here) — never the loop or other
 /// peers' connections (tcp_transport_test pins that).
 struct TransportStats {
+  static constexpr std::size_t kWireTypes = std::variant_size_v<wire::Message>;
+
   /// Undecodable frame bodies (CheckError from the bounded decoder).
   std::uint64_t malformed_frames = 0;
   /// Length prefixes above max_frame_bytes (also counted as malformed).
@@ -53,16 +83,29 @@ struct TransportStats {
   /// Non-HELLO frames on a connection that never identified itself.
   std::uint64_t frames_before_hello = 0;
 
-  // Volume counters (monotonic; the stats exporter derives rates from
-  // deltas between polls).
   std::uint64_t frames_sent = 0;      ///< frames queued for the wire
   std::uint64_t frames_received = 0;  ///< frames decoded and dispatched
-  std::uint64_t bytes_sent = 0;       ///< payload handed to ::write
-  std::uint64_t bytes_received = 0;   ///< payload returned by ::read
+  std::uint64_t bytes_sent = 0;       ///< bytes handed to ::send
+  std::uint64_t bytes_received = 0;   ///< bytes returned by ::read
+  /// Frames and bytes (length prefix included) queued per wire type,
+  /// indexed by wire::type_tag; HELLO is counted too.
+  std::array<std::uint64_t, kWireTypes> frames_by_type{};
+  std::array<std::uint64_t, kWireTypes> bytes_by_type{};
+  std::uint64_t send_calls = 0;     ///< ::send system calls
+  std::uint64_t send_failures = 0;  ///< frames reported through send_failed
+  std::uint64_t dials = 0;          ///< outbound connection attempts
+  /// Connections closed because a frame would pass kMaxOutputBytes.
+  std::uint64_t output_overflows = 0;
+  /// Most bytes any one connection's output buffer held.
+  std::uint64_t peak_output_bytes = 0;
 };
 
-class TcpTransport final : public membership::Env {
+class TcpTransport final : public membership::Env, private PrePollHook {
  public:
+  /// Bytes one connection's output buffer may hold (see the header
+  /// comment).
+  static constexpr std::size_t kMaxOutputBytes = std::size_t{4} << 20;
+
   /// Binds and starts listening immediately; local_id() is valid after
   /// construction. `endpoint` receives upcalls on the loop thread.
   TcpTransport(EventLoop& loop, membership::Endpoint* endpoint,
@@ -81,7 +124,7 @@ class TcpTransport final : public membership::Env {
   /// Number of open (or connecting) peer connections.
   [[nodiscard]] std::size_t connection_count() const;
 
-  /// Hostile/garbage traffic counters (monotonic over the transport's life).
+  /// Traffic, failure and hostile-frame counters.
   [[nodiscard]] const TransportStats& stats() const { return stats_; }
 
   // --- membership::Env -------------------------------------------------------
@@ -113,6 +156,11 @@ class TcpTransport final : public membership::Env {
 
   void remove_connection(Connection* conn);
 
+  /// Queues `conn` for the next flush pass (once per pass).
+  void mark_dirty(Connection* conn);
+  /// The flush pass: one send() per connection that queued frames.
+  void before_poll() override;
+
   EventLoop& loop_;
   membership::Endpoint* endpoint_;
   TcpTransportConfig config_;
@@ -125,6 +173,8 @@ class TcpTransport final : public membership::Env {
   std::unordered_map<std::uint64_t, Connection*> by_peer_;
   /// All live connections (including unidentified inbound ones).
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// Connections with frames to flush; a closed one leaves a nullptr.
+  std::vector<Connection*> dirty_;
   bool shutdown_ = false;
 };
 

@@ -30,6 +30,21 @@ TEST(BinaryTest, NodeIdRoundTrip) {
   EXPECT_EQ(r.node_id(), id);
 }
 
+TEST(BinaryTest, WriterAppendsToCallersBuffer) {
+  std::vector<std::uint8_t> out{0x01, 0x02};
+  {
+    BinaryWriter w(out);
+    w.u16(0xBEEF);
+    EXPECT_EQ(w.bytes().size(), 4u);
+  }
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0], 0x01);
+  EXPECT_EQ(out[1], 0x02);
+  BinaryReader r(std::span<const std::uint8_t>(out).subspan(2));
+  EXPECT_EQ(r.u16(), 0xBEEF);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(BinaryTest, NodeIdListRoundTrip) {
   // The writer frames a list as u16 count + ids; the reader side has no
   // vector-returning list helper by design (wire lists are bounded — see

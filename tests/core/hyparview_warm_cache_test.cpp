@@ -136,7 +136,12 @@ TEST_F(WarmCacheTest, WarmPromotionSendsNeighborWithoutDialing) {
   ASSERT_EQ(neighbors.size(), 1u);
   EXPECT_TRUE(contains(proto_.warm_cache(), neighbors[0].first));
   EXPECT_FALSE(neighbors[0].second.high_priority);  // view not empty
+  EXPECT_EQ(proto_.stats().warm_promotions, 0u) << "no reply yet";
+
+  // The counter counts promotions, so it moves on the accepted reply.
+  proto_.handle(neighbors[0].first, wire::NeighborReply{true});
   EXPECT_EQ(proto_.stats().warm_promotions, 1u);
+  EXPECT_EQ(proto_.stats().promotions, 1u);
 }
 
 TEST_F(WarmCacheTest, AcceptedWarmPromotionKeepsLinkAndLeavesCache) {
@@ -178,6 +183,24 @@ TEST_F(WarmCacheTest, RejectedWarmPromotionKeepsCachedLinkOpen) {
   ASSERT_EQ(neighbors.size(), 1u);
   EXPECT_NE(neighbors[0].first, first);
   EXPECT_TRUE(contains(proto_.warm_cache(), neighbors[0].first));
+}
+
+TEST_F(WarmCacheTest, RejectedWarmAttemptIsNoWarmPromotion) {
+  fill_active();
+  seed_passive(200, 6);
+  warm_up();
+  const NodeId leaver = proto_.active_view().front();
+  proto_.handle(leaver, wire::Disconnect{});
+  const auto neighbors = env_.sent_of_type<wire::Neighbor>();
+  ASSERT_EQ(neighbors.size(), 1u);
+
+  proto_.handle(neighbors[0].first, wire::NeighborReply{false});
+  EXPECT_EQ(proto_.stats().warm_promotions, 0u);
+  EXPECT_EQ(proto_.stats().promotions, 0u);
+  // The retry went out over another warm link; it is no promotion either
+  // until accepted.
+  ASSERT_EQ(env_.sent_of_type<wire::Neighbor>().size(), 2u);
+  EXPECT_EQ(proto_.stats().warm_promotions, 0u);
 }
 
 TEST_F(WarmCacheTest, StaleWarmLinkDiscoveredOnUseAdvancesRepair) {

@@ -97,6 +97,12 @@ TEST(HpvRunRecordTest, TcpRecordHasTheSimKeysAndCounterNames) {
   }
   EXPECT_GT(tcp_measure.find("payload_bytes")->as_int(), 0);
   EXPECT_GT(tcp_measure.find("frames_sent")->as_int(), 0);
+  // The transports count per wire type too: the broadcasts' GOSSIP frames
+  // are a part of everything the phase queued.
+  const json::Value* gossip = tcp_measure.find("frames_GOSSIP");
+  ASSERT_NE(gossip, nullptr);
+  EXPECT_GT(gossip->as_int(), 0);
+  EXPECT_LE(gossip->as_int(), tcp_measure.find("frames_sent")->as_int());
   EXPECT_EQ(tcp.point.find("counters_crash")->find("crashes")->as_int(), 16);
 }
 

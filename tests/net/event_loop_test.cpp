@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 namespace hyparview::net {
@@ -94,6 +95,65 @@ TEST(EventLoopTest, ManyTimersAllFire) {
     loop.schedule(milliseconds(1 + i % 10), [&] { ++fired; });
   }
   EXPECT_TRUE(loop.run_until([&] { return fired == 100; }, seconds(5)));
+}
+
+/// Counts its runs; optionally runs `action` on each.
+class CountingHook final : public PrePollHook {
+ public:
+  void before_poll() override {
+    ++runs;
+    if (action) action();
+  }
+  int runs = 0;
+  std::function<void()> action;
+};
+
+TEST(EventLoopTest, PrePollHookRunsBeforeRunUntilReturns) {
+  EventLoop loop;
+  CountingHook hook;
+  loop.add_pre_poll(&hook);
+  EXPECT_TRUE(loop.run_until([] { return true; }, seconds(1)));
+  EXPECT_EQ(hook.runs, 1) << "the exit pass runs even with no poll";
+
+  // Work a timer defers is taken up before control returns to the caller.
+  bool deferred = false;
+  bool flushed = false;
+  hook.action = [&] {
+    if (deferred) flushed = true;
+  };
+  loop.schedule(milliseconds(5), [&] { deferred = true; });
+  EXPECT_TRUE(loop.run_until([&] { return deferred; }, seconds(2)));
+  EXPECT_TRUE(flushed);
+  loop.remove_pre_poll(&hook);
+}
+
+TEST(EventLoopTest, PrePollHookRunsBeforeEachPoll) {
+  EventLoop loop;
+  CountingHook hook;
+  loop.add_pre_poll(&hook);
+  int fired = 0;
+  for (int i = 1; i <= 3; ++i) {
+    loop.schedule(milliseconds(5 * i), [&] { ++fired; });
+  }
+  EXPECT_TRUE(loop.run_until([&] { return fired == 3; }, seconds(2)));
+  EXPECT_GE(hook.runs, 4);  // one poll per timer, then the exit pass
+  loop.remove_pre_poll(&hook);
+
+  const int before = hook.runs;
+  loop.run_until([] { return true; }, seconds(1));
+  EXPECT_EQ(hook.runs, before) << "a removed hook never runs again";
+}
+
+TEST(EventLoopTest, RunCallsPrePollHooks) {
+  EventLoop loop;
+  CountingHook hook;
+  hook.action = [&] {
+    if (hook.runs == 3) loop.stop();
+  };
+  loop.add_pre_poll(&hook);
+  loop.run();
+  EXPECT_EQ(hook.runs, 3);
+  loop.remove_pre_poll(&hook);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "hyparview/net/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -144,17 +145,19 @@ TEST_F(TcpTransportTest, ConnectToLiveTransportSucceeds) {
   EXPECT_TRUE(ok);
 }
 
+/// A port nothing listens on: bound by a transport that is then shut down.
+NodeId dead_port(EventLoop& loop) {
+  RecordingEndpoint ep;
+  TcpTransport tmp(loop, &ep, TcpTransportConfig{});
+  const NodeId dead = tmp.local_id();
+  tmp.shutdown();
+  return dead;
+}
+
 TEST_F(TcpTransportTest, ConnectToDeadPortFails) {
   RecordingEndpoint ea;
   auto a = make_transport(&ea, 1);
-  // Grab a port that is then released: connection attempts must fail.
-  NodeId dead;
-  {
-    RecordingEndpoint tmp_ep;
-    auto tmp = make_transport(&tmp_ep, 9);
-    dead = tmp->local_id();
-    tmp->shutdown();
-  }
+  const NodeId dead = dead_port(loop_);
   bool called = false;
   bool ok = true;
   a->connect(dead, [&](bool result) {
@@ -168,13 +171,7 @@ TEST_F(TcpTransportTest, ConnectToDeadPortFails) {
 TEST_F(TcpTransportTest, SendToDeadPortReportsFailure) {
   RecordingEndpoint ea;
   auto a = make_transport(&ea, 1);
-  NodeId dead;
-  {
-    RecordingEndpoint tmp_ep;
-    auto tmp = make_transport(&tmp_ep, 9);
-    dead = tmp->local_id();
-    tmp->shutdown();
-  }
+  const NodeId dead = dead_port(loop_);
   a->send(dead, wire::Neighbor{true});
   ASSERT_TRUE(
       loop_.run_until([&] { return !ea.failures.empty(); }, seconds(5)));
@@ -240,6 +237,155 @@ TEST_F(TcpTransportTest, SimultaneousDialsBothDirectionsStillDeliver) {
       seconds(5)));
   EXPECT_EQ(std::get<wire::Gossip>(eb.deliveries[0].second).msg_id, 1u);
   EXPECT_EQ(std::get<wire::Gossip>(ea.deliveries[0].second).msg_id, 2u);
+}
+
+// --- the output buffer -------------------------------------------------
+
+TEST_F(TcpTransportTest, FramesQueuedOnAFailedDialComeBackOnceInOrder) {
+  RecordingEndpoint ea;
+  auto a = make_transport(&ea, 1);
+  const NodeId dead = dead_port(loop_);
+
+  // All queued while the dial is in flight, behind the HELLO.
+  constexpr std::uint64_t kFrames = 50;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    a->send(dead, wire::Gossip{1000 + i, static_cast<std::uint16_t>(i), 7});
+  }
+  ASSERT_TRUE(loop_.run_until(
+      [&] { return ea.failures.size() >= kFrames; }, seconds(5)));
+  loop_.run_until([] { return false; }, milliseconds(50));  // no stragglers
+  ASSERT_EQ(ea.failures.size(), kFrames) << "each frame fails exactly once";
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ea.failures[i].first, dead);
+    const auto* g = std::get_if<wire::Gossip>(&ea.failures[i].second);
+    ASSERT_NE(g, nullptr) << "the HELLO never comes back";
+    EXPECT_EQ(g->msg_id, 1000 + i);
+    EXPECT_EQ(g->hops, i);
+    EXPECT_EQ(g->payload_size, 7u);
+  }
+  EXPECT_EQ(a->stats().send_failures, kFrames);
+}
+
+TEST_F(TcpTransportTest, FramesQueuedInOneIterationShareSendCalls) {
+  RecordingEndpoint ea;
+  RecordingEndpoint eb;
+  auto a = make_transport(&ea, 1);
+  auto b = make_transport(&eb, 2);
+  a->send(b->local_id(), wire::Gossip{0, 0, 0});
+  ASSERT_TRUE(loop_.run_until([&] { return eb.deliveries.size() == 1; },
+                              seconds(5)));
+
+  const std::uint64_t calls_before = a->stats().send_calls;
+  constexpr std::uint64_t kFrames = 1'000;
+  for (std::uint64_t i = 1; i <= kFrames; ++i) {
+    a->send(b->local_id(), wire::Gossip{i, 0, 0});
+  }
+  EXPECT_EQ(a->stats().send_calls, calls_before) << "send() only queues";
+  ASSERT_TRUE(loop_.run_until(
+      [&] { return eb.deliveries.size() == kFrames + 1; }, seconds(10)));
+  for (std::uint64_t i = 0; i <= kFrames; ++i) {
+    ASSERT_EQ(std::get<wire::Gossip>(eb.deliveries[i].second).msg_id, i);
+  }
+  EXPECT_LT((a->stats().send_calls - calls_before) * 10, kFrames);
+}
+
+TEST_F(TcpTransportTest, RunUntilReturnsWithNoFrameLeftInUserSpace) {
+  RecordingEndpoint ea;
+  RecordingEndpoint eb;
+  auto a = make_transport(&ea, 1);
+  auto b = make_transport(&eb, 2);
+  a->send(b->local_id(), wire::Join{});
+  ASSERT_TRUE(loop_.run_until([&] { return !eb.deliveries.empty(); },
+                              seconds(5)));
+
+  // Queued by a timer during the call: the exit pass flushes it, so the
+  // sender may be torn down (a crash) the moment control returns.
+  bool queued = false;
+  loop_.schedule(0, [&] {
+    a->send(b->local_id(), wire::Gossip{42, 0, 0});
+    queued = true;
+  });
+  ASSERT_TRUE(loop_.run_until([&] { return queued; }, seconds(5)));
+  const std::uint64_t sent = a->stats().bytes_sent;
+  a->shutdown();
+  EXPECT_EQ(a->stats().bytes_sent, sent);
+  ASSERT_TRUE(loop_.run_until([&] { return eb.deliveries.size() == 2; },
+                              seconds(5)));
+  EXPECT_EQ(std::get<wire::Gossip>(eb.deliveries[1].second).msg_id, 42u);
+}
+
+TEST_F(TcpTransportTest, StalledReaderIsEvictedAtTheOutputCap) {
+  // A peer that accepts and never reads: the kernel's buffers fill, then
+  // the sender's own buffer, until the cap closes the link.
+  Fd listener(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  ASSERT_TRUE(listener.valid());
+  const int small = 4096;  // a small receive window fills sooner
+  ::setsockopt(listener.get(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(0x7F000001);
+  ASSERT_EQ(::bind(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener.get(), 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+  const NodeId stalled{0x7F000001, ntohs(addr.sin_port)};
+
+  RecordingEndpoint ea;
+  RecordingEndpoint eb;
+  auto a = make_transport(&ea, 1);
+  auto b = make_transport(&eb, 2);
+
+  wire::Shuffle big;
+  big.origin = a->local_id();
+  for (std::uint32_t i = 0; i < wire::kMaxShuffleEntries; ++i) {
+    big.entries.push_back(NodeId{i, 1});
+  }
+  const std::uint64_t frame_bytes = 4 + wire::encoded_size(big);
+  const std::uint64_t hello_bytes =
+      4 + wire::encoded_size(wire::Hello{a->local_id()});
+  Fd accepted;
+  std::uint64_t queued = 0;
+  // Rounds well under the cap each, flushed in between. The kernel takes
+  // a few MB before the cap can fill; the bound (about 5x the cap) fails
+  // the test instead of hanging if it takes without limit.
+  while (a->stats().output_overflows == 0 && queued < 200'000) {
+    for (int i = 0; i < 1024 && a->stats().output_overflows == 0; ++i) {
+      a->send(stalled, big);
+      ++queued;
+    }
+    loop_.run_until([] { return false; }, milliseconds(1));
+    if (!accepted.valid()) {
+      accepted.reset(::accept(listener.get(), nullptr, nullptr));
+    }
+  }
+  ASSERT_EQ(a->stats().output_overflows, 1u);
+  EXPECT_LE(a->stats().peak_output_bytes, TcpTransport::kMaxOutputBytes);
+  EXPECT_GT(a->stats().peak_output_bytes,
+            TcpTransport::kMaxOutputBytes - frame_bytes);
+  ASSERT_EQ(ea.closed_links.size(), 1u);
+  EXPECT_EQ(ea.closed_links[0], stalled);
+  // Every frame the kernel did not take whole (the one past the cap
+  // included) fails exactly once.
+  const std::uint64_t taken_whole =
+      (a->stats().bytes_sent - hello_bytes) / frame_bytes;
+  ASSERT_EQ(ea.failures.size(), queued - taken_whole);
+  for (const auto& [to, msg] : ea.failures) {
+    EXPECT_EQ(to, stalled);
+    EXPECT_TRUE(std::holds_alternative<wire::Shuffle>(msg));
+  }
+  EXPECT_EQ(a->stats().send_failures, ea.failures.size());
+  EXPECT_EQ(a->connection_count(), 0u);
+
+  // The same transport still talks to a healthy peer.
+  a->send(b->local_id(), wire::Gossip{9, 0, 0});
+  ASSERT_TRUE(loop_.run_until([&] { return !eb.deliveries.empty(); },
+                              seconds(5)));
+  EXPECT_EQ(std::get<wire::Gossip>(eb.deliveries[0].second).msg_id, 9u);
 }
 
 // --- malicious peers ---------------------------------------------------
