@@ -59,12 +59,13 @@ struct GossipConfig {
   std::uint32_t payload_size = 128;
   /// Duplicate-suppression window (ids remembered per node). Size it to
   /// the *in-flight* duplicate horizon — the number of distinct broadcasts
-  /// that can have undelivered copies at once — not to total history; an
-  /// id evicted while copies are still in flight would be re-delivered as
-  /// new. Discrete drained waves get by with a small window; sustained
-  /// pub/sub streams need sources x rate x (delivery + graft-timeout)
-  /// worth of ids, which is why the capacity is per-engine configuration
-  /// rather than a constant.
+  /// that can have undelivered copies at once — not to total history. An
+  /// id evicted while copies are still in flight is delivered again as new
+  /// and forwarded again, so the flood never dies out. The harness drains
+  /// every broadcast and every pub/sub tick before the next, so its
+  /// horizon is sources x rate, and the spec loader rejects a pub/sub
+  /// phase above the window; a stream that never drains needs its rate x
+  /// (delivery + graft timeout) worth of ids.
   std::size_t dedup_window = 1024;
   /// Plumtree: how long a node waits after the first IHave for a missing
   /// message before grafting the announcing link into the tree.

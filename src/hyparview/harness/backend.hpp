@@ -221,11 +221,11 @@ class Backend {
   /// Runs `n` membership rounds. In each round every alive node executes
   /// its periodic action once, in random order. The simulator drains each
   /// node's traffic before the next node acts (PeerSim cycle semantics);
-  /// the TCP backend has no quiescence notion and settles once per round.
+  /// the TCP backend drains once per round.
   virtual void run_cycles(std::size_t n) = 0;
 
-  /// Lets in-flight traffic finish: run_until_quiescent on the simulator, a
-  /// bounded real-time wait on the TCP backend.
+  /// Lets in-flight traffic finish: run_until_quiescent on the simulator's
+  /// event queue, and on the TCP backend's event loop up to a deadline.
   virtual void settle() = 0;
 
   // --- Dissemination ----------------------------------------------------------
@@ -244,8 +244,8 @@ class Backend {
 
   /// Waits for the injected broadcasts `ids` to finish: quiescence drain on
   /// the simulator (the default — timers included, so graft repair runs to
-  /// completion), recorder-progress polling bounded by the broadcast
-  /// timeout on TCP.
+  /// completion); on TCP a quiescence drain that also ends once every id
+  /// reached its alive population.
   virtual void settle_broadcasts(std::span<const std::uint64_t> ids) {
     (void)ids;
     settle();

@@ -348,8 +348,8 @@ NetworkConfig load_network(const json::Value& v, const std::string& path) {
 }
 
 /// The TCP substrate inherits every protocol-level parameter from the
-/// already-loaded network config, then applies its own node count, seed
-/// and real-time knobs.
+/// already-loaded network config, then applies its own node count, seed,
+/// drain deadlines and stats port.
 TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
                           const NetworkConfig& net) {
   TcpBackendConfig cfg;
@@ -365,12 +365,8 @@ TcpBackendConfig load_tcp(const json::Value* v, const std::string& path,
   cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.join_settle = r.get_duration_ms("join_settle_ms", cfg.join_settle);
   cfg.cycle_settle = r.get_duration_ms("cycle_settle_ms", cfg.cycle_settle);
-  cfg.leave_settle = r.get_duration_ms("leave_settle_ms", cfg.leave_settle);
-  cfg.settle_window = r.get_duration_ms("settle_window_ms", cfg.settle_window);
   cfg.broadcast_timeout =
       r.get_duration_ms("broadcast_timeout_ms", cfg.broadcast_timeout);
-  cfg.broadcast_quiet_window = r.get_duration_ms(
-      "broadcast_quiet_window_ms", cfg.broadcast_quiet_window);
   const std::int64_t port = r.get_int("stats_port", cfg.stats_port);
   HPV_CHECK_THROW(port >= -1 && port <= 65535,
                   "spec: " + path + ".stats_port: expected -1..65535");
@@ -489,6 +485,25 @@ Experiment load_phases(ObjectReader& r, std::string name) {
                "phases[" + std::to_string(i) + "]");
   }
   return spec;
+}
+
+/// A pub/sub tick puts sources x rate messages in flight at once. An id
+/// the dedup window evicts while its copies still travel is delivered
+/// again as new, so the flood never ends and its memory grows without
+/// bound: such a phase must not load.
+void check_dedup_window(const Experiment& spec, std::size_t window) {
+  for (std::size_t i = 0; i < spec.phases().size(); ++i) {
+    const Experiment::Phase& p = spec.phases()[i];
+    const std::size_t sources = p.pubsub.sources;
+    // sources x rate > window, without forming the product.
+    HPV_CHECK_THROW(p.kind != Experiment::PhaseKind::kPubSub ||
+                        sources == 0 || p.pubsub.rate <= window / sources,
+                    "spec: phases[" + std::to_string(i) + "]: sources (" +
+                        std::to_string(sources) + ") x rate (" +
+                        std::to_string(p.pubsub.rate) +
+                        ") exceeds network.gossip.dedup_window (" +
+                        std::to_string(window) + "); the flood never ends");
+  }
 }
 
 /// The sweep block's shape: an array of axes, each a non-empty array of
@@ -637,6 +652,7 @@ RunSpec spec_from_json(const json::Value& doc) {
   }
   spec.tcp = load_tcp(r.get("tcp"), "tcp", spec.net);
   spec.experiment = load_phases(r, spec.name);
+  check_dedup_window(spec.experiment, spec.net.gossip.dedup_window);
   if (const json::Value* sweep = r.get("sweep")) check_sweep(*sweep);
   r.finish();
   return spec;

@@ -39,9 +39,9 @@
 //     },
 //     "tcp": {                           // real-socket substrate overrides
 //       "nodes": 32 (>= 2), "seed": 42,  // default: the network values
-//       "join_settle_ms": 15, "cycle_settle_ms": 50, "leave_settle_ms": 40,
-//       "settle_window_ms": 30, "broadcast_timeout_ms": 5000,
-//       "broadcast_quiet_window_ms": 150,
+//       "join_settle_ms": 15,            // drain deadlines: a drain ends at
+//       "cycle_settle_ms": 50,           // quiescence, at the latest here
+//       "broadcast_timeout_ms": 5000,    // (join, round, everything else)
 //       "stats_port": -1                 // -1 off, 0 ephemeral, else fixed
 //     },                                 // every *_ms key: >= 0
 //     "phases": [                        // required; Experiment::from_json
@@ -59,6 +59,9 @@
 //        "joins_per_cycle": 4, "pareto_alpha": 1.5, "pareto_xm": 2.0,
 //        "lognormal_mu": 1.5, "lognormal_sigma": 1.0,
 //        "graceful_fraction": 0.5, "probes_per_cycle": 2, ...},
+//       {"kind": "pubsub", "sources": 4, "ticks": 25, "rate": 1,
+//        "churn_fraction": 0.0, "cycles_per_tick": 0, ...},
+//                           // sources x rate <= network.gossip.dedup_window
 //       {"kind": "sybil_burst", "per_adversary": 8, ...},
 //       {"kind": "settle", ...},
 //       {"kind": "overlay", ...}         // graph metrics, sends nothing

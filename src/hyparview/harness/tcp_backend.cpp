@@ -1,9 +1,11 @@
 #include "hyparview/harness/tcp_backend.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
 #include "hyparview/common/assert.hpp"
+#include "hyparview/common/logging.hpp"
 #include "hyparview/harness/stats_export.hpp"
 
 namespace hyparview::harness {
@@ -46,8 +48,12 @@ TcpBackend::~TcpBackend() {
   }
 }
 
-void TcpBackend::wait(Duration d) {
-  loop_.run_until([] { return false; }, d);
+void TcpBackend::drain(const char* what, const std::function<bool()>& done) {
+  if (!loop_.run_until_quiescent(config_.broadcast_timeout, done)) {
+    HPV_LOG_WARN("tcp backend: %s still busy at broadcast_timeout (%lld ms)",
+                 what,
+                 static_cast<long long>(config_.broadcast_timeout / 1000));
+  }
 }
 
 std::unique_ptr<gossip::NodeRuntime> TcpBackend::spawn_node(
@@ -110,7 +116,7 @@ void TcpBackend::run_cycles(std::size_t n) {
       if (!nodes_[i].alive) continue;
       protocol(i).on_cycle();
     }
-    wait(config_.cycle_settle);
+    loop_.run_until_quiescent(config_.cycle_settle);
   }
 }
 
@@ -119,47 +125,12 @@ void TcpBackend::settle_broadcasts(std::span<const std::uint64_t> ids) {
     settle();
     return;
   }
-  // Done when every id reached its own registered alive population — or
-  // when the batch went quiet (no new deliveries/duplicates for a window):
-  // after failures, protocols without a failure detector legitimately stall
-  // below full delivery, and waiting the whole timeout per probe would turn
-  // a partial-delivery measurement into minutes of dead air. "Progress" is
-  // the combined delivered+duplicate count over the batch, so one still-
-  // flooding message keeps the whole window open.
-  //
-  // Two edge cases the cutoff must get right (tcp_backend_test pins both):
-  //  * before the first observation there is no "last progress" to go
-  //    quiet from — slow connection establishment must not be misread as a
-  //    stalled flood, so the quiet cutoff only engages once something has
-  //    been seen;
-  //  * a flood that never produces an observation (or a quiet window
-  //    misconfigured above the timeout) must still terminate: the hard
-  //    `broadcast_timeout` deadline inside run_until is the backstop.
-  std::uint64_t last_seen = 0;
-  TimePoint last_progress = loop_.now();
-  loop_.run_until(
-      [&] {
-        bool all_done = true;
-        std::uint64_t seen = 0;
-        for (const std::uint64_t id : ids) {
-          const analysis::MessageResult& r = recorder().result(id);
-          if (r.delivered < r.alive_nodes) all_done = false;
-          seen += static_cast<std::uint64_t>(r.delivered) + r.duplicates;
-        }
-        if (all_done) return true;
-        const TimePoint now = loop_.now();
-        if (seen != last_seen) {
-          last_seen = seen;
-          last_progress = now;
-          return false;  // progress this very poll; the window restarts
-        }
-        // Same monotonic clock on both sides, but clamp anyway: a negative
-        // elapsed must read as "not quiet yet", never as an underflowed
-        // huge gap that ends the wait instantly.
-        const Duration quiet = now > last_progress ? now - last_progress : 0;
-        return last_seen > 0 && quiet > config_.broadcast_quiet_window;
-      },
-      config_.broadcast_timeout);
+  drain("settle_broadcasts", [&] {
+    return std::all_of(ids.begin(), ids.end(), [&](std::uint64_t id) {
+      const analysis::MessageResult& r = recorder().result(id);
+      return r.delivered >= r.alive_nodes;
+    });
+  });
 }
 
 std::size_t TcpBackend::peer_slot(const NodeId& peer) const {

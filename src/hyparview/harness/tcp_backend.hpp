@@ -9,18 +9,21 @@
 //
 // The same protocol and gossip code the simulator runs executes here
 // unchanged, driven by the same harness::Backend pipeline; only how a node
-// is spawned, killed, cycled and drained differs. Real time replaces
-// quiescence: where the sim backend drains its event queue, this backend
-// either waits a configured settle window or — for broadcasts — polls the
-// delivery recorder until the message reached every alive node (bounded by
-// a timeout, so partial delivery after a failure still yields a result).
+// is spawned, killed, cycled and drained differs. Where the sim backend
+// drains its event queue, this backend runs the loop until it is quiescent
+// (EventLoop::run_until_quiescent): no socket ready, no byte unsent, no
+// dial in progress and no timer due before the drain's deadline. Each
+// drain also has a deadline, so a bug that keeps traffic alive still ends
+// the step. A broadcast batch ends early too, once every message reached
+// its alive population.
 //
-// Threading: everything runs on the calling thread (EventLoop::run_until),
+// Threading: everything runs on the calling thread, which drives the loop,
 // exactly like the in-process cluster tests — protocol code stays
 // lock-free, and the whole backend is TSan-clean by construction.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,26 +40,21 @@ namespace hyparview::harness {
 class StatsExporter;  // stats_export.hpp
 
 /// The real-socket substrate: the shared protocol block plus the transport
-/// template, the real-time settle windows and the live stats endpoint.
+/// template, the drain deadlines and the live stats endpoint.
 struct TcpBackendConfig : ClusterConfig {
   /// Per-node transport template; the bind port stays 0 (every node gets
   /// its own ephemeral loopback port), rng_seed is derived per node.
   net::TcpTransportConfig transport;
 
-  /// Real-time settle windows replacing the simulator's quiescence drains.
+  /// Deadlines of the quiescence drains: a drain ends once nothing is in
+  /// flight, at the latest at its deadline. One join's drain, and the
+  /// drain after each round of run_cycles.
   Duration join_settle = milliseconds(15);
   Duration cycle_settle = milliseconds(50);
-  Duration leave_settle = milliseconds(40);
-  Duration settle_window = milliseconds(30);
-  /// Upper bound on waiting for one broadcast to reach every alive node.
+  /// The deadline of every other drain: settle(), a leaver's goodbyes and
+  /// a broadcast batch. On loopback only a bug keeps traffic alive that
+  /// long, so a drain that reaches it logs a warning.
   Duration broadcast_timeout = seconds(5);
-  /// A broadcast also completes once the recorder sees no new deliveries
-  /// (or duplicates) for this long: after failures, protocols without a
-  /// failure detector legitimately stall below full delivery, and waiting
-  /// the whole timeout per probe would stretch a partial-delivery
-  /// measurement into minutes. Loopback traffic settles in a few ms, so
-  /// the window is generous.
-  Duration broadcast_quiet_window = milliseconds(150);
 
   /// Live stats endpoint (harness/stats_export.hpp): -1 disables it, 0
   /// binds an ephemeral loopback port (StatsExporter::port() reports it),
@@ -64,7 +62,7 @@ struct TcpBackendConfig : ClusterConfig {
   /// one JSON snapshot and is closed — poll it while the run is live.
   int stats_port = -1;
 
-  /// ClusterConfig::defaults_for with the default real-time knobs.
+  /// ClusterConfig::defaults_for with the default drain deadlines.
   [[nodiscard]] static TcpBackendConfig defaults_for(ProtocolKind kind,
                                                      std::size_t nodes,
                                                      std::uint64_t seed);
@@ -87,15 +85,15 @@ class TcpBackend final : public Backend {
   /// goodbyes — survivors find out when their next write fails.
   void kill_node(std::size_t i) override;
 
-  /// One settle window per round — real time has no quiescence.
+  /// Every alive node acts once per round, in random order, then the round
+  /// drains (at most cycle_settle).
   void run_cycles(std::size_t n) override;
 
-  void settle() override { wait(config_.settle_window); }
+  void settle() override { drain("settle"); }
 
-  /// Waits for a batch of in-flight broadcasts: done when every id reached
-  /// its registered alive population, when their combined progress went
-  /// quiet (post-failure partial delivery), or at the hard
-  /// broadcast_timeout.
+  /// Drains a batch of in-flight broadcasts: done when every id reached
+  /// its registered alive population, or at quiescence (after failures,
+  /// protocols without a failure detector stall below full delivery).
   void settle_broadcasts(std::span<const std::uint64_t> ids) override;
 
   /// TCP ids are real ip:port addresses — the index map resolves whoever
@@ -146,16 +144,19 @@ class TcpBackend final : public Backend {
   ClusterConfig& cluster_config() override { return config_; }
   /// Binds a transport and builds its runtime; registers the id.
   std::unique_ptr<gossip::NodeRuntime> spawn_node(std::size_t index) override;
-  void settle_join() override { wait(config_.join_settle); }
+  void settle_join() override {
+    loop_.run_until_quiescent(config_.join_settle);
+  }
   /// Sums every transport's stats (dead ones included): frames and bytes,
   /// per wire type too, send failures and dials.
   void read_substrate_counters(Counters& out) const override;
-  /// A real shutdown discards unflushed frames: one leave_settle window
+  /// A real shutdown discards unflushed frames: the goodbyes drain
   /// between Protocol::leave and the socket teardown.
-  void flush_goodbyes() override { wait(config_.leave_settle); }
+  void flush_goodbyes() override { drain("flush_goodbyes"); }
 
-  /// Runs the event loop for `d` of wall-clock time (no early exit).
-  void wait(Duration d);
+  /// Runs the loop until it is quiescent or `done` returns true, at most
+  /// broadcast_timeout; reaching it logs a warning naming `what`.
+  void drain(const char* what, const std::function<bool()>& done = nullptr);
 
   TcpBackendConfig config_;
   net::EventLoop loop_;

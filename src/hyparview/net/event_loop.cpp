@@ -1,10 +1,11 @@
 #include "hyparview/net/event_loop.hpp"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <time.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <limits>
 
 #include "hyparview/common/assert.hpp"
 #include "hyparview/common/logging.hpp"
@@ -12,12 +13,19 @@
 namespace hyparview::net {
 namespace {
 
-thread_local const void* t_current_loop = nullptr;
+constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+constexpr Duration kMaxWait = milliseconds(100);
 
 TimePoint monotonic_now() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<TimePoint>(ts.tv_sec) * 1'000'000 + ts.tv_nsec / 1'000;
+}
+
+/// `timeout` after `now`, saturating: a spec may set a deadline or a
+/// timer delay (in microseconds) up to the int64 limit.
+TimePoint deadline_after(TimePoint now, Duration timeout) {
+  return timeout > kNever - now ? kNever : now + timeout;
 }
 
 std::uint32_t epoll_mask(bool want_read, bool want_write) {
@@ -32,68 +40,61 @@ std::uint32_t epoll_mask(bool want_read, bool want_write) {
 EventLoop::EventLoop() {
   epoll_fd_.reset(::epoll_create1(EPOLL_CLOEXEC));
   HPV_CHECK_THROW(epoll_fd_.valid(), "epoll_create1 failed");
-  wake_fd_.reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
-  HPV_CHECK_THROW(wake_fd_.valid(), "eventfd failed");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_.get();
-  HPV_CHECK(::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev) ==
-            0);
 }
-
-EventLoop::~EventLoop() = default;
 
 TimePoint EventLoop::now() const { return monotonic_now(); }
 
-bool EventLoop::in_loop_thread() const {
-  return loop_thread_.load(std::memory_order_relaxed) == &t_current_loop ||
-         loop_thread_.load(std::memory_order_relaxed) == nullptr;
-}
-
-void EventLoop::run() {
-  loop_thread_.store(&t_current_loop, std::memory_order_relaxed);
-  stop_.store(false, std::memory_order_relaxed);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    run_pre_poll();
-    iterate(next_timeout_ms());
-  }
-  loop_thread_.store(nullptr, std::memory_order_relaxed);
-}
-
 bool EventLoop::run_until(const std::function<bool()>& pred,
                           Duration timeout) {
-  loop_thread_.store(&t_current_loop, std::memory_order_relaxed);
-  const TimePoint deadline = now() + timeout;
+  const TimePoint deadline = deadline_after(now(), timeout);
   while (!pred() && now() < deadline) {
     run_pre_poll();
-    int wait_ms = next_timeout_ms();
-    const auto remaining_ms = static_cast<int>((deadline - now()) / 1000);
-    if (wait_ms < 0 || wait_ms > remaining_ms) wait_ms = remaining_ms;
-    iterate(wait_ms < 1 ? 1 : wait_ms);
+    iterate(wait_ms(deadline));
   }
   run_pre_poll();
-  loop_thread_.store(nullptr, std::memory_order_relaxed);
   return pred();
 }
 
-void EventLoop::iterate(int timeout_ms) {
+bool EventLoop::run_until_quiescent(Duration timeout,
+                                    const std::function<bool()>& done) {
+  const TimePoint deadline = deadline_after(now(), timeout);
+  while (!(done && done())) {
+    if (now() >= deadline) {
+      run_pre_poll();
+      return false;
+    }
+    run_pre_poll();
+    if (iterate(0) > 0) continue;  // progress: look again before judging
+    // Nothing was ready. A live timer due before the deadline is still to
+    // come: sleep until it (an fd event wakes the loop sooner). Otherwise
+    // ask the hooks; a busy one has bytes in flight that raise an event on
+    // the receiving socket, so a 1 ms poll is enough to re-check.
+    if (next_timer() < deadline) {
+      iterate(wait_ms(deadline));
+    } else if (std::all_of(pre_poll_.begin(), pre_poll_.end(),
+                           [](const PrePollHook* h) { return h->idle(); })) {
+      break;
+    } else {
+      iterate(1);
+    }
+  }
+  run_pre_poll();
+  return true;
+}
+
+std::size_t EventLoop::iterate(int timeout_ms) {
   epoll_event events[64];
   const int n = ::epoll_wait(epoll_fd_.get(), events, 64, timeout_ms);
   if (n < 0 && errno != EINTR) {
     HPV_LOG_ERROR("epoll_wait failed: errno=%d", errno);
-    return;
+    return 0;
   }
+  std::size_t ran = 0;
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
-    if (fd == wake_fd_.get()) {
-      std::uint64_t value = 0;
-      // Drain the eventfd counter; posted tasks run below.
-      [[maybe_unused]] const ssize_t r =
-          ::read(wake_fd_.get(), &value, sizeof(value));
-      continue;
-    }
     const auto it = handlers_.find(fd);
     if (it == handlers_.end()) continue;  // unregistered while queued
+    ++ran;
     IoHandler* handler = it->second;
     const std::uint32_t mask = events[i].events;
     if ((mask & (EPOLLERR | EPOLLHUP)) != 0) {
@@ -107,71 +108,53 @@ void EventLoop::iterate(int timeout_ms) {
     }
     if ((mask & EPOLLOUT) != 0) handler->on_writable();
   }
-  drain_posted();
-  fire_due_timers();
+  return ran + fire_due_timers();
 }
 
 void EventLoop::run_pre_poll() {
   for (PrePollHook* hook : pre_poll_) hook->before_poll();
 }
 
-void EventLoop::drain_posted() {
-  std::vector<std::function<void()>> tasks;
-  {
-    const std::lock_guard<std::mutex> lock(posted_mutex_);
-    tasks.swap(posted_);
-  }
-  for (auto& task : tasks) task();
-}
-
-void EventLoop::fire_due_timers() {
+std::size_t EventLoop::fire_due_timers() {
   const TimePoint t = now();
+  std::size_t fired = 0;
   while (!timers_.empty() && timers_.top().deadline <= t) {
     Timer timer = timers_.pop();
-    const auto it = timer_alive_.find(timer.id);
-    const bool alive = it != timer_alive_.end() && it->second;
-    timer_alive_.erase(timer.id);
-    if (alive && timer.fn) timer.fn();
+    if (live_timers_.erase(timer.id) == 0) continue;  // cancelled
+    ++fired;
+    if (timer.fn) timer.fn();
   }
+  return fired;
 }
 
-int EventLoop::next_timeout_ms() const {
-  if (timers_.empty()) return 100;  // wake periodically for stop()/posted
-  const Duration delta = timers_.top().deadline - now();
-  if (delta <= 0) return 0;
-  const Duration ms = delta / 1000;
-  return ms > 100 ? 100 : static_cast<int>(ms) + 1;
-}
-
-void EventLoop::stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  post([] {});  // wake
-}
-
-void EventLoop::post(std::function<void()> fn) {
-  {
-    const std::lock_guard<std::mutex> lock(posted_mutex_);
-    posted_.push_back(std::move(fn));
+TimePoint EventLoop::next_timer() {
+  while (!timers_.empty() && !live_timers_.contains(timers_.top().id)) {
+    timers_.pop();
   }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r =
-      ::write(wake_fd_.get(), &one, sizeof(one));
+  return timers_.empty() ? kNever : timers_.top().deadline;
+}
+
+int EventLoop::wait_ms(TimePoint deadline) {
+  const TimePoint until = std::min(deadline, next_timer());
+  const TimePoint t = now();
+  if (until <= t) return 0;
+  // Round up, so a wait shorter than 1 ms sleeps instead of spinning.
+  return static_cast<int>((std::min(until - t, kMaxWait) + 999) / 1000);
 }
 
 std::uint64_t EventLoop::schedule(Duration delay, TimerTask fn) {
   HPV_CHECK(delay >= 0);
   Timer timer;
-  timer.deadline = now() + delay;
+  timer.deadline = deadline_after(now(), delay);
   timer.id = next_timer_id_++;
   timer.fn = std::move(fn);
-  timer_alive_[timer.id] = true;
+  live_timers_.insert(timer.id);
   timers_.push(std::move(timer));
   return next_timer_id_ - 1;
 }
 
 void EventLoop::cancel(std::uint64_t timer_id) {
-  const auto it = timer_alive_.find(timer_id);
-  if (it != timer_alive_.end()) it->second = false;
+  live_timers_.erase(timer_id);
 }
 
 void EventLoop::register_fd(int fd, IoHandler* handler, bool want_read,

@@ -1,15 +1,16 @@
-// Single-threaded epoll event loop with a timer heap and cross-thread task
-// posting. All protocol code on the TCP backend runs on the loop thread,
-// which keeps the protocol implementations lock-free (the same property the
-// simulator gives them).
+// Single-threaded epoll event loop with a timer heap. One thread drives it
+// (run_until, run_until_quiescent) and owns everything registered on it;
+// nothing here is thread-safe. All protocol code on the TCP backend runs on
+// that thread, which keeps the protocol implementations lock-free (the same
+// property the simulator gives them). Every socket of an in-process cluster
+// lives on one loop, so the loop can tell when nothing is in flight:
+// run_until_quiescent is the counterpart of the simulator's drained queue.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "hyparview/common/function.hpp"
@@ -42,51 +43,51 @@ class PrePollHook {
  public:
   virtual ~PrePollHook() = default;
   virtual void before_poll() = 0;
+  /// False while the hook has work in flight that no poll would report.
+  /// run_until_quiescent asks only after a zero-timeout poll found
+  /// nothing, so this may cost a system call per socket.
+  [[nodiscard]] virtual bool idle() const = 0;
 };
 
 class EventLoop {
  public:
   EventLoop();
-  ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Runs until stop(). Must be called from exactly one thread.
-  void run();
-
   /// Runs pending work until `pred` returns true or `timeout` elapses.
-  /// Returns pred(). For tests and single-threaded drivers. The pre-poll
-  /// hooks run once more before it returns, so work they defer (unsent
-  /// frames) never outlives the call.
+  /// Returns pred(). The pre-poll hooks run once more before it returns,
+  /// so work they defer (unsent frames) never outlives the call.
   bool run_until(const std::function<bool()>& pred, Duration timeout);
 
-  /// Thread-safe: wakes the loop and stops run().
-  void stop();
+  /// Runs pending work until `done` (when given) returns true, `timeout`
+  /// elapses, or the loop is quiescent: an epoll_wait with timeout 0
+  /// dispatches nothing and fires no timer, every pre-poll hook reports
+  /// idle(), and no live timer is due before the deadline. Returns false
+  /// only when the deadline ended it. Timers due after the deadline neither
+  /// hold the drain nor fire. The pre-poll hooks run once more before it
+  /// returns, as in run_until.
+  bool run_until_quiescent(Duration timeout,
+                           const std::function<bool()>& done = nullptr);
 
-  /// Thread-safe: enqueues fn to execute on the loop thread.
-  void post(std::function<void()> fn);
-
-  /// Loop thread only: one-shot timer. Returns an id usable with cancel().
+  /// One-shot timer. Returns an id usable with cancel().
   std::uint64_t schedule(Duration delay, TimerTask fn);
+  /// A cancelled timer never fires; an unknown or fired id is a no-op.
   void cancel(std::uint64_t timer_id);
 
-  /// Loop thread only.
   void register_fd(int fd, IoHandler* handler, bool want_read,
                    bool want_write);
   void update_fd(int fd, bool want_read, bool want_write);
   void unregister_fd(int fd);
 
-  /// Loop thread only: `hook` runs before every epoll_wait, in registration
-  /// order. Remove it before destroying it. A running hook must not add or
-  /// remove hooks.
+  /// `hook` runs before every epoll_wait, in registration order. Remove it
+  /// before destroying it. A running hook must not add or remove hooks.
   void add_pre_poll(PrePollHook* hook);
   void remove_pre_poll(PrePollHook* hook);
 
   /// Monotonic clock in microseconds.
   [[nodiscard]] TimePoint now() const;
-
-  [[nodiscard]] bool in_loop_thread() const;
 
  private:
   struct Timer {
@@ -101,23 +102,25 @@ class EventLoop {
     }
   };
 
-  void iterate(int timeout_ms);
+  /// One epoll_wait of at most `timeout_ms`, then the due timers. Returns
+  /// how many handlers and timers ran.
+  std::size_t iterate(int timeout_ms);
   void run_pre_poll();
-  void drain_posted();
-  void fire_due_timers();
-  [[nodiscard]] int next_timeout_ms() const;
+  std::size_t fire_due_timers();
+  /// Deadline of the earliest live timer (cancelled ones on top of the
+  /// heap are dropped), or the largest TimePoint when there is none.
+  TimePoint next_timer();
+  /// epoll_wait timeout up to the next live timer or `deadline`, whichever
+  /// comes first, and at most 100 ms: a predicate may read state another
+  /// thread sets, and no event would wake the loop for it.
+  int wait_ms(TimePoint deadline);
 
   Fd epoll_fd_;
-  Fd wake_fd_;  // eventfd
-  std::atomic<bool> stop_{false};
-  std::atomic<const void*> loop_thread_{nullptr};
-
-  std::mutex posted_mutex_;
-  std::vector<std::function<void()>> posted_;
 
   sim::MinHeap<Timer, TimerLess> timers_;
   std::uint64_t next_timer_id_ = 1;
-  std::unordered_map<std::uint64_t, bool> timer_alive_;
+  /// Ids of the scheduled timers that are neither fired nor cancelled.
+  std::unordered_set<std::uint64_t> live_timers_;
 
   std::unordered_map<int, IoHandler*> handlers_;
   std::vector<PrePollHook*> pre_poll_;

@@ -1,8 +1,10 @@
 #include "hyparview/net/tcp_transport.hpp"
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -129,7 +131,7 @@ class TcpTransport::Connection final : public IoHandler {
 
   /// Outbound constructor: dials `peer`.
   Connection(TcpTransport* transport, const NodeId& peer)
-      : transport_(transport), peer_(peer), inbound_(false) {
+      : transport_(transport), peer_(peer) {
     fd_ = make_tcp_socket();
     sockaddr_in addr = make_addr(peer.ip, peer.port);
     const int rc =
@@ -150,10 +152,7 @@ class TcpTransport::Connection final : public IoHandler {
 
   /// Inbound constructor: accepted socket, peer unknown until HELLO.
   Connection(TcpTransport* transport, Fd fd)
-      : transport_(transport),
-        peer_(kNoNode),
-        inbound_(true),
-        fd_(std::move(fd)) {
+      : transport_(transport), peer_(kNoNode), fd_(std::move(fd)) {
     state_ = State::kEstablished;
     const int one = 1;
     ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -161,19 +160,20 @@ class TcpTransport::Connection final : public IoHandler {
     queue_frame(wire::Hello{transport_->local_id()});
   }
 
-  ~Connection() override {
-    *alive_flag_ = false;
-    detach();
-  }
+  ~Connection() override { detach(); }
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] const NodeId& peer() const { return peer_; }
   [[nodiscard]] bool identified() const { return peer_ != kNoNode; }
-  [[nodiscard]] bool inbound() const { return inbound_; }
   /// True when queued frames wait for the next flush pass.
   [[nodiscard]] bool flush_due() const {
     return state_ == State::kEstablished && !want_write_ &&
            out_sent_ < out_.size();
+  }
+
+  /// No dial in progress and no unsent byte in the output buffer.
+  [[nodiscard]] bool user_space_idle() const {
+    return state_ != State::kConnecting && out_sent_ == out_.size();
   }
 
   void add_connect_callback(membership::ConnectCallback cb) {
@@ -194,7 +194,7 @@ class TcpTransport::Connection final : public IoHandler {
                    transport_->local_id().to_string().c_str(), out_.size(),
                    peer_.to_string().c_str());
       ++transport_->stats_.output_overflows;
-      close_now(/*notify=*/true, /*error=*/true, &msg);
+      close_now(/*notify=*/true, &msg);
       return;
     }
     queue_frame(msg, frame_bytes);
@@ -206,6 +206,7 @@ class TcpTransport::Connection final : public IoHandler {
   /// (and possibly the endpoint) are being destroyed.
   void abandon() {
     expected_close_ = true;
+    transport_->loop_.cancel(reaper_);
     dirty_ = false;
     connect_callbacks_.clear();
     out_.clear();
@@ -221,7 +222,7 @@ class TcpTransport::Connection final : public IoHandler {
   void close_graceful() {
     expected_close_ = true;
     if (state_ != State::kEstablished && state_ != State::kConnecting) {
-      close_now(/*notify=*/false, /*error=*/false);
+      close_now(/*notify=*/false);
       return;
     }
     closing_after_flush_ = true;
@@ -233,20 +234,19 @@ class TcpTransport::Connection final : public IoHandler {
 
   /// `unqueued`: a frame that never entered the buffer, reported after the
   /// buffered ones.
-  void close_now(bool notify, bool error,
-                 const wire::Message* unqueued = nullptr) {
+  void close_now(bool notify, const wire::Message* unqueued = nullptr) {
     if (state_ == State::kClosed) return;
-    HPV_LOG_DEBUG("tcp %s: close conn to %s (notify=%d error=%d fd %d)",
+    HPV_LOG_DEBUG("tcp %s: close conn to %s (notify=%d fd %d)",
                   transport_->local_id().to_string().c_str(),
-                  peer_.to_string().c_str(), notify ? 1 : 0, error ? 1 : 0,
-                  fd_.get());
+                  peer_.to_string().c_str(), notify ? 1 : 0, fd_.get());
     state_ = State::kClosed;
+    transport_->loop_.cancel(reaper_);
     detach();
     // Fail any connect waiters.
     auto cbs = std::move(connect_callbacks_);
     connect_callbacks_.clear();
     for (auto& cb : cbs) cb(false);
-    transport_->on_closed(this, notify && !expected_close_ && error);
+    transport_->on_closed(this);
     // Taken before any upcall: the endpoint may send again, and a frame
     // for this peer must then dial afresh, not land in this buffer.
     std::vector<std::uint8_t> out = std::move(out_);
@@ -301,12 +301,12 @@ class TcpTransport::Connection final : public IoHandler {
       if (n == 0) {
         // Peer EOF. After our own graceful half-close this is the expected
         // handshake completion; otherwise it is a failure signal.
-        close_now(/*notify=*/!draining_, /*error=*/!draining_);
+        close_now(/*notify=*/!draining_);
         return;
       }
       if (err_would_block(errno)) return;
       if (errno == EINTR) continue;
-      close_now(/*notify=*/!draining_, /*error=*/!draining_);
+      close_now(/*notify=*/!draining_);
       return;
     }
   }
@@ -317,7 +317,7 @@ class TcpTransport::Connection final : public IoHandler {
       socklen_t len = sizeof(err);
       ::getsockopt(fd_.get(), SOL_SOCKET, SO_ERROR, &err, &len);
       if (err != 0) {
-        close_now(/*notify=*/true, /*error=*/true);
+        close_now(/*notify=*/true);
         return;
       }
       state_ = State::kEstablished;
@@ -327,14 +327,13 @@ class TcpTransport::Connection final : public IoHandler {
       auto cbs = std::move(connect_callbacks_);
       connect_callbacks_.clear();
       for (auto& cb : cbs) cb(true);
-      transport_->on_connected(this);
     }
     // The HELLO queued at the dial, the frames queued while it was in
     // flight, and any the callbacks just sent go out together.
     flush();
   }
 
-  void on_io_error() override { close_now(/*notify=*/true, /*error=*/true); }
+  void on_io_error() override { close_now(/*notify=*/true); }
 
  private:
   /// Hands the unsent bytes to the kernel in one send() (more only when it
@@ -360,7 +359,7 @@ class TcpTransport::Connection final : public IoHandler {
           return;
         }
         if (errno == EINTR) continue;
-        close_now(/*notify=*/true, /*error=*/true);
+        close_now(/*notify=*/true);
         return;
       }
       transport_->stats_.bytes_sent += static_cast<std::uint64_t>(n);
@@ -434,13 +433,12 @@ class TcpTransport::Connection final : public IoHandler {
     if (draining_ || state_ != State::kEstablished) return;
     draining_ = true;
     ::shutdown(fd_.get(), SHUT_WR);
-    // Reap the connection even if the peer never closes its side.
-    transport_->loop_.schedule(kDrainTimeout,
-                               [this, alive = alive_flag_] {
-                                 if (*alive) {
-                                   close_now(/*notify=*/false, /*error=*/false);
-                                 }
-                               });
+    // Reap the connection even if the peer never closes its side. Every
+    // close cancels the reaper: it must not fire on a deleted connection,
+    // and a live one would hold every quiescence drain until it fires.
+    reaper_ = transport_->loop_.schedule(kDrainTimeout, [this] {
+      close_now(/*notify=*/false);
+    });
   }
 
   /// Dispatches every whole frame in the read buffer. Returns false if the
@@ -454,7 +452,7 @@ class TcpTransport::Connection final : public IoHandler {
                      peer_.to_string().c_str());
         ++transport_->stats_.oversized_frames;
         ++transport_->stats_.malformed_frames;
-        close_now(/*notify=*/true, /*error=*/true);
+        close_now(/*notify=*/true);
         return false;
       }
       if (in_end_ - in_head_ - kLenPrefixBytes < len) break;
@@ -469,7 +467,7 @@ class TcpTransport::Connection final : public IoHandler {
         HPV_LOG_WARN("tcp: malformed frame from %s: %s",
                      peer_.to_string().c_str(), err.what());
         ++transport_->stats_.malformed_frames;
-        close_now(/*notify=*/true, /*error=*/true);
+        close_now(/*notify=*/true);
         return false;
       }
     }
@@ -496,7 +494,7 @@ class TcpTransport::Connection final : public IoHandler {
     if (!identified()) {
       HPV_LOG_WARN("tcp: frame before HELLO; closing");
       ++transport_->stats_.frames_before_hello;
-      close_now(/*notify=*/false, /*error=*/true);
+      close_now(/*notify=*/false);
       return;
     }
     transport_->on_frame(this, msg);
@@ -506,7 +504,6 @@ class TcpTransport::Connection final : public IoHandler {
 
   TcpTransport* transport_;
   NodeId peer_;
-  bool inbound_;
   Fd fd_;
   State state_ = State::kClosed;
   bool expected_close_ = false;
@@ -523,8 +520,8 @@ class TcpTransport::Connection final : public IoHandler {
   std::size_t in_head_ = 0;
   std::size_t in_end_ = 0;
   std::vector<membership::ConnectCallback> connect_callbacks_;
-  /// Guards deferred timers against the connection being deleted first.
-  std::shared_ptr<bool> alive_flag_ = std::make_shared<bool>(true);
+  /// The half-close reaper timer (0: none scheduled).
+  std::uint64_t reaper_ = 0;
 
   friend class TcpTransport;
 };
@@ -650,8 +647,6 @@ void TcpTransport::schedule(Duration delay, membership::TaskCallback fn) {
   loop_.schedule(delay, std::move(fn));
 }
 
-void TcpTransport::on_connected(Connection* /*conn*/) {}
-
 void TcpTransport::on_identified(Connection* conn) {
   // Keep the first mapping if we already have a live connection (e.g. both
   // sides dialed simultaneously); the extra connection still delivers reads.
@@ -663,7 +658,7 @@ void TcpTransport::on_frame(Connection* conn, const wire::Message& msg) {
   if (endpoint_ != nullptr) endpoint_->deliver(conn->peer(), msg);
 }
 
-void TcpTransport::on_closed(Connection* conn, bool /*error*/) {
+void TcpTransport::on_closed(Connection* conn) {
   const auto it = by_peer_.find(conn->peer().raw());
   if (it != by_peer_.end() && it->second == conn) by_peer_.erase(it);
 }
@@ -695,6 +690,20 @@ void TcpTransport::before_poll() {
     conn->flush();
   }
   dirty_.clear();
+}
+
+bool TcpTransport::idle() const {
+  for (const auto& conn : connections_) {
+    if (!conn->user_space_idle()) return false;
+  }
+  // The ioctl pass runs only once every connection passed the cheap test.
+  int unsent = 0;
+  for (const auto& conn : connections_) {
+    if (::ioctl(conn->fd_.get(), SIOCOUTQNSD, &unsent) == 0 && unsent > 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void TcpTransport::remove_connection(Connection* conn) {

@@ -38,6 +38,14 @@
 // doubling, can reach twice that), and a buffer that drains gives back
 // what a backlog grew.
 //
+// Quiescence (EventLoop::run_until_quiescent): idle() holds when no
+// connection is dialing or holds unsent output and ioctl(SIOCOUTQNSD), the
+// bytes the kernel has not yet sent, reads 0 on every socket. SIOCOUTQ
+// would also count bytes the peer read but has not ACKed, and loopback
+// delays ACKs by 40 ms or more; unread input shows as EPOLLIN. The test
+// cannot see a segment still in the loopback backlog while the kernel
+// defers its receive softirq: a drain may end that moment early.
+//
 // Threading: everything runs on the owning EventLoop's thread. Multiple
 // transports (nodes) may share one loop, which is how the in-process
 // cluster tests and the tcp_cluster example run.
@@ -146,10 +154,9 @@ class TcpTransport final : public membership::Env, private PrePollHook {
   void adopt_inbound(std::unique_ptr<Connection> conn);
 
   /// Called by connections when their state changes.
-  void on_connected(Connection* conn);
   void on_identified(Connection* conn);
   void on_frame(Connection* conn, const wire::Message& msg);
-  void on_closed(Connection* conn, bool error);
+  void on_closed(Connection* conn);
 
   void report_send_failed(const NodeId& to, const wire::Message& msg);
   void report_link_closed(const NodeId& peer);
@@ -160,6 +167,8 @@ class TcpTransport final : public membership::Env, private PrePollHook {
   void mark_dirty(Connection* conn);
   /// The flush pass: one send() per connection that queued frames.
   void before_poll() override;
+  /// Nothing in flight (see the header comment).
+  [[nodiscard]] bool idle() const override;
 
   EventLoop& loop_;
   membership::Endpoint* endpoint_;

@@ -435,9 +435,7 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
   expect_rejected(gossip(R"("cache_window":0)"),
                   "network.gossip.cache_window");
   for (const char* key :
-       {"join_settle_ms", "cycle_settle_ms", "leave_settle_ms",
-        "settle_window_ms", "broadcast_timeout_ms",
-        "broadcast_quiet_window_ms"}) {
+       {"join_settle_ms", "cycle_settle_ms", "broadcast_timeout_ms"}) {
     const std::string k = key;
     expect_rejected(R"({"name":"x","tcp":{")" + k + R"(":-1},"phases":[]})",
                     "tcp." + k);
@@ -463,14 +461,14 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
   const RunSpec edge = spec_from_json(json::Value::parse(
       R"({"name":"x","network":{"nodes":2,"gossip":{"graft_timeout_ms":0,)"
       R"("dedup_window":1,"cache_window":1}},)"
-      R"("tcp":{"nodes":2,"settle_window_ms":9223372036854775},)"
+      R"("tcp":{"nodes":2,"broadcast_timeout_ms":9223372036854775},)"
       R"("phases":[]})"));
   EXPECT_EQ(edge.net.node_count, 2u);
   EXPECT_EQ(edge.net.gossip.graft_timeout, 0);
   EXPECT_EQ(edge.net.gossip.dedup_window, 1u);
   EXPECT_EQ(edge.net.gossip.cache_window, 1u);
   EXPECT_EQ(edge.tcp.node_count, 2u);
-  EXPECT_EQ(edge.tcp.settle_window, milliseconds(9223372036854775));
+  EXPECT_EQ(edge.tcp.broadcast_timeout, milliseconds(9223372036854775));
 }
 
 TEST(SpecJsonTest, RejectsRemovedBatchingKeys) {
@@ -485,6 +483,37 @@ TEST(SpecJsonTest, RejectsRemovedBatchingKeys) {
                   R"("baseline":"b","max_cycles":5,"probes_per_cycle":1,)"
                   R"("batch":1}]})",
                   "phases[0].batch");
+}
+
+TEST(SpecJsonTest, RejectsRemovedSettleKeys) {
+  // TCP drains end at quiescence; these fixed windows are gone, and an old
+  // spec carrying one must fail loudly instead of ignoring it.
+  for (const char* key :
+       {"leave_settle_ms", "settle_window_ms", "broadcast_quiet_window_ms"}) {
+    const std::string k = key;
+    expect_rejected(R"({"name":"x","tcp":{")" + k + R"(":10},"phases":[]})",
+                    "tcp." + k);
+  }
+}
+
+/// The reduced spec that used to pass --validate and then never end (at a
+/// window of 1): two sources put two messages in flight per tick.
+std::string dedup_spec(int window) {
+  return R"({"name":"dedup","network":{"protocol":"HyParView","nodes":64,)"
+         R"("gossip":{"dedup_window":)" +
+         std::to_string(window) +
+         R"(}},"phases":[{"kind":"stabilize","cycles":5},)"
+         R"({"kind":"pubsub","sources":2,"rate":1,"ticks":1}]})";
+}
+
+TEST(SpecJsonTest, RejectsPubSubPhaseAboveDedupWindow) {
+  expect_rejected(dedup_spec(1), "phases[1]: sources (2) x rate (1)");
+  expect_rejected(dedup_spec(1), "network.gossip.dedup_window (1)");
+  // A window that holds the whole tick loads, and the run ends.
+  const RunSpec ok = spec_from_json(json::Value::parse(dedup_spec(2)));
+  auto cluster = Cluster::sim(ok.net);
+  const ExperimentResult result = cluster.run(ok.experiment);
+  EXPECT_EQ(result.phase("pubsub").broadcasts.size(), 2u);
 }
 
 TEST(SpecJsonTest, RejectsHealUntilWithoutEarlierBroadcastBaseline) {
@@ -530,8 +559,8 @@ TEST(SpecJsonTest, RejectsHealUntilWithoutEarlierBroadcastBaseline) {
 TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
   // Every protocol parameter reaches the TCP substrate (tcp-eager-64 relies
   // on network.gossip.dedup_window); the tcp block overrides only the node
-  // count, the seed and its real-time knobs, each key set here away from
-  // its default.
+  // count, the seed, its drain deadlines and the stats port, each key set
+  // here away from its default.
   const RunSpec spec = spec_from_json(json::Value::parse(R"({
     "name": "x",
     "network": {
@@ -543,9 +572,8 @@ TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
       "adversary": {"attack": "drop", "fraction": 0.2}
     },
     "tcp": {"nodes": 24, "seed": 5, "join_settle_ms": 1,
-            "cycle_settle_ms": 2, "leave_settle_ms": 3,
-            "settle_window_ms": 4, "broadcast_timeout_ms": 6,
-            "broadcast_quiet_window_ms": 7, "stats_port": 0},
+            "cycle_settle_ms": 2, "broadcast_timeout_ms": 6,
+            "stats_port": 0},
     "phases": []
   })"));
   EXPECT_EQ(spec.tcp.node_count, 24u);
@@ -553,16 +581,53 @@ TEST(SpecJsonTest, TcpInheritsEveryProtocolFieldFromNetwork) {
   EXPECT_EQ(spec.tcp.gossip.dedup_window, 4096u);
   EXPECT_EQ(spec.tcp.join_settle, milliseconds(1));
   EXPECT_EQ(spec.tcp.cycle_settle, milliseconds(2));
-  EXPECT_EQ(spec.tcp.leave_settle, milliseconds(3));
-  EXPECT_EQ(spec.tcp.settle_window, milliseconds(4));
   EXPECT_EQ(spec.tcp.broadcast_timeout, milliseconds(6));
-  EXPECT_EQ(spec.tcp.broadcast_quiet_window, milliseconds(7));
   EXPECT_EQ(spec.tcp.stats_port, 0);
   // Every other field equals the network block's.
   ClusterConfig inherited = spec.tcp;
   inherited.node_count = spec.net.node_count;
   inherited.seed = spec.net.seed;
   EXPECT_TRUE(inherited == static_cast<const ClusterConfig&>(spec.net));
+}
+
+TEST(SpecJsonTest, BenchmarkWorkloadsLoadAsHpvBenchSplitsThem) {
+  // hpv_bench's load_workload: "setup" becomes the spec's phase list and
+  // "measure" a second one, its own keys stay out, and the rest loads
+  // through spec_from_json. A loader change that would stop the frozen
+  // benchmark from loading fails here.
+  std::size_t loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HPV_WORKLOAD_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    const json::Value doc = json::parse_file(entry.path().string());
+    json::Value common = json::Value::object();
+    const json::Value* setup = nullptr;
+    const json::Value* measure = nullptr;
+    for (const json::Member& m : doc.as_object()) {
+      if (m.first == "setup") {
+        setup = &m.second;
+      } else if (m.first == "measure") {
+        measure = &m.second;
+      } else if (m.first != "reliability_floor" && m.first != "passes") {
+        common.set(m.first, m.second);
+      }
+    }
+    ASSERT_TRUE(setup != nullptr && measure != nullptr);
+    json::Value spec_doc = common;
+    spec_doc.set("phases", *setup);
+    const RunSpec spec = spec_from_json(spec_doc);
+    json::Value measure_doc = json::Value::object();
+    measure_doc.set("name", spec.name).set("phases", *measure);
+    EXPECT_FALSE(Experiment::from_json(measure_doc).phases().empty());
+    // Experiment::from_json knows no dedup window, so hpv_bench's measure
+    // list skips that check; every frozen stream must fit its window too.
+    json::Value measured = common;
+    measured.set("phases", *measure);
+    EXPECT_NO_THROW((void)spec_from_json(measured));
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 4u);
 }
 
 constexpr const char* kSweepSpec = R"({
@@ -699,6 +764,17 @@ TEST(SpecJsonTest, RejectsMalformedSweeps) {
                         {"network.nodez"});
   // spec_from_json checks the block's shape too.
   expect_rejected(with_sweep("[[]]"), "sweep[0]");
+}
+
+TEST(SpecJsonTest, SweepRejectsPointThatLowersOnlyTheDedupWindow) {
+  // The base document is valid; one point's patch shrinks the window
+  // below the tick's sources x rate, and the loader names that point.
+  expect_sweep_rejected(
+      R"({"name":"x","network":{"nodes":64,"gossip":{"dedup_window":8}},)"
+      R"("phases":[{"kind":"pubsub","sources":4,"rate":2,"ticks":1}],)"
+      R"("sweep":[[{},{"network":{"gossip":{"dedup_window":7}}}]]})",
+      {R"(sweep point [{"network":{"gossip":{"dedup_window":7}}}])",
+       "network.gossip.dedup_window (7)", "phases[0]"});
 }
 
 TEST(SpecJsonTest, RejectsUnknownPhaseKind) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
-#include <thread>
+#include <limits>
+#include <vector>
 
 namespace hyparview::net {
 namespace {
@@ -64,23 +64,6 @@ TEST(EventLoopTest, TimerMayScheduleAnotherTimer) {
   EXPECT_TRUE(loop.run_until([&] { return stage == 2; }, seconds(2)));
 }
 
-TEST(EventLoopTest, PostFromAnotherThreadExecutes) {
-  EventLoop loop;
-  std::atomic<bool> done{false};
-  std::thread poster([&] { loop.post([&] { done = true; }); });
-  EXPECT_TRUE(
-      loop.run_until([&] { return done.load(); }, seconds(2)));
-  poster.join();
-}
-
-TEST(EventLoopTest, StopTerminatesRun) {
-  EventLoop loop;
-  std::thread runner([&] { loop.run(); });
-  loop.post([&] { loop.stop(); });
-  runner.join();
-  SUCCEED();
-}
-
 TEST(EventLoopTest, NowIsMonotonic) {
   EventLoop loop;
   const TimePoint a = loop.now();
@@ -97,14 +80,16 @@ TEST(EventLoopTest, ManyTimersAllFire) {
   EXPECT_TRUE(loop.run_until([&] { return fired == 100; }, seconds(5)));
 }
 
-/// Counts its runs; optionally runs `action` on each.
+/// Counts its runs; optionally runs `action` on each. Reports `idle`.
 class CountingHook final : public PrePollHook {
  public:
   void before_poll() override {
     ++runs;
     if (action) action();
   }
+  [[nodiscard]] bool idle() const override { return quiet; }
   int runs = 0;
+  bool quiet = true;
   std::function<void()> action;
 };
 
@@ -144,15 +129,50 @@ TEST(EventLoopTest, PrePollHookRunsBeforeEachPoll) {
   EXPECT_EQ(hook.runs, before) << "a removed hook never runs again";
 }
 
-TEST(EventLoopTest, RunCallsPrePollHooks) {
+TEST(EventLoopTest, DrainWaitsForLiveTimerDueBeforeDeadline) {
+  EventLoop loop;
+  bool fired = false;
+  bool late_fired = false;
+  loop.schedule(milliseconds(30), [&] { fired = true; });
+  loop.schedule(seconds(60), [&] { late_fired = true; });
+  const TimePoint start = loop.now();
+  EXPECT_TRUE(loop.run_until_quiescent(seconds(5)));
+  EXPECT_TRUE(fired) << "a timer due before the deadline holds the drain";
+  EXPECT_GE(loop.now() - start, milliseconds(30));
+  // The timer due after the deadline neither holds the drain nor fires.
+  EXPECT_FALSE(late_fired);
+  EXPECT_LT(loop.now() - start, seconds(4));
+}
+
+TEST(EventLoopTest, CancelledTimerDoesNotHoldDrain) {
+  EventLoop loop;
+  bool fired = false;
+  loop.cancel(loop.schedule(seconds(2), [&] { fired = true; }));
+  const TimePoint start = loop.now();
+  EXPECT_TRUE(loop.run_until_quiescent(seconds(5)));
+  EXPECT_LT(loop.now() - start, seconds(1));
+  EXPECT_FALSE(fired);
+  // A deadline at the int64 limit (the largest a spec can set) saturates
+  // instead of wrapping into the past.
+  EXPECT_TRUE(loop.run_until_quiescent(std::numeric_limits<Duration>::max()));
+}
+
+TEST(EventLoopTest, BusyHookHoldsDrainUntilDeadline) {
   EventLoop loop;
   CountingHook hook;
-  hook.action = [&] {
-    if (hook.runs == 3) loop.stop();
-  };
+  hook.quiet = false;
   loop.add_pre_poll(&hook);
-  loop.run();
-  EXPECT_EQ(hook.runs, 3);
+  const TimePoint start = loop.now();
+  EXPECT_FALSE(loop.run_until_quiescent(milliseconds(60)));
+  EXPECT_GE(loop.now() - start, milliseconds(60));
+  EXPECT_GT(hook.runs, 1) << "the drain keeps polling while the hook is busy";
+
+  // `done` ends a drain the hook would otherwise hold until its deadline.
+  const int before = hook.runs;
+  const TimePoint again = loop.now();
+  EXPECT_TRUE(loop.run_until_quiescent(
+      seconds(5), [&] { return hook.runs >= before + 3; }));
+  EXPECT_LT(loop.now() - again, seconds(4));
   loop.remove_pre_poll(&hook);
 }
 

@@ -70,10 +70,14 @@ TEST(TcpBackendTest, GracefulLeavePurgesActiveViewsWithoutFailureDetection) {
   // Three graceful departures (Protocol::leave): goodbyes must flush and
   // survivors must drop the leavers before any failure detector could run.
   std::vector<NodeId> leavers;
+  const auto start = std::chrono::steady_clock::now();
   for (std::size_t victim : {std::size_t{2}, std::size_t{5}, std::size_t{9}}) {
     leavers.push_back(b.id_of(victim));
     b.leave_node(victim, /*graceful=*/true);
   }
+  // Every close cancels its half-close reaper (5 s): one left live would
+  // hold each leave's drains until it fired, about 5 s per leave.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
   for (std::size_t i = 0; i < b.node_count(); ++i) {
     if (!b.alive(i)) continue;
     for (const NodeId& peer : b.protocol(i).dissemination_view()) {
@@ -103,47 +107,22 @@ TEST(TcpBackendTest, ElasticGrowthJoinsThroughRandomContacts) {
   EXPECT_EQ(probe.delivered, 10u);
 }
 
-TEST(TcpBackendTest, NeverDeliveringBroadcastTerminatesAtHardTimeout) {
-  // Cyclon at fanout 0 (random-fanout gossip, zero targets — HyParView
-  // would flood its active view regardless): the source delivers its own
-  // broadcast locally and the gossip then goes nowhere. With the quiet
-  // window configured far above the hard timeout, termination must come
-  // from broadcast_timeout — the wait must neither hang (regression: a
-  // never-delivering broadcast outliving its deadline) nor be cut short by
-  // a quiet-window misfire before the first observation.
+/// A 4-node Cyclon cluster at fanout 0 (random-fanout gossip with zero
+/// targets; HyParView would flood its active view regardless): a
+/// broadcast delivers at its source and then goes nowhere.
+TcpBackendConfig stalled_flood_config(std::uint64_t seed,
+                                      Duration broadcast_timeout) {
   TcpBackendConfig config =
-      TcpBackendConfig::defaults_for(ProtocolKind::kCyclon, 4, 9);
-  config.broadcast_timeout = milliseconds(300);
-  config.broadcast_quiet_window = seconds(30);  // > timeout, on purpose
-  TcpBackend backend(config);
-  backend.build();
-  backend.settle();
-  backend.set_fanout(0);
-
-  const auto start = std::chrono::steady_clock::now();
-  const analysis::MessageResult result = backend.broadcast_from(0);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  // Only the source's own local delivery can have landed.
-  EXPECT_LT(result.delivered, backend.alive_count());
-  // Ended by the hard timeout: not instantly (no pre-progress quiet-window
-  // misfire)…
-  EXPECT_GE(elapsed, std::chrono::milliseconds(250));
-  // …and not wedged until the 30 s quiet window or forever. Generous bound
-  // for loaded CI machines.
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
+      TcpBackendConfig::defaults_for(ProtocolKind::kCyclon, 4, seed);
+  config.broadcast_timeout = broadcast_timeout;
+  return config;
 }
 
-TEST(TcpBackendTest, StalledFloodEndsAtQuietWindowBeforeFullTimeout) {
-  // Same stalled gossip, but with the quiet window far below the timeout:
-  // once the source's local delivery lands (first observation), the quiet
-  // cutoff engages and returns long before the 30 s deadline — partial
-  // floods must not cost the whole timeout per probe.
-  TcpBackendConfig config =
-      TcpBackendConfig::defaults_for(ProtocolKind::kCyclon, 4, 11);
-  config.broadcast_timeout = seconds(30);
-  config.broadcast_quiet_window = milliseconds(120);
-  TcpBackend backend(config);
+TEST(TcpBackendTest, StalledFloodEndsAtQuiescenceWellBeforeBackstop) {
+  // Nothing is in flight once the source delivered locally, so the drain
+  // ends at quiescence instead of waiting for the 30 s backstop: a
+  // partial flood must not cost the whole timeout per probe.
+  TcpBackend backend(stalled_flood_config(11, seconds(30)));
   backend.build();
   backend.settle();
   backend.set_fanout(0);
@@ -153,6 +132,35 @@ TEST(TcpBackendTest, StalledFloodEndsAtQuietWindowBeforeFullTimeout) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_LT(result.delivered, backend.alive_count());
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(TcpBackendTest, LoopThatNeverQuiescesEndsAtBackstop) {
+  // A timer that re-arms itself every 1 ms keeps a live timer due before
+  // the deadline, so the loop never quiesces: the same stalled flood must
+  // end at broadcast_timeout, neither sooner nor never.
+  TcpBackend backend(stalled_flood_config(9, milliseconds(300)));
+  backend.build();
+  backend.settle();
+  backend.set_fanout(0);
+
+  struct Ticker {
+    net::EventLoop& loop;
+    void arm() {
+      loop.schedule(milliseconds(1), [this] { arm(); });
+    }
+  } ticker{backend.loop()};
+  ticker.arm();
+
+  const auto start = std::chrono::steady_clock::now();
+  const analysis::MessageResult result = backend.broadcast_from(0);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_LT(result.delivered, backend.alive_count());
+  // The tick re-armed in the last millisecond falls due after the
+  // deadline, so the drain may end up to 1 ms before it.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(290));
+  // Generous bound for loaded CI machines.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 

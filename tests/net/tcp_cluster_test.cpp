@@ -1,12 +1,13 @@
 // End-to-end HyParView over real TCP sockets: an in-process cluster on the
 // loopback interface, sharing one event loop.
 //
+// Every step drains the loop to quiescence (EventLoop::run_until_quiescent),
+// as TcpBackend does, instead of sleeping for a fixed window.
+//
 // Two tiers: the default CTest registration runs with HPV_QUICK=1 and keeps
-// the three core scenarios (join symmetry, flood delivery, crash repair) —
-// real-socket settle times make each cluster build ~0.5s, and this file
-// used to dominate the whole suite's wall time. The remaining scenarios run
-// in the `full` tier (-DHPV_FULL_TESTS=ON + `ctest -L full`, exercised in
-// CI, including under TSan).
+// the three core scenarios (join symmetry, flood delivery, crash repair).
+// The remaining scenarios run in the `full` tier (-DHPV_FULL_TESTS=ON +
+// `ctest -L full`, exercised in CI, including under TSan).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -70,8 +71,8 @@ class TcpClusterTest : public ::testing::Test {
     nodes_[0]->protocol().start(std::nullopt);
     for (std::size_t i = 1; i < n; ++i) {
       nodes_[i]->protocol().start(nodes_[0]->id());
-      // Let each join settle briefly, mirroring the one-by-one join of §5.
-      loop_.run_until([] { return false; }, milliseconds(20));
+      // Each join settles before the next, the one-by-one join of §5.
+      drain();
     }
     run_cycles(3);
   }
@@ -79,9 +80,13 @@ class TcpClusterTest : public ::testing::Test {
   void run_cycles(int cycles) {
     for (int c = 0; c < cycles; ++c) {
       for (auto& node : nodes_) node->protocol().on_cycle();
-      loop_.run_until([] { return false; }, milliseconds(50));
+      drain();
     }
   }
+
+  /// Runs the loop until nothing is in flight. HyParView over a flood
+  /// engine schedules no timer, so on loopback this ends in milliseconds.
+  void drain() { EXPECT_TRUE(loop_.run_until_quiescent(seconds(5))); }
 
   /// Waits until `msg_id` reached `expect` nodes (or times out).
   bool await_delivery(std::uint64_t msg_id, std::size_t expect,
@@ -103,7 +108,7 @@ TEST_F(TcpClusterTest, JoinFormsSymmetricActiveViews) {
   // and shuffle rounds before asserting the invariant.
   for (std::uint64_t id = 900; id < 904; ++id) {
     nodes_[id % nodes_.size()]->runtime->gossip().broadcast(id);
-    loop_.run_until([] { return false; }, milliseconds(40));
+    drain();
   }
   run_cycles(2);
   for (auto& node : nodes_) {
@@ -152,7 +157,7 @@ TEST_F(TcpClusterTest, NodeCrashDetectedAndRepairedByTraffic) {
   // Drive traffic so the failure detector and repair run.
   for (std::uint64_t id = 200; id < 206; ++id) {
     nodes_[id % nodes_.size()]->runtime->gossip().broadcast(id);
-    loop_.run_until([] { return false; }, milliseconds(60));
+    drain();
   }
   run_cycles(2);
 
@@ -206,11 +211,11 @@ TEST_F(TcpClusterTest, GracefulLeaveRemovesNodeWithoutFailureDetection) {
   const NodeId leaver = nodes_[2]->id();
   // Say goodbye, let the DISCONNECTs flush, then kill the process.
   nodes_[2]->protocol().leave();
-  loop_.run_until([] { return false; }, milliseconds(60));
+  drain();
   nodes_[2]->transport->shutdown();
   auto dead = std::move(nodes_[2]);
   nodes_.erase(nodes_.begin() + 2);
-  loop_.run_until([] { return false; }, milliseconds(40));
+  drain();
 
   // Every survivor dropped the leaver from its active view *before* any
   // broadcast traffic could trigger the failure detector.
