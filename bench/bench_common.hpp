@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -80,7 +81,11 @@ inline void write_bench_json(
                wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
                                   : 0.0);
   for (const auto& [key, value] : extra) {
-    std::fprintf(f, ",\n  \"%s\": %g", key.c_str(), value);
+    // Whole numbers (counts, byte totals) print exactly; %g would round
+    // them to six digits and hide a drift the gates compare for.
+    const bool whole = value == std::floor(value) && std::fabs(value) < 1e15;
+    std::fprintf(f, whole ? ",\n  \"%s\": %.0f" : ",\n  \"%s\": %g",
+                 key.c_str(), value);
   }
   std::fprintf(f, "\n}\n");
   std::fclose(f);

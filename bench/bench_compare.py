@@ -11,6 +11,10 @@ it fails when
     a behavior change, never noise, or
   * a zero-allocation metric (*_allocs, 0 in the baseline) became nonzero,
     or
+  * a memory figure (*_storage: the event queue's storage high-water, the
+    bytes of the delivered-id tables) grew past its baseline — these are
+    deterministic too, so a shrink is only noted, as a gain to lock in by
+    refreshing the baseline, or
   * one of those gated keys is missing from the fresh record, or
   * a committed baseline has no fresh record at all (a deleted or renamed
     emitter must take its baseline with it, not drop the gate silently).
@@ -93,10 +97,12 @@ def scale(record):
 
 def gated_keys(base):
     """The baseline keys that must reappear in a fresh record: exact event
-    counts and the allocation counters the baseline pins at zero."""
+    counts, the allocation counters the baseline pins at zero, and the
+    memory figures."""
     return sorted(k for k, v in base.items()
                   if k == "events" or k.endswith("_events")
-                  or (k.endswith("_allocs") and float(v) == 0.0))
+                  or (k.endswith("_allocs") and float(v) == 0.0)
+                  or k.endswith("_storage"))
 
 
 def check_baselines(baselines, fresh):
@@ -137,6 +143,17 @@ def check_baselines(baselines, fresh):
         for key in gated_keys(base):
             if key not in new:
                 failure = f"gated key {key} is missing from the fresh record"
+            elif key.endswith("_storage"):
+                base_v, new_v = int(base[key]), int(new[key])
+                if new_v <= base_v:
+                    verdict = ("as in the baseline" if new_v == base_v else
+                               f"below the baseline's {base_v:,} — refresh "
+                               "it to lock the gain in")
+                    print(f"bench_compare: OK {name}: {key} {new_v:,}, "
+                          f"{verdict}")
+                    continue
+                failure = (f"{key} grew {base_v:,} → {new_v:,} — memory "
+                           "figures are exact at matching scale+seed")
             elif int(new[key]) != int(base[key]):
                 why = ("the zero-allocation steady state regressed"
                        if key.endswith("_allocs") else

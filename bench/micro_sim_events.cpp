@@ -3,8 +3,8 @@
 // Six claims are verified, not just measured:
 //  1. steady-state message delivery (the dissemination hot path: send →
 //     queue → deliver → re-send) performs ZERO heap allocations per event —
-//     the slim-POD event queue and the free-list payload pools recycle
-//     everything after warm-up;
+//     the slim-POD event queue's chunk pool and the free-list payload pools
+//     recycle everything after warm-up;
 //  2. steady-state timer scheduling (Env::schedule → kTask dispatch) is
 //     likewise allocation-free thanks to InplaceFunction + the task pool;
 //  3. the full broadcast pipeline — gossip dedup window, per-node
@@ -19,9 +19,9 @@
 //     integration, promotion episodes) run allocation-free end to end once
 //     the protocol scratch buffers and slabs are warm;
 //  6. the Plumtree payload plane (TreeGossip push, IHave digests, graft
-//     timers, prune decisions, link scores, payload cache) is likewise
-//     allocation-free once the dedup/cache rings are saturated and the
-//     eager tree has converged.
+//     timers, prune decisions, link scores, the delivered-id table that
+//     also answers Grafts) is likewise allocation-free once that table's
+//     ring is saturated and the eager tree has converged.
 //
 // The binary exits non-zero if any steady-state phase allocates, so it
 // doubles as a CI regression gate (wired into CTest under the smoke label).
@@ -312,9 +312,10 @@ int run() {
   // --- Phase 6: Plumtree payload plane ---------------------------------------
   // The tree-broadcast engine on a real overlay: every wave exercises the
   // eager/lazy split (TreeGossip + IHave), the per-link score windows, the
-  // payload cache, and — through IHave-before-eager races — the
-  // missing-entry table and graft-timer chain. Dedup and cache rings are
-  // sized below the warm-up budget so evictions are active, and warm-up
+  // delivered-id table (dedup and payload cache in one), and — through
+  // IHave-before-eager races — the missing-entry table and graft-timer
+  // chain. Both horizons are sized below the warm-up budget so evictions
+  // are active, and warm-up
   // also converges the eager subgraph to the spanning tree; from then on
   // the whole payload plane must be allocation-free.
   auto treecfg = harness::NetworkConfig::defaults_for(

@@ -20,7 +20,10 @@
 // determinism is part of what this bench certifies. bytes_on_wire_* /
 // latency_to_last_* fields land in BENCH_pubsub_throughput.json
 // (informational in bench_compare; plumtree_events/eager_events gate
-// exactly).
+// exactly). So do two memory figures per engine, read at the end of a leg,
+// which bench_compare fails on when they grow: the event queue's storage
+// high-water in events (<engine>_queue_event_storage) and the bytes of
+// every node's delivered-id table (<engine>_history_byte_storage).
 #include "bench_common.hpp"
 
 #include <cstdlib>
@@ -34,6 +37,8 @@ struct PubSubOutcome {
   harness::PhaseResult steady;
   harness::PhaseResult churn;
   std::uint64_t events = 0;
+  std::size_t queue_storage = 0;  ///< events
+  std::size_t history_bytes = 0;  ///< summed over nodes
 };
 
 /// Publish-to-last-delivery latency over the phase's messages.
@@ -54,7 +59,8 @@ bool identical(const harness::PhaseResult& a, const harness::PhaseResult& b) {
 
 bool identical(const PubSubOutcome& a, const PubSubOutcome& b) {
   return a.events == b.events && identical(a.steady, b.steady) &&
-         identical(a.churn, b.churn);
+         identical(a.churn, b.churn) && a.queue_storage == b.queue_storage &&
+         a.history_bytes == b.history_bytes;
 }
 
 /// Payload + control: everything the engines put on the wire.
@@ -87,8 +93,14 @@ PubSubOutcome run_leg(const std::string& spec_name,
 
   auto cluster = harness::Cluster::sim(spec.net);
   const auto result = cluster.run(exp);
+  std::size_t history_bytes = 0;
+  for (std::size_t i = 0; i < cluster->node_count(); ++i) {
+    history_bytes += cluster->engine(i).history_bytes();
+  }
   return {result.phase("steady"), result.phase("churn"),
-          cluster->events_processed()};
+          cluster->events_processed(),
+          cluster.sim_backend()->simulator().queue_storage_events(),
+          history_bytes};
 }
 
 PubSubOutcome certified(const char* label, const std::string& spec_name,
@@ -183,6 +195,17 @@ int main() {
   bench_json.add_metric("plumtree_events",
                         static_cast<double>(plumtree.events));
   bench_json.add_metric("eager_events", static_cast<double>(eager.events));
+  for (const auto& [engine, outcome] :
+       {std::pair{"plumtree", &plumtree}, std::pair{"eager", &eager}}) {
+    std::printf("%s: event queue storage %zu events, delivered-id tables "
+                "%.2f MB\n",
+                engine, outcome->queue_storage,
+                static_cast<double>(outcome->history_bytes) / 1e6);
+    bench_json.add_metric(std::string(engine) + "_queue_event_storage",
+                          static_cast<double>(outcome->queue_storage));
+    bench_json.add_metric(std::string(engine) + "_history_byte_storage",
+                          static_cast<double>(outcome->history_bytes));
+  }
   add_phase_metrics(bench_json, "plumtree", "steady", plumtree.steady);
   add_phase_metrics(bench_json, "plumtree", "churn", plumtree.churn);
   add_phase_metrics(bench_json, "eager", "steady", eager.steady);

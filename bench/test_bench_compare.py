@@ -20,7 +20,8 @@ def record(events=1000, rate=1e6, **extra):
            "seed": 42, "quick": True, "wall_seconds": 0.5,
            "events": events, "events_per_second": rate,
            "plumtree_events": 400, "deliver_events_per_second": 2 * rate,
-           "deliver_allocs": 0, "reliability_x": 1.0}
+           "deliver_allocs": 0, "reliability_x": 1.0,
+           "queue_event_storage": 4096}
     rec.update(extra)
     return rec
 
@@ -61,7 +62,8 @@ class BaselineTest(unittest.TestCase):
         self.assertIn("plumtree_events", failures[0])
 
     def test_missing_gated_key_fails_naming_record_and_key(self):
-        for key in ("events", "plumtree_events", "deliver_allocs"):
+        for key in ("events", "plumtree_events", "deliver_allocs",
+                    "queue_event_storage"):
             fresh = record()
             del fresh[key]
             failures, _ = check(record(), fresh)
@@ -74,6 +76,28 @@ class BaselineTest(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertIn("deliver_allocs changed 0 → 3", failures[0])
         self.assertIn("zero-allocation", failures[0])
+
+    def test_storage_above_baseline_fails(self):
+        failures, _ = check(record(), record(queue_event_storage=4112))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("queue_event_storage grew 4,096 → 4,112", failures[0])
+
+    def test_storage_equal_to_baseline_passes(self):
+        failures, out = check(record(), record())
+        self.assertEqual(failures, [])
+        self.assertIn("queue_event_storage 4,096, as in the baseline", out)
+
+    def test_storage_below_baseline_passes_with_a_note(self):
+        failures, out = check(record(), record(queue_event_storage=2048))
+        self.assertEqual(failures, [])
+        self.assertIn("queue_event_storage 2,048, below the baseline's 4,096",
+                      out)
+
+    def test_storage_without_a_baseline_is_not_gated(self):
+        base = record()
+        del base["queue_event_storage"]
+        failures, _ = check(base, record(queue_event_storage=1 << 30))
+        self.assertEqual(failures, [])
 
     def test_allocs_nonzero_in_baseline_are_not_gated(self):
         failures, _ = check(record(deliver_allocs=5), record(deliver_allocs=7))

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hyparview/common/assert.hpp"
@@ -73,6 +74,10 @@ class FlatMap {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Bytes the slab holds (memory accounting).
+  [[nodiscard]] std::size_t storage_bytes() const {
+    return slots_.capacity() * sizeof(Slot);
+  }
 
   /// Entries insertable before the next rehash.
   [[nodiscard]] std::size_t capacity() const {
@@ -96,10 +101,12 @@ class FlatMap {
 
   [[nodiscard]] bool contains(Key key) const { return find(key) != nullptr; }
 
-  /// Inserts key → value only if the key is absent; one probe walk answers
-  /// both the membership test and the insertion point (the hot-path shape
-  /// of DedupWindow::remember). Returns true if inserted.
-  bool try_insert(Key key, Value value) {
+  /// Finds `key`, inserting it with a default value when absent: one probe
+  /// walk answers the membership test and finds the insertion point (the
+  /// hot-path shape of DedupWindow::remember). Returns the value's address,
+  /// valid until the next insert or erase, and whether the key was
+  /// inserted.
+  std::pair<Value*, bool> find_or_insert(Key key) {
     if (size_ + 1 > capacity()) rehash(slots_.empty() ? 16 : slots_.size() * 2);
     const std::size_t home = index_of(key);
     for (std::size_t i = home;; i = next(i)) {
@@ -107,35 +114,28 @@ class FlatMap {
       if (!s.used) {
         s.used = true;
         s.key = key;
-        s.value = std::move(value);
         ++size_;
         note_displacement(home, i);
-        return true;
+        return {&s.value, true};
       }
-      if (s.key == key) return false;
+      if (s.key == key) return {&s.value, false};
     }
+  }
+
+  /// Inserts key → value only if the key is absent. Returns true if
+  /// inserted.
+  bool try_insert(Key key, Value value) {
+    const auto [slot, inserted] = find_or_insert(key);
+    if (inserted) *slot = std::move(value);
+    return inserted;
   }
 
   /// Inserts key → value; overwrites the value if the key exists.
   /// Returns a reference valid until the next insert/erase.
   Value& insert(Key key, Value value) {
-    if (size_ + 1 > capacity()) rehash(slots_.empty() ? 16 : slots_.size() * 2);
-    const std::size_t home = index_of(key);
-    for (std::size_t i = home;; i = next(i)) {
-      Slot& s = slots_[i];
-      if (!s.used) {
-        s.used = true;
-        s.key = key;
-        s.value = std::move(value);
-        ++size_;
-        note_displacement(home, i);
-        return s.value;
-      }
-      if (s.key == key) {
-        s.value = std::move(value);
-        return s.value;
-      }
-    }
+    Value& slot = *find_or_insert(key).first;
+    slot = std::move(value);
+    return slot;
   }
 
   /// Removes the key if present (backward-shift: no tombstones).

@@ -63,15 +63,23 @@ struct GossipConfig {
   /// id evicted while copies are still in flight is delivered again as new
   /// and forwarded again, so the flood never dies out. The harness drains
   /// every broadcast and every pub/sub tick before the next, so its
-  /// horizon is sources x rate, and the spec loader rejects a pub/sub
-  /// phase above the window; a stream that never drains needs its rate x
-  /// (delivery + graft timeout) worth of ids.
+  /// horizon is sources x rate: the spec loader rejects a pub/sub phase
+  /// above the window, and Backend::run_pubsub refuses to start one. A
+  /// stream that never drains needs its rate x (delivery + graft timeout)
+  /// worth of ids. At most 2^24 (DedupWindow::kMaxWindow), like
+  /// cache_window.
   std::size_t dedup_window = 1024;
   /// Plumtree: how long a node waits after the first IHave for a missing
   /// message before grafting the announcing link into the tree.
   Duration graft_timeout = milliseconds(100);
-  /// Plumtree: payload retransmission cache capacity (messages kept to
-  /// answer Graft requests). Like dedup_window, an in-flight horizon.
+  /// Plumtree: payload retransmission horizon (the last cache_window first
+  /// deliveries answer Graft requests). Like dedup_window, an in-flight
+  /// horizon. Plumtree keeps both horizons in one table of delivered ids,
+  /// so an id delivered again after leaving a smaller dedup_window while
+  /// still cached refreshes its cache entry (hops and age), where a
+  /// separate cache would keep the first one. Copies in flight past the
+  /// dedup window are the misconfiguration the spec loader rejects for
+  /// pub/sub, so this case moves no committed run.
   std::size_t cache_window = 1024;
 
   bool operator==(const GossipConfig&) const = default;
@@ -135,6 +143,9 @@ class BroadcastEngine {
   /// Tree-stability counters (0 for engines without a tree).
   [[nodiscard]] virtual std::uint64_t grafts_sent() const { return 0; }
   [[nodiscard]] virtual std::uint64_t prunes_sent() const { return 0; }
+
+  /// Bytes held by the engine's table of delivered ids (memory accounting).
+  [[nodiscard]] virtual std::size_t history_bytes() const = 0;
 };
 
 }  // namespace hyparview::gossip

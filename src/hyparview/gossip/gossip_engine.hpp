@@ -57,6 +57,9 @@ class GossipEngine final : public BroadcastEngine {
   [[nodiscard]] std::uint64_t control_bytes_sent() const override {
     return control_bytes_;
   }
+  [[nodiscard]] std::size_t history_bytes() const override {
+    return seen_.storage_bytes();
+  }
 
   /// Adjusts the gossip fanout at runtime (Figure 1 sweeps fanouts over one
   /// stabilized overlay). Ignored by kFlood.
@@ -80,7 +83,7 @@ class GossipEngine final : public BroadcastEngine {
 
   /// Duplicate suppression: fixed-capacity ring + probe table, zero
   /// steady-state allocation (see dedup_window.hpp).
-  DedupWindow seen_;
+  DedupWindow<> seen_;
   /// Reused target buffer for forward()'s send loop. Invariant: nothing
   /// reachable from env_.send() may touch targets_scratch_ or re-enter
   /// forward(). Deliveries are asynchronous on both backends, but

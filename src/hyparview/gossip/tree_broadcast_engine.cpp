@@ -10,23 +10,22 @@ TreeBroadcastEngine::TreeBroadcastEngine(membership::Env& env,
       protocol_(protocol),
       config_(config),
       observer_(observer),
-      seen_(config_.dedup_window),
-      cache_(config_.cache_window) {
+      history_(config_.dedup_window, config_.cache_window) {
   lazy_peers_.reserve(kMaxLazyPeers);
   link_scores_.reserve(kMaxLazyPeers);
 }
 
 void TreeBroadcastEngine::broadcast(std::uint64_t msg_id) {
-  if (!seen_.remember(msg_id)) return;  // already saw/originated this id
+  // Already saw/originated this id?
+  if (!history_.remember(msg_id, {config_.payload_size, 0})) return;
   if (observer_ != nullptr) observer_->on_deliver(env_.self(), msg_id, 0);
-  cache_.put(msg_id, {0, config_.payload_size});
   deliver_and_push(kNoNode, msg_id, 0);
   protocol_.on_traffic(kNoNode);
 }
 
 void TreeBroadcastEngine::handle_gossip(const NodeId& from,
                                         const wire::TreeGossip& msg) {
-  if (!seen_.remember(msg.msg_id)) {
+  if (!history_.remember(msg.msg_id, {msg.payload_size, msg.hops})) {
     // Duplicate eager arrival: evidence the link is redundant — but only
     // evidence. With one message in flight, pruning on the first duplicate
     // is safe (the duplicate proves another eager path delivered first, so
@@ -82,9 +81,8 @@ void TreeBroadcastEngine::handle_gossip(const NodeId& from,
   if (observer_ != nullptr) {
     observer_->on_deliver(env_.self(), msg.msg_id, msg.hops);
   }
-  cache_.put(msg.msg_id, {msg.hops, msg.payload_size});
   // An outstanding graft timer for this id is now moot; the timer callback
-  // checks seen_ and no-ops, but dropping the entry immediately keeps
+  // checks history_ and no-ops, but dropping the entry immediately keeps
   // pending_grafts() an honest "still missing" count.
   missing_.erase(msg.msg_id);
   // The eager sender proved itself a useful tree edge.
@@ -128,7 +126,7 @@ void TreeBroadcastEngine::send_payload(const NodeId& to,
 
 void TreeBroadcastEngine::handle_ihave(const NodeId& from,
                                        const wire::IHave& msg) {
-  if (seen_.contains(msg.msg_id)) return;
+  if (history_.seen(msg.msg_id)) return;
   MissingEntry* entry = missing_.find(msg.msg_id);
   if (entry == nullptr) {
     entry = &missing_.insert(msg.msg_id, MissingEntry{});
@@ -150,7 +148,7 @@ void TreeBroadcastEngine::handle_ihave(const NodeId& from,
 void TreeBroadcastEngine::on_graft_timer(std::uint64_t msg_id) {
   MissingEntry* entry = missing_.find(msg_id);
   if (entry == nullptr) return;
-  if (seen_.contains(msg_id)) {
+  if (history_.seen(msg_id)) {
     missing_.erase(msg_id);
     return;
   }
@@ -179,7 +177,7 @@ void TreeBroadcastEngine::handle_graft(const NodeId& from,
   // directions and we retransmit from the cache (if not yet evicted — a
   // stale Graft past the cache horizon is answered by tree repair alone).
   promote(from);
-  if (const MessageCache::Entry* cached = cache_.find(msg.msg_id)) {
+  if (const Delivery* cached = history_.cached(msg.msg_id)) {
     wire::TreeGossip push;
     push.msg_id = msg.msg_id;
     push.hops = static_cast<std::uint16_t>(cached->hops + 1);
@@ -315,8 +313,7 @@ void TreeBroadcastEngine::drop_link_score(const NodeId& peer) {
 }
 
 void TreeBroadcastEngine::reset() {
-  seen_.clear();
-  cache_.clear();
+  history_.clear();
   missing_.clear();
   lazy_peers_.clear();
   link_scores_.clear();

@@ -18,6 +18,11 @@
 // the per-peer tree state so the next broadcast re-floods across the
 // repaired membership edge; brand-new neighbors start eager by definition.
 //
+// Delivered ids live in one table per node (DedupWindow<Delivery>): the
+// duplicate check reads it over `dedup_window` first deliveries and Graft
+// answers over `cache_window`. Only the header is cached — payloads are
+// synthetic — so a Graft answer regenerates the frame from the entry.
+//
 // Hot-path discipline matches GossipEngine: fixed-capacity rings +
 // open-addressing probe tables, scratch buffers reused across messages,
 // zero steady-state allocation (gated by bench/micro_sim_events and the
@@ -40,56 +45,6 @@
 #include "hyparview/membership/protocol.hpp"
 
 namespace hyparview::gossip {
-
-/// Fixed-capacity payload-retransmission cache: msg_id -> (hops, size),
-/// FIFO eviction. Same ring + probe-table shape as DedupWindow, with a
-/// value attached. Only the header is cached — payloads are synthetic — so
-/// a Graft answer regenerates the frame from the entry.
-class MessageCache {
- public:
-  struct Entry {
-    std::uint16_t hops = 0;
-    std::uint32_t payload_size = 0;
-  };
-
-  explicit MessageCache(std::size_t capacity) : capacity_(capacity) {
-    HPV_CHECK(capacity_ >= 1);
-  }
-
-  /// Records `id` (no-op if already cached); evicts the oldest when full.
-  void put(std::uint64_t id, Entry entry) {
-    if (!index_.try_insert(id, entry)) return;
-    if (count_ == capacity_) {
-      index_.erase(ring_[head_]);
-      ring_[head_] = id;
-      head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    } else {
-      ring_.push_back(id);
-      ++count_;
-    }
-  }
-
-  [[nodiscard]] const Entry* find(std::uint64_t id) const {
-    return index_.find(id);
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-
-  /// Forgets everything; keeps all storage (no allocation on reuse).
-  void clear() {
-    index_.clear();
-    ring_.clear();
-    head_ = 0;
-    count_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::uint64_t> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  FlatMap<std::uint64_t, Entry, SequentialIndex> index_;
-};
 
 class TreeBroadcastEngine final : public BroadcastEngine {
  public:
@@ -142,6 +97,9 @@ class TreeBroadcastEngine final : public BroadcastEngine {
   }
   [[nodiscard]] std::uint64_t grafts_sent() const override { return grafts_; }
   [[nodiscard]] std::uint64_t prunes_sent() const override { return prunes_; }
+  [[nodiscard]] std::size_t history_bytes() const override {
+    return history_.storage_bytes();
+  }
 
   /// Links currently demoted to lazy (tests/analysis; insertion order).
   [[nodiscard]] std::span<const NodeId> lazy_peers() const {
@@ -153,6 +111,12 @@ class TreeBroadcastEngine final : public BroadcastEngine {
   void reset() override;
 
  private:
+  /// What a Graft answer needs to rebuild a delivered payload frame.
+  struct Delivery {
+    std::uint32_t payload_size = 0;
+    std::uint16_t hops = 0;
+  };
+
   /// Per-missing-message repair state, created by the first IHave.
   /// The counters lead, so they share a cache line with the probe-table
   /// key and the first announcers.
@@ -176,8 +140,8 @@ class TreeBroadcastEngine final : public BroadcastEngine {
   GossipConfig config_;
   DeliveryObserver* observer_;
 
-  DedupWindow seen_;
-  MessageCache cache_;
+  /// Delivered ids: seen() spans dedup_window, cached() cache_window.
+  DedupWindow<Delivery> history_;
   /// msg_id -> repair state. Point lookups only (no iteration), so the
   /// probe table's layout never influences event order. Entries are erased
   /// on eager arrival or when every announcer has been tried; the timer

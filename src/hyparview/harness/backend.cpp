@@ -449,8 +449,22 @@ std::vector<double> Backend::run_heavy_churn(const HeavyChurnConfig& cfg,
   return per_cycle;
 }
 
+void check_pubsub_window(const PubSubConfig& cfg, std::size_t dedup_window,
+                         const std::string& where) {
+  // sources x rate > window, without forming the product.
+  HPV_CHECK_THROW(cfg.sources == 0 || cfg.rate <= dedup_window / cfg.sources,
+                  where + ": sources (" + std::to_string(cfg.sources) +
+                      ") x rate (" + std::to_string(cfg.rate) +
+                      ") exceeds network.gossip.dedup_window (" +
+                      std::to_string(dedup_window) +
+                      "); the flood never ends");
+}
+
 std::vector<double> Backend::run_pubsub(const PubSubConfig& cfg) {
   HPV_CHECK(built());
+  // Loaders that know no network block (hpv_bench's measure phases) reach
+  // this point unchecked.
+  check_pubsub_window(cfg, cluster_config().gossip.dedup_window, "pubsub");
 
   // Distinct publishers off the shared harness stream (same draw order on
   // both backends). Capped by the population when a small cluster is asked

@@ -129,6 +129,14 @@ struct PubSubConfig {
   bool operator==(const PubSubConfig&) const = default;
 };
 
+/// A pub/sub tick puts sources x rate messages in flight at once. An id the
+/// dedup window evicts while its copies still travel is delivered again as
+/// new, so the flood never ends and its memory grows without bound. Throws
+/// CheckError, prefixed by `where`, when sources x rate exceeds
+/// `dedup_window`; the spec loader and Backend::run_pubsub both call it.
+void check_pubsub_window(const PubSubConfig& cfg, std::size_t dedup_window,
+                         const std::string& where);
+
 /// Cluster-wide monotonic counters (Backend::counters). A snapshot is a
 /// running total; the difference of two is what happened in between, which
 /// is how run_experiment fills PhaseResult::counters.
@@ -286,8 +294,10 @@ class Backend {
   /// Runs the sustained pub/sub workload (see PubSubConfig). Shared
   /// implementation on inject_broadcast/settle_broadcasts, so both
   /// backends execute the identical source-selection and injection
-  /// sequence. Returns the per-tick mean reliability; the messages
-  /// themselves are the recorder's newest results.
+  /// sequence. Throws CheckError before injecting anything when sources x
+  /// rate exceeds the gossip dedup window (check_pubsub_window). Returns
+  /// the per-tick mean reliability; the messages themselves are the
+  /// recorder's newest results.
   std::vector<double> run_pubsub(const PubSubConfig& cfg);
 
   /// Fires one sybil burst: every alive adversarial node injects

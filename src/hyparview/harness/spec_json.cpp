@@ -7,6 +7,7 @@
 
 #include "hyparview/common/assert.hpp"
 #include "hyparview/common/options.hpp"
+#include "hyparview/gossip/dedup_window.hpp"
 
 namespace hyparview::harness {
 namespace {
@@ -59,16 +60,19 @@ class ObjectReader {
     return v->as_int();
   }
 
-  /// Integer >= `min` as size_t (counts, capacities, cycles).
-  [[nodiscard]] std::size_t get_size(std::string_view key,
-                                     std::size_t fallback,
-                                     std::size_t min = 0) {
+  /// Integer in [min, max] as size_t (counts, capacities, cycles).
+  [[nodiscard]] std::size_t get_size(
+      std::string_view key, std::size_t fallback, std::size_t min = 0,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) {
     const json::Value* v = get(key);
     if (v == nullptr) return fallback;
     const std::size_t n = to_size(*v, key);
     HPV_CHECK_THROW(n >= min, "spec: " + key_path(key) +
                                   ": expected an integer >= " +
                                   std::to_string(min));
+    HPV_CHECK_THROW(n <= max, "spec: " + key_path(key) +
+                                  ": expected an integer <= " +
+                                  std::to_string(max));
     return n;
   }
 
@@ -85,17 +89,16 @@ class ObjectReader {
     return static_cast<std::uint8_t>(v->as_int());
   }
 
-  /// A `*_ms` key: non-negative milliseconds whose microsecond Duration
-  /// fits int64.
+  /// A `*_ms` key: milliseconds in [0, kMaxDurationMs].
   [[nodiscard]] Duration get_duration_ms(std::string_view key,
                                          Duration fallback) {
     const json::Value* v = get(key);
     if (v == nullptr) return fallback;
     HPV_CHECK_THROW(v->is_int() && v->as_int() >= 0 &&
-                        v->as_int() <= std::numeric_limits<Duration>::max() /
-                                           milliseconds(1),
+                        v->as_int() <= kMaxDurationMs,
                     "spec: " + key_path(key) +
-                        ": expected a non-negative millisecond count");
+                        ": expected a millisecond count in [0, " +
+                        std::to_string(kMaxDurationMs) + "]");
     return milliseconds(v->as_int());
   }
 
@@ -283,8 +286,12 @@ void load_gossip(const json::Value& v, const std::string& path,
                       payload <= std::numeric_limits<std::uint32_t>::max(),
                   "spec: " + path + ".payload_size: out of range");
   cfg.payload_size = static_cast<std::uint32_t>(payload);
-  cfg.dedup_window = r.get_size("dedup_window", cfg.dedup_window, 1);
-  cfg.cache_window = r.get_size("cache_window", cfg.cache_window, 1);
+  // The windows' arrival stamps bound both horizons.
+  constexpr std::size_t kMaxWindow = gossip::DedupWindow<>::kMaxWindow;
+  cfg.dedup_window =
+      r.get_size("dedup_window", cfg.dedup_window, 1, kMaxWindow);
+  cfg.cache_window =
+      r.get_size("cache_window", cfg.cache_window, 1, kMaxWindow);
   cfg.graft_timeout = r.get_duration_ms("graft_timeout_ms", cfg.graft_timeout);
   cfg.reroute_on_failure =
       r.get_bool("reroute_on_failure", cfg.reroute_on_failure);
@@ -487,22 +494,14 @@ Experiment load_phases(ObjectReader& r, std::string name) {
   return spec;
 }
 
-/// A pub/sub tick puts sources x rate messages in flight at once. An id
-/// the dedup window evicts while its copies still travel is delivered
-/// again as new, so the flood never ends and its memory grows without
-/// bound: such a phase must not load.
+/// Every pub/sub phase against the network's dedup window
+/// (check_pubsub_window), naming the phase.
 void check_dedup_window(const Experiment& spec, std::size_t window) {
   for (std::size_t i = 0; i < spec.phases().size(); ++i) {
     const Experiment::Phase& p = spec.phases()[i];
-    const std::size_t sources = p.pubsub.sources;
-    // sources x rate > window, without forming the product.
-    HPV_CHECK_THROW(p.kind != Experiment::PhaseKind::kPubSub ||
-                        sources == 0 || p.pubsub.rate <= window / sources,
-                    "spec: phases[" + std::to_string(i) + "]: sources (" +
-                        std::to_string(sources) + ") x rate (" +
-                        std::to_string(p.pubsub.rate) +
-                        ") exceeds network.gossip.dedup_window (" +
-                        std::to_string(window) + "); the flood never ends");
+    if (p.kind != Experiment::PhaseKind::kPubSub) continue;
+    check_pubsub_window(p.pubsub, window,
+                        "spec: phases[" + std::to_string(i) + "]");
   }
 }
 

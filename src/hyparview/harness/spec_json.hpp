@@ -30,8 +30,8 @@
 //       "scamp":      { c, forward_ttl, lease_cycles,
 //                       heartbeat_period_cycles, isolation_timeout_cycles,
 //                       purge_on_unreachable },
-//       "gossip":     { engine, payload_size, dedup_window (>= 1),
-//                       cache_window (>= 1), graft_timeout_ms,
+//       "gossip":     { engine, payload_size, dedup_window (1..2^24),
+//                       cache_window (1..2^24), graft_timeout_ms,
 //                       reroute_on_failure, explicit_acks },
 //       "adversary":  { "attack": "none"|"poison"|"drop"|"sybil",
 //                       fraction, poison_per_cycle, poison_entries,
@@ -43,7 +43,7 @@
 //       "cycle_settle_ms": 50,           // quiescence, at the latest here
 //       "broadcast_timeout_ms": 5000,    // (join, round, everything else)
 //       "stats_port": -1                 // -1 off, 0 ephemeral, else fixed
-//     },                                 // every *_ms key: >= 0
+//     },                                 // every *_ms key: 0..10^9
 //     "phases": [                        // required; Experiment::from_json
 //       {"kind": "stabilize"|"cycles", "cycles": 50, "label": ...},
 //       {"kind": "set_fanout", "fanout": 4, ...},
@@ -120,6 +120,11 @@
 #include "hyparview/harness/tcp_backend.hpp"
 
 namespace hyparview::harness {
+
+/// Largest value of any `*_ms` key (10^9 ms, about 11.6 days). No clock
+/// reaches it, so `now + delay` cannot overflow in the simulator, the
+/// Plumtree graft timer or the event loop, whatever a spec asks for.
+inline constexpr std::int64_t kMaxDurationMs = 1'000'000'000;
 
 /// One fully-loaded spec: both substrate configs (the sim one always, the
 /// TCP one derived from it plus the "tcp" overrides) and the phase list.

@@ -34,14 +34,22 @@
 // is therefore bit-identical to the MinHeap at a fixed seed — pinned by
 // event_queue_property_test.
 //
-// Allocation discipline: buckets, the far list, and the rebuild scratch are
-// plain vectors that grow to their steady-state footprint during warm-up
-// and are recycled in place afterwards, so the zero-allocation gates of
-// micro_sim_events hold on this structure too (the grow/shrink hysteresis
-// is wide enough that a steady workload never resizes the wheel).
+// Storage: every bucket is a chain of fixed 16-event chunks drawn from one
+// pool shared by the whole wheel, with a free list. A bucket that empties
+// hands its chunks back, so the pool tracks the peak of *pending* events
+// (each bucket's chain is its events rounded up to chunks, plus at most one
+// partly consumed head chunk), not the sum of every bucket's own peak: one
+// link-close burst piling 32k events on a single tick no longer pins 32k
+// events of storage to that bucket for the rest of the run. The pool grows
+// geometrically to its high-water mark and is never freed; the far list and
+// the rebuild scratch are plain vectors recycled in place. After warm-up
+// nothing allocates, so the zero-allocation gates of micro_sim_events hold
+// on this structure too (the grow/shrink hysteresis is wide enough that a
+// steady workload never resizes the wheel).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -63,33 +71,27 @@ class CalendarQueue {
   static constexpr std::size_t kMinBuckets = 256;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
-  /// Capacity floor given to every active bucket when the wheel geometry
-  /// changes. Without it, steady traffic keeps setting per-bucket depth
-  /// records (vector capacity ladders 1→2→4→8…) for thousands of events
-  /// after warm-up, and the zero-allocation gate of micro_sim_events
-  /// trickles failures. Paying the whole ladder up front at rebuild time
-  /// moves those allocations into the (rare, already-allocating) geometry
-  /// changes. Seeding stops at kSeedableBuckets — beyond that the floor's
-  /// footprint would rival the event population itself.
-  static constexpr std::size_t kBucketSeedCapacity = 16;
-  static constexpr std::size_t kSeedableBuckets = std::size_t{1} << 14;
+  /// Events per pool chunk: a bucket's storage granule.
+  static constexpr std::size_t kChunkEvents = 16;
 
   /// `band_max` is the upper edge of the live latency band; the bucket
   /// width is sized so the wheel year covers ~2x the band (messages plus
   /// the failure-detection delays that ride just behind them).
   explicit CalendarQueue(Duration band_max)
-      : buckets_(kMinBuckets),
-        heads_(kMinBuckets, 0u),
-        dirty_(kMinBuckets, 0),
-        live_(kMinBuckets / 64, 0u) {
+      : buckets_(kMinBuckets), live_(kMinBuckets / 64, 0u) {
     set_band(band_max);
-    seed_buckets();
   }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] Duration bucket_width() const { return width_; }
   [[nodiscard]] std::size_t bucket_count() const { return nbuckets_; }
+  /// Events the chunk pool has room for: its high-water mark, since chunks
+  /// are recycled through the free list and never freed (memory
+  /// accounting; deterministic for a given push/pop sequence).
+  [[nodiscard]] std::size_t storage_events() const {
+    return chunks_.size() * kChunkEvents;
+  }
 
   /// Pre-sizes the wheel for an expected population (the heap's reserve()
   /// equivalent): the bucket count jumps straight to its steady-state
@@ -97,6 +99,7 @@ class CalendarQueue {
   void reserve(std::size_t n) {
     const std::size_t target = buckets_for(n);
     if (target > nbuckets_) rebuild(derive_width(band_max_, target), target);
+    chunks_.reserve(n / kChunkEvents);
     far_.reserve(std::max<std::size_t>(64, n / 8));
     scratch_.reserve(n);
   }
@@ -142,42 +145,44 @@ class CalendarQueue {
   }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Chunk {
+    std::array<T, kChunkEvents> events{};
+    std::uint32_t next = kNil;  ///< next chunk of the chain or free list
+  };
+
+  /// A bucket's pending events: a chain of pool chunks, consumed from
+  /// `begin` in the head chunk and appended at `end` in the tail chunk.
+  struct Bucket {
+    std::uint32_t head = kNil;  ///< kNil: the bucket is empty
+    std::uint32_t tail = kNil;
+    std::uint8_t begin = 0;
+    std::uint8_t end = 0;
+    /// The chain is not seq-sorted (see pop_tick).
+    std::uint8_t dirty = 0;
+  };
+
   /// Pop for single-tick buckets — the at-scale regime, where same-tick tie
   /// piles grow with the network and a scan-min pop would be O(ties).
   ///
-  /// Two invariants make an O(1) head-cursor take correct here:
+  /// Two invariants make an O(1) head take correct here:
   ///  * single-tick residency: every pushable timestamp lives in
   ///    [floor_, horizon), an interval at most one wheel-year long (the pop
   ///    window re-anchors at floor_ on every return), so no bucket ever
   ///    holds two distinct ticks at once;
   ///  * push order is seq order: `seq` is globally monotonic and pushes
-  ///    append, so a bucket fed only by push() is sorted by (at, seq) by
+  ///    append, so a chain fed only by push() is sorted by (at, seq) by
   ///    construction — at is constant per bucket, seq ascends.
   /// Only migrate_far() and rebuild() append out of seq order; they mark
-  /// the bucket dirty and the first pop to reach it sorts the remainder
-  /// once (in place — no allocation).
+  /// the bucket dirty and the first pop to reach it sorts the chain once.
   T pop_tick() {
     while (true) {
-      std::vector<T>& bucket = buckets_[cur_];
-      std::uint32_t& head = heads_[cur_];
-      if (head < bucket.size()) {
-        if (dirty_[cur_]) {
-          std::sort(bucket.begin() + head, bucket.end(),
-                    [](const T& a, const T& b) { return later(b, a); });
-          dirty_[cur_] = 0;
-        }
-        HPV_ASSERT(bucket[head].at < window_end_);
-        T out = std::move(bucket[head]);
-        ++head;
-        if (head == bucket.size()) {
-          bucket.clear();
-          head = 0;
-          mark_dead(cur_);
-        }
-        --size_;
-        floor_ = out.at;
-        maybe_shrink();
-        return out;
+      Bucket& bucket = buckets_[cur_];
+      if (bucket.head != kNil) {
+        if (bucket.dirty != 0) sort_chain(bucket);
+        HPV_ASSERT(front(bucket).at < window_end_);
+        return take_front(bucket);
       }
       advance();
     }
@@ -185,33 +190,103 @@ class CalendarQueue {
 
   /// Pop for multi-tick buckets (small wheels, wide bands): buckets are
   /// unsorted in `at`, so take the (at, seq) minimum by scan — a handful of
-  /// elements at the tuned occupancy — and fill the hole from the back.
+  /// elements at the tuned occupancy. The minimum swaps places with the
+  /// front, which is then dropped: the chain is unsorted anyway.
   T pop_scan() {
     while (true) {
-      std::vector<T>& bucket = buckets_[cur_];
-      const std::size_t head = heads_[cur_];
-      if (head < bucket.size()) {
-        std::size_t best = head;
-        for (std::size_t i = head + 1; i < bucket.size(); ++i) {
-          if (later(bucket[best], bucket[i])) best = i;
-        }
-        if (bucket[best].at < window_end_) {
-          T out = std::move(bucket[best]);
-          bucket[best] = std::move(bucket.back());
-          bucket.pop_back();
-          if (heads_[cur_] == bucket.size()) {
-            bucket.clear();
-            heads_[cur_] = 0;
-            mark_dead(cur_);
-          }
-          --size_;
-          floor_ = out.at;
-          maybe_shrink();
-          return out;
+      Bucket& bucket = buckets_[cur_];
+      if (bucket.head != kNil) {
+        T* best = &front(bucket);
+        for_each_event(bucket, [&](T& e) {
+          if (later(*best, e)) best = &e;
+        });
+        if (best->at < window_end_) {
+          std::swap(*best, front(bucket));
+          return take_front(bucket);
         }
       }
       advance();
     }
+  }
+
+  [[nodiscard]] T& front(const Bucket& bucket) {
+    return chunks_[bucket.head].events[bucket.begin];
+  }
+
+  /// Removes and returns the cursor bucket's front event, handing emptied
+  /// chunks back to the pool.
+  T take_front(Bucket& bucket) {
+    Chunk& chunk = chunks_[bucket.head];
+    T out = std::move(chunk.events[bucket.begin]);
+    ++bucket.begin;
+    if (bucket.head == bucket.tail && bucket.begin == bucket.end) {
+      release(bucket.head, bucket.tail);
+      bucket = Bucket{};
+      mark_dead(cur_);
+    } else if (bucket.begin == kChunkEvents) {
+      const std::uint32_t done = bucket.head;
+      bucket.head = chunk.next;
+      bucket.begin = 0;
+      release(done, done);
+    }
+    --size_;
+    floor_ = out.at;
+    maybe_shrink();
+    return out;
+  }
+
+  /// Calls f on every event of a non-empty bucket, in chain order.
+  template <typename F>
+  void for_each_event(const Bucket& bucket, F&& f) {
+    std::uint32_t c = bucket.head;
+    std::size_t i = bucket.begin;
+    while (true) {
+      Chunk& chunk = chunks_[c];
+      const std::size_t stop = c == bucket.tail ? bucket.end : kChunkEvents;
+      for (; i < stop; ++i) f(chunk.events[i]);
+      if (c == bucket.tail) return;
+      c = chunk.next;
+      i = 0;
+    }
+  }
+
+  /// Sorts a dirty chain by (at, seq): in place within a single chunk,
+  /// else gathered into scratch_, sorted and written back.
+  void sort_chain(Bucket& bucket) {
+    const auto before = [](const T& a, const T& b) { return later(b, a); };
+    if (bucket.head == bucket.tail) {
+      auto& events = chunks_[bucket.head].events;
+      std::sort(events.begin() + bucket.begin, events.begin() + bucket.end,
+                before);
+    } else {
+      scratch_.clear();
+      for_each_event(bucket, [&](T& e) { scratch_.push_back(std::move(e)); });
+      std::sort(scratch_.begin(), scratch_.end(), before);
+      std::size_t k = 0;
+      for_each_event(bucket, [&](T& e) { e = std::move(scratch_[k++]); });
+      scratch_.clear();
+    }
+    bucket.dirty = 0;
+  }
+
+  /// A chunk off the free list, or a new one when the pool is exhausted
+  /// (vector growth keeps that geometric).
+  std::uint32_t take_chunk() {
+    std::uint32_t c = free_;
+    if (c != kNil) {
+      free_ = chunks_[c].next;
+    } else {
+      c = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.emplace_back();
+    }
+    chunks_[c].next = kNil;
+    return c;
+  }
+
+  /// Splices the chain first..last onto the free list.
+  void release(std::uint32_t first, std::uint32_t last) {
+    chunks_[last].next = free_;
+    free_ = first;
   }
 
   /// First timestamp that no longer maps uniquely into the wheel: one year
@@ -248,13 +323,24 @@ class CalendarQueue {
     return a.seq > b.seq;
   }
 
-  /// O(1) append; buckets are unsorted, pop() scans for the minimum (both
-  /// ends of the trade are a handful of elements at the tuned occupancy,
-  /// and appends never memmove the way sorted inserts would).
-  void insert_wheel(T item) {
+  /// O(1) append to the event's bucket chain; returns the bucket. Chains
+  /// are unsorted in scan mode: pop() scans for the minimum (both ends of
+  /// the trade are a handful of elements at the tuned occupancy, and
+  /// appends never memmove the way sorted inserts would).
+  Bucket& insert_wheel(T item) {
     const std::size_t b = bucket_of(item.at);
-    if (buckets_[b].empty()) mark_live(b);
-    buckets_[b].push_back(std::move(item));
+    Bucket& bucket = buckets_[b];
+    if (bucket.head == kNil) {
+      bucket.head = bucket.tail = take_chunk();
+      mark_live(b);
+    } else if (bucket.end == kChunkEvents) {
+      const std::uint32_t c = take_chunk();
+      chunks_[bucket.tail].next = c;
+      bucket.tail = c;
+      bucket.end = 0;
+    }
+    chunks_[bucket.tail].events[bucket.end++] = std::move(item);
+    return bucket;
   }
 
   /// Live-bucket bitmap bookkeeping. A bucket is live while it holds any
@@ -289,7 +375,7 @@ class CalendarQueue {
 
   /// Halves the wheel when the cursor has burned through enough live-bitmap
   /// words since the last geometry change. Bitmap scanning is the *only*
-  /// cost an oversized wheel imposes (storage is high-water anyway), so it
+  /// cost an oversized wheel imposes (storage follows pending events), so it
   /// is the trigger — not occupancy, which collapses to zero at the tail of
   /// every run_until_quiescent drain and would make a drain/refill workload
   /// pay a shrink cascade plus a regrow cascade of full rebuilds every
@@ -349,23 +435,11 @@ class CalendarQueue {
     std::size_t i = 0;
     while (i < far_.size()) {
       if (far_[i].at < limit) {
-        dirty_[bucket_of(far_[i].at)] = 1;
-        insert_wheel(std::move(far_[i]));
+        insert_wheel(std::move(far_[i])).dirty = 1;
         far_[i] = std::move(far_.back());
         far_.pop_back();
       } else {
         ++i;
-      }
-    }
-  }
-
-  /// Gives every active bucket its capacity floor (see kBucketSeedCapacity).
-  /// Capacities above the floor are kept — high-water, like the storage.
-  void seed_buckets() {
-    if (nbuckets_ > kSeedableBuckets) return;
-    for (std::size_t i = 0; i < nbuckets_; ++i) {
-      if (buckets_[i].capacity() < kBucketSeedCapacity) {
-        buckets_[i].reserve(kBucketSeedCapacity);
       }
     }
   }
@@ -386,44 +460,37 @@ class CalendarQueue {
     // No exact-fit reserve here: push_back's geometric growth gives the
     // scratch a capacity high-water with slack, so a pending-set peak a few
     // events above any previous one does not reallocate in steady state.
-    // Only the active mask can hold events; high-water storage beyond it
-    // is empty by construction.
+    // Only the active mask can hold events. Each chain goes back to the
+    // pool before the re-insert takes chunks again.
     for (std::size_t b = 0; b < nbuckets_; ++b) {
-      std::vector<T>& bucket = buckets_[b];
-      for (std::size_t i = heads_[b]; i < bucket.size(); ++i) {
-        scratch_.push_back(std::move(bucket[i]));
-      }
-      bucket.clear();
-      heads_[b] = 0;
+      Bucket& bucket = buckets_[b];
+      if (bucket.head == kNil) continue;
+      for_each_event(bucket, [&](T& e) { scratch_.push_back(std::move(e)); });
+      release(bucket.head, bucket.tail);
+      bucket = Bucket{};
     }
     for (T& item : far_) scratch_.push_back(std::move(item));
     far_.clear();
-    // High-water storage: shrinks only narrow the active mask (nbuckets_),
-    // never free bucket vectors, so a workload that oscillates between
-    // drained and full every round (run_until_quiescent cycles) reuses the
-    // same capacity instead of reallocating the wheel each time.
+    // Shrinks only narrow the active mask (nbuckets_); bucket headers stay,
+    // so a workload that oscillates between drained and full every round
+    // (run_until_quiescent cycles) does not reallocate the wheel each time.
     if (nbuckets > buckets_.size()) {
       buckets_.resize(nbuckets);
-      heads_.resize(nbuckets, 0u);
-      dirty_.resize(nbuckets, std::uint8_t{0});
       live_.resize(nbuckets / 64, 0u);
     }
     std::fill(live_.begin(), live_.end(), std::uint64_t{0});
     nbuckets_ = nbuckets;
     width_ = width;
-    seed_buckets();
     anchor_window();
     size_ = 0;
     empty_steps_ = 0;
-    // The scratch visits buckets in wheel order, not seq order, so every
-    // re-bucketed pile is potentially unsorted: mark the active wheel dirty.
-    std::fill(dirty_.begin(), dirty_.begin() + static_cast<std::ptrdiff_t>(nbuckets_),
-              std::uint8_t{1});
     for (T& item : scratch_) {
       // Raw re-insert: the caller already chose the target geometry, so
-      // the push-time grow check must not recurse.
+      // the push-time grow check must not recurse. The scratch visits
+      // buckets in wheel order, not seq order, so every re-bucketed chain
+      // is potentially unsorted: mark it dirty.
       if (item.at < horizon()) {
-        insert_wheel(std::move(item));
+        insert_wheel(std::move(item)).dirty = 1;
       } else {
         far_.push_back(std::move(item));
       }
@@ -432,12 +499,12 @@ class CalendarQueue {
     scratch_.clear();
   }
 
-  std::vector<std::vector<T>> buckets_;
-  std::vector<std::uint32_t> heads_;  ///< per-bucket consumed prefix (tick pops)
-  std::vector<std::uint8_t> dirty_;   ///< per-bucket "tail not seq-sorted"
-  std::vector<std::uint64_t> live_;   ///< bit per bucket: holds unconsumed events
+  std::vector<Bucket> buckets_;      ///< high-water headers, active prefix
+  std::vector<std::uint64_t> live_;  ///< bit per bucket: holds unconsumed events
+  std::vector<Chunk> chunks_;        ///< the chunk pool, shared by every bucket
+  std::uint32_t free_ = kNil;        ///< free-list head
   std::vector<T> far_;      ///< beyond-horizon overflow, unsorted
-  std::vector<T> scratch_;  ///< rebuild staging (kept to avoid realloc)
+  std::vector<T> scratch_;  ///< rebuild and sort staging (kept to avoid realloc)
   std::size_t size_ = 0;
   std::size_t empty_steps_ = 0;  ///< bitmap words scanned since last rebuild
   TimePoint floor_ = 0;  ///< largest popped timestamp; pushes are >= this

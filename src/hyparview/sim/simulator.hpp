@@ -127,6 +127,12 @@ class Simulator {
     return events_processed_;
   }
 
+  /// Events the event queue's storage has room for: the high-water mark of
+  /// pending events, rounded up to chunks (memory accounting).
+  [[nodiscard]] std::size_t queue_storage_events() const {
+    return queue_.storage_events();
+  }
+
   /// Harness-level random stream (failure selection, source selection...).
   [[nodiscard]] Rng& rng() { return master_rng_; }
 

@@ -293,6 +293,39 @@ TEST(ExperimentSpecTest, PubSubChurnBelowTheSourceCountEndsSurplusStreams) {
   EXPECT_EQ(stream.broadcasts.size(), 2u * 8u + 2u * 5u);
 }
 
+TEST(ExperimentSpecTest, PubSubAboveTheDedupWindowThrowsBeforeInjecting) {
+  // sources x rate messages in flight against a window of 1: an evicted id
+  // would be delivered again as new and the flood would never end.
+  // hpv_bench loads its measure phases without a network block, so the
+  // spec loader's check never sees them; run_pubsub checks again.
+  NetworkConfig config =
+      NetworkConfig::defaults_for(ProtocolKind::kHyParView, 64, kSeed);
+  config.gossip.dedup_window = 1;
+  auto cluster = Cluster::sim(config);
+  cluster.run(Experiment("overlay").stabilize(5));
+  const std::uint64_t events = cluster->events_processed();
+
+  PubSubConfig storm;
+  storm.sources = 2;
+  storm.ticks = 1;
+  storm.rate = 1;
+  try {
+    cluster.run(Experiment("storm").pubsub(storm));
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_STREQ(e.what(),
+                 "pubsub: sources (2) x rate (1) exceeds "
+                 "network.gossip.dedup_window (1); the flood never ends");
+  }
+  EXPECT_EQ(cluster->events_processed(), events);
+
+  // One message per tick fits the window and runs to its end.
+  storm.sources = 1;
+  const ExperimentResult result =
+      cluster.run(Experiment("stream").pubsub(storm));
+  EXPECT_EQ(result.phase("pubsub").broadcasts.size(), 1u);
+}
+
 // --- per-phase counters --------------------------------------------------------
 
 TEST(PhaseCountersTest, PhasesSumToTheRunTotalMinusTheBuild) {

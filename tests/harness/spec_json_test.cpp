@@ -427,12 +427,17 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
   };
   expect_rejected(gossip(R"("graft_timeout_ms":-1)"),
                   "network.gossip.graft_timeout_ms");
-  // One past the largest millisecond count whose microseconds fit int64.
-  expect_rejected(gossip(R"("graft_timeout_ms":9223372036854776)"),
+  // One past kMaxDurationMs: `now + graft_timeout` could overflow.
+  expect_rejected(gossip(R"("graft_timeout_ms":1000000001)"),
                   "network.gossip.graft_timeout_ms");
   expect_rejected(gossip(R"("dedup_window":0)"),
                   "network.gossip.dedup_window");
   expect_rejected(gossip(R"("cache_window":0)"),
+                  "network.gossip.cache_window");
+  // One past 2^24 ids, the windows' bound (32-bit arrival stamps).
+  expect_rejected(gossip(R"("dedup_window":16777217)"),
+                  "network.gossip.dedup_window");
+  expect_rejected(gossip(R"("cache_window":16777217)"),
                   "network.gossip.cache_window");
   for (const char* key :
        {"join_settle_ms", "cycle_settle_ms", "broadcast_timeout_ms"}) {
@@ -440,7 +445,7 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
     expect_rejected(R"({"name":"x","tcp":{")" + k + R"(":-1},"phases":[]})",
                     "tcp." + k);
     expect_rejected(R"({"name":"x","tcp":{")" + k +
-                        R"(":9223372036854776},"phases":[]})",
+                        R"(":1000000001},"phases":[]})",
                     "tcp." + k);
   }
   expect_rejected(R"({"name":"x","network":{"nodes":1},"phases":[]})",
@@ -461,14 +466,20 @@ TEST(SpecJsonTest, RejectsValuesThatWouldAbortTheRun) {
   const RunSpec edge = spec_from_json(json::Value::parse(
       R"({"name":"x","network":{"nodes":2,"gossip":{"graft_timeout_ms":0,)"
       R"("dedup_window":1,"cache_window":1}},)"
-      R"("tcp":{"nodes":2,"broadcast_timeout_ms":9223372036854775},)"
+      R"("tcp":{"nodes":2,"broadcast_timeout_ms":1000000000},)"
       R"("phases":[]})"));
   EXPECT_EQ(edge.net.node_count, 2u);
   EXPECT_EQ(edge.net.gossip.graft_timeout, 0);
   EXPECT_EQ(edge.net.gossip.dedup_window, 1u);
   EXPECT_EQ(edge.net.gossip.cache_window, 1u);
   EXPECT_EQ(edge.tcp.node_count, 2u);
-  EXPECT_EQ(edge.tcp.broadcast_timeout, milliseconds(9223372036854775));
+  EXPECT_EQ(edge.tcp.broadcast_timeout, milliseconds(kMaxDurationMs));
+  const RunSpec wide = spec_from_json(json::Value::parse(
+      R"({"name":"x","network":{"gossip":{"graft_timeout_ms":1000000000,)"
+      R"("dedup_window":16777216,"cache_window":16777216}},"phases":[]})"));
+  EXPECT_EQ(wide.net.gossip.graft_timeout, milliseconds(kMaxDurationMs));
+  EXPECT_EQ(wide.net.gossip.dedup_window, std::size_t{1} << 24);
+  EXPECT_EQ(wide.net.gossip.cache_window, std::size_t{1} << 24);
 }
 
 TEST(SpecJsonTest, RejectsRemovedBatchingKeys) {

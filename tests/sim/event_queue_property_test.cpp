@@ -11,13 +11,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "hyparview/common/rng.hpp"
 #include "hyparview/sim/min_heap.hpp"
 #include "hyparview/sim/simulator.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+
+}  // namespace
+
+// Counting global allocator: the recycled-burst test below reads the
+// allocation count around a second burst. The array forms forward here.
+void* operator new(std::size_t size) {
+  ++g_allocs;
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hyparview::sim {
 namespace {
@@ -196,6 +216,112 @@ TEST(EventQueueProperty, OutOfOrderPushesBeforeFirstPop) {
     ASSERT_EQ(a.at, b.at);
     ASSERT_EQ(a.seq, b.seq);
   }
+}
+
+/// A calendar and its heap oracle, fed and drained in lockstep under the
+/// simulator's scheduling contract (no push before the last pop).
+struct Lockstep {
+  explicit Lockstep(Duration band) : calendar(band) {}
+
+  void push(TimePoint at) {
+    calendar.push({at, seq});
+    heap.push({at, seq});
+    ++seq;
+  }
+
+  /// Pops up to n events from both, requiring the identical stream.
+  void pop(std::size_t n) {
+    while (n-- > 0 && !heap.empty()) {
+      const Ev a = calendar.pop();
+      const Ev b = heap.pop();
+      ASSERT_EQ(a.at, b.at) << "divergence at seq " << b.seq;
+      ASSERT_EQ(a.seq, b.seq) << "tie-break divergence at t=" << b.at;
+      now = a.at;
+    }
+    ASSERT_EQ(calendar.size(), heap.size());
+  }
+
+  CalendarQueue<Ev> calendar;
+  HeapQueue heap;
+  TimePoint now = 0;
+  std::uint64_t seq = 0;
+};
+
+TEST(EventQueueProperty, TickPilesOfThousandsThroughEveryPath) {
+  // A crash's link-close burst piles thousands of events on one tick. The
+  // pile spans many chunks of one bucket's chain; it must keep strict
+  // (at, seq) order through far migration, rebuilds, band spikes and both
+  // pop modes.
+  Lockstep q(100);
+  ASSERT_EQ(q.calendar.bucket_width(), 1);  // single-tick buckets
+  for (int i = 0; i < 1500; ++i) q.push(50);
+  for (int i = 0; i < 1200; ++i) q.push(50'000);  // beyond the horizon
+  q.pop(700);  // head takes along the 1,500-event chain
+  ASSERT_EQ(q.now, 50);
+
+  // Spike: rebuild into wide buckets, where pops scan the pile.
+  q.calendar.set_band(40'000);
+  ASSERT_GT(q.calendar.bucket_width(), 1);
+  for (int i = 0; i < 1200; ++i) q.push(q.now + i % 3);
+  q.pop(500);
+  // Enough events to double the wheel: grow rebuilds.
+  const std::size_t buckets = q.calendar.bucket_count();
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    q.push(q.now + static_cast<Duration>(rng.below(60'000)));
+  }
+  ASSERT_GT(q.calendar.bucket_count(), buckets);
+  q.pop(900);
+
+  // Back to single-tick buckets: every rebuilt chain is dirty and sorts on
+  // its first pop; more ties append behind the sorted remainder.
+  q.calendar.set_band(100);
+  ASSERT_EQ(q.calendar.bucket_width(), 1);
+  for (int i = 0; i < 1000; ++i) q.push(q.now);
+  // Drain everything: the far pile at 50,000 migrates in as one chain.
+  q.pop(q.heap.size());
+  ASSERT_TRUE(q.calendar.empty());
+}
+
+TEST(EventQueueProperty, StorageFollowsPendingEventsAndIsRecycled) {
+  // A burst over single-tick buckets: 20 ticks, 60 to 79 events each.
+  constexpr std::size_t kTicks = 20;
+  constexpr std::size_t kChunk = CalendarQueue<Ev>::kChunkEvents;
+  Lockstep q(100);
+  const auto burst = [&q](auto push) {
+    for (std::size_t t = 0; t < kTicks; ++t) {
+      for (std::size_t i = 0; i < 60 + t; ++i) {
+        push(q.now + 1 + static_cast<Duration>(t) * 7);
+      }
+    }
+  };
+  burst([&q](TimePoint at) { q.push(at); });
+  const std::size_t peak = q.calendar.size();
+  ASSERT_GT(peak, 1000u);
+  const std::size_t storage = q.calendar.storage_events();
+  // Peak live events rounded up to chunks, plus one chunk per live bucket.
+  EXPECT_LE(storage, (peak + kChunk - 1) / kChunk * kChunk + kChunk * kTicks);
+  q.pop(peak);
+  ASSERT_TRUE(q.calendar.empty());
+
+  // The same burst again, calendar only: it runs on recycled chunks.
+  std::vector<Ev> popped;
+  popped.reserve(peak);
+  std::uint64_t seq = q.seq;
+  const std::uint64_t allocs = g_allocs;
+  burst([&](TimePoint at) { q.calendar.push({at, seq++}); });
+  while (!q.calendar.empty()) popped.push_back(q.calendar.pop());
+  EXPECT_EQ(g_allocs - allocs, 0u);
+  EXPECT_EQ(q.calendar.storage_events(), storage);
+
+  // ... and still in (at, seq) order.
+  ASSERT_EQ(popped.size(), peak);
+  std::vector<Ev> sorted = popped;
+  std::sort(sorted.begin(), sorted.end(), AtSeqLess{});
+  EXPECT_TRUE(std::equal(popped.begin(), popped.end(), sorted.begin(),
+                         [](const Ev& a, const Ev& b) {
+                           return a.at == b.at && a.seq == b.seq;
+                         }));
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
