@@ -1,5 +1,6 @@
-// Shared helpers for the bench programs that stay in C++ (gates, churn and
-// the ablations whose measurements no spec phase expresses).
+// Shared helpers for the bench programs that stay in C++: the simulator
+// microbench (micro_sim_events), churn_stability and the adaptive-degree
+// ablation, whose measurements no spec phase expresses.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include "hyparview/common/options.hpp"
 #include "hyparview/harness/experiment.hpp"
 #include "hyparview/harness/scale.hpp"
-#include "hyparview/harness/spec_json.hpp"
 
 namespace hyparview::bench {
 

@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Perf gates over the BENCH_*.json records the bench drivers emit.
+"""Perf gates over the BENCH_*.json records that hpv_run and the
+micro_sim_events bench write.
 
 Baseline mode (the default) diffs freshly emitted records (anywhere under
 --fresh-dir, e.g. the CMake build tree after `ctest -L smoke`) against the
-committed baselines in --baseline-dir. Its checks hold on any machine, and
-it fails when
+committed baselines in --baseline-dir. Only the top-level keys of a record
+are compared. Its checks hold on any machine, and it fails when
 
   * a deterministic event count (`events`, `*_events`) changed at all —
     those are bit-identical at matching scale+seed, so an exact mismatch is
     a behavior change, never noise, or
   * a zero-allocation metric (*_allocs, 0 in the baseline) became nonzero,
     or
-  * a memory figure (*_storage: the event queue's storage high-water, the
-    bytes of the delivered-id tables) grew past its baseline — these are
-    deterministic too, so a shrink is only noted, as a gain to lock in by
-    refreshing the baseline, or
+  * a memory figure (*_storage: hpv_run's largest event-queue storage
+    and delivered-id table bytes over a record's points) grew past its
+    baseline — these are deterministic too, so a shrink is only noted, as
+    a gain to lock in by refreshing the baseline, or
   * one of those gated keys is missing from the fresh record, or
   * a committed baseline has no fresh record at all (a deleted or renamed
     emitter must take its baseline with it, not drop the gate silently).
@@ -33,7 +34,7 @@ A/B mode compares throughput on one machine:
     python3 bench/bench_compare.py --parent-build P --change-build C
 
 It runs the AB_TESTS ctest entries in both build trees (each tree's own
-registration, so every driver's scale stays defined in CMake) for AB_PAIRS
+registration, so every entry's scale stays defined in CMake) for AB_PAIRS
 pairs, alternating which side runs first, and fails when the change's
 median of any events/sec field is more than AB_BOUND below the parent's.
 """
@@ -48,20 +49,7 @@ import sys
 
 SCALE_KEYS = ("nodes", "messages", "runs", "seed", "quick")
 
-# Informational per-record fields: reported, never gated. phase_seconds_*
-# are too machine-noisy to fail on.
-# The adversarial driver's overlay-health fields (eclipse_*,
-# honest_component_*, reliability_*) are deterministic measurements, not
-# throughputs — drift there is a behavior change to investigate, not a perf
-# regression to gate on. Same for the pub/sub driver's traffic fields
-# (bytes_on_wire_*, latency_to_last_*): the hard gate for those lives in
-# the driver itself (Plumtree-vs-eager reduction check) and in the exact
-# *_events comparison below.
-INFO_FIELD_PREFIXES = ("phase_seconds_", "eclipse_",
-                       "honest_component_", "reliability_",
-                       "bytes_on_wire_", "latency_to_last_")
-
-# The smoke entries whose drivers emit a record with an events/sec field.
+# The smoke entries that write a record with an events/sec field.
 AB_TESTS = ("bench_micro_sim_events", "bench_fig1_smoke",
             "bench_adversarial_smoke", "bench_pubsub_smoke")
 # On a 4-vCPU Xeon VM, five alternating pairs of identical binaries kept
@@ -75,7 +63,7 @@ NOTHING_COMPARED = ("nothing compared (all skipped) — treated as a failure "
 
 
 def find_bench_files(root: pathlib.Path):
-    # ctest runs each driver from its registering directory, so the same
+    # ctest runs each program from its registering directory, so the same
     # record can exist at several depths of the build tree (build/,
     # build/tests/, build/bench/). The newest emission is the one this run
     # produced; older duplicates are leftovers from earlier invocations.
@@ -123,17 +111,6 @@ def check_baselines(baselines, fresh):
             continue
         compared += 1
 
-        # Informational fields (phase walls, overlay health): reported
-        # when both records carry them, never gated.
-        info_keys = sorted(k for k in new
-                           if k.startswith(INFO_FIELD_PREFIXES) and k in base)
-        for key in info_keys:
-            base_v = float(base[key])
-            new_v = float(new[key])
-            drift = "" if base_v <= 0.0 else f" ({new_v / base_v:.2f}x)"
-            print(f"bench_compare: info {name}: {key} "
-                  f"{base_v:.3f} → {new_v:.3f}{drift}")
-
         # At matching scale+seed the simulator event count is
         # deterministic and machine-independent, so `events` (and any
         # *_events counter) must match EXACTLY. A drift here is a behavior
@@ -168,7 +145,7 @@ def check_baselines(baselines, fresh):
             print(f"bench_compare: FAIL {name}: {failure}")
 
     # A fresh bench with no committed baseline is unguarded: surface it so
-    # new drivers cannot silently escape the gate.
+    # new records cannot silently escape the gate.
     for name in sorted(set(fresh) - set(baselines)):
         print(f"bench_compare: NOTICE {name}: no committed baseline — add "
               "one with --update-baselines to put it under the gate")

@@ -318,41 +318,4 @@ void AdversarialProtocol::sybil_burst(std::size_t count) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Wiring helpers
-// ---------------------------------------------------------------------------
-
-analysis::OverlayHealth collect_overlay_health(const Backend& backend) {
-  const Adversary* adv = backend.adversary();
-  analysis::OverlayHealth health;
-  const std::size_t n = backend.node_count();
-  std::vector<bool> honest(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    honest[i] =
-        backend.alive(i) && !(adv != nullptr && adv->is_adversarial(i));
-    if (honest[i]) ++health.honest_alive;
-  }
-  const auto classify = [&](std::span<const NodeId> view,
-                            analysis::ViewPoisonCounts& counts) {
-    for (const NodeId& peer : view) {
-      ++counts.slots;
-      const std::size_t slot = backend.peer_slot(peer);
-      if (slot == Backend::kNoPeer) {
-        // Names no process this cluster ever ran: a fabricated identity.
-        ++counts.fabricated;
-      } else if (adv != nullptr && adv->is_adversarial(slot)) {
-        ++counts.adversarial;
-      }
-    }
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!honest[i]) continue;
-    classify(backend.protocol(i).dissemination_view(), health.active);
-    classify(backend.protocol(i).backup_view(), health.backup);
-  }
-  health.largest_honest_component = analysis::largest_honest_component(
-      backend.dissemination_graph(/*alive_only=*/true), honest);
-  return health;
-}
-
 }  // namespace hyparview::harness

@@ -32,7 +32,6 @@
 #include <memory>
 #include <vector>
 
-#include "hyparview/analysis/overlay_health.hpp"
 #include "hyparview/common/node_id.hpp"
 #include "hyparview/common/rng.hpp"
 #include "hyparview/harness/backend.hpp"
@@ -179,12 +178,5 @@ class AdversarialProtocol final : public membership::Protocol {
   ProtocolKind kind_;
   Adversary& adversary_;
 };
-
-/// Snapshots the overlay-survival metrics (analysis/overlay_health.hpp)
-/// from a backend: classifies every honest alive node's view slots against
-/// the backend's adversary (all-honest when it has none) and measures the
-/// honest-only component structure.
-[[nodiscard]] analysis::OverlayHealth collect_overlay_health(
-    const Backend& backend);
 
 }  // namespace hyparview::harness

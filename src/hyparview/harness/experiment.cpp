@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "hyparview/common/assert.hpp"
 #include "hyparview/common/rng.hpp"
 #include "hyparview/graph/metrics.hpp"
+#include "hyparview/harness/adversary.hpp"
 #include "hyparview/harness/tcp_backend.hpp"
 
 namespace hyparview::harness {
@@ -29,19 +31,34 @@ double average(const std::vector<double>& values) {
 constexpr std::size_t kOverlayPathSources = 256;
 
 OverlayStats measure_overlay(Backend& backend) {
-  std::vector<bool> alive(backend.node_count());
-  double backup_entries = 0.0;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    alive[i] = backend.alive(i);
-    if (alive[i]) {
-      backup_entries +=
-          static_cast<double>(backend.protocol(i).backup_view().size());
-    }
-  }
-  const graph::Digraph g =
-      backend.dissemination_graph(/*alive_only=*/true).induced_subgraph(alive);
-
   OverlayStats s;
+  const Adversary* adversary = backend.adversary();
+  const auto adversarial = [adversary](std::size_t i) {
+    return adversary != nullptr && adversary->is_adversarial(i);
+  };
+  const auto count = [&](std::span<const NodeId> view, ViewCensus& census) {
+    for (const NodeId& peer : view) {
+      ++census.slots;
+      const std::size_t slot = backend.peer_slot(peer);
+      // An entry that resolves to no node names no process this cluster
+      // ever ran: a fabricated identity.
+      if (slot == Backend::kNoPeer) {
+        ++census.fabricated;
+      } else if (adversarial(slot)) {
+        ++census.colluders;
+      }
+    }
+  };
+  std::vector<bool> honest(backend.node_count());
+  for (std::size_t i = 0; i < honest.size(); ++i) {
+    honest[i] = backend.alive(i) && !adversarial(i);
+    if (!honest[i]) continue;
+    count(backend.protocol(i).dissemination_view(), s.dissemination);
+    count(backend.protocol(i).backup_view(), s.backup);
+  }
+  const graph::Digraph g = backend.dissemination_graph(/*alive_only=*/true)
+                               .induced_subgraph(honest);
+
   s.alive = g.node_count();
   s.connected = graph::is_weakly_connected(g);
   s.largest_component = graph::largest_weakly_connected_component(g);
@@ -57,12 +74,22 @@ OverlayStats measure_overlay(Backend& backend) {
   const std::vector<std::size_t> indeg = g.in_degrees();
   const std::vector<double> values(indeg.begin(), indeg.end());
   s.in_degree = analysis::summarize(values);
-  s.backup_view_mean =
-      s.alive == 0 ? 0.0 : backup_entries / static_cast<double>(s.alive);
   return s;
 }
 
 }  // namespace
+
+double ViewCensus::poisoned_share() const {
+  return slots == 0 ? 0.0
+                    : static_cast<double>(colluders + fabricated) /
+                          static_cast<double>(slots);
+}
+
+double OverlayStats::backup_view_mean() const {
+  return alive == 0 ? 0.0
+                    : static_cast<double>(backup.slots) /
+                          static_cast<double>(alive);
+}
 
 Experiment& Experiment::stabilize(std::size_t n, std::string label) {
   Phase p;

@@ -60,7 +60,7 @@ class Experiment {
     kSybilBurst,  ///< adversaries inject fabricated joins, then settle
     kHeavyChurn,  ///< trace-driven churn (heavy-tailed session lengths)
     kPubSub,      ///< sustained multi-source pub/sub streams
-    kOverlay,     ///< graph metrics of the alive overlay (no traffic)
+    kOverlay,     ///< graph metrics of the honest alive overlay (no traffic)
   };
 
   struct Phase {
@@ -118,9 +118,10 @@ class Experiment {
   /// Drains in-flight traffic (e.g. crash notifications in the
   /// notify-on-crash ablation) before the next measured phase.
   Experiment& settle(std::string label = "settle");
-  /// Snapshots the alive dissemination graph into OverlayStats (Table 1,
-  /// Figure 5). Sends nothing and leaves the harness stream untouched, so
-  /// inserting it anywhere moves no event.
+  /// Snapshots the honest alive dissemination graph and the adversary's
+  /// share of the honest views into OverlayStats (Table 1, Figure 5, the
+  /// adversarial damage). Sends nothing and leaves the harness stream
+  /// untouched, so inserting it anywhere moves no event.
   Experiment& overlay(std::string label = "overlay");
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -147,20 +148,40 @@ class Experiment {
   std::vector<Phase> phases_;
 };
 
-/// Shape of the overlay among alive nodes: the dissemination graph induced
-/// on them (§2.3 properties, Table 1, Figure 5).
+/// The entries of one view class over the measured nodes, by what they
+/// name.
+struct ViewCensus {
+  std::uint64_t slots = 0;       ///< entries inspected
+  std::uint64_t colluders = 0;   ///< entries naming an adversarial node
+  std::uint64_t fabricated = 0;  ///< entries naming no node of the cluster
+
+  /// (colluders + fabricated) / slots, 0 when no slot was inspected.
+  [[nodiscard]] double poisoned_share() const;
+};
+
+/// Shape of the honest overlay: the dissemination graph induced on the
+/// alive nodes outside the adversary's roster, which on an honest cluster
+/// is every alive node (§2.3 properties, Table 1, Figure 5), and how much
+/// of those nodes' views the adversary holds.
 struct OverlayStats {
-  std::size_t alive = 0;
+  std::size_t alive = 0;              ///< nodes measured: alive and honest
   bool connected = false;             ///< weakly connected
   std::size_t largest_component = 0;  ///< weakly connected, in nodes
   double clustering = 0.0;  ///< average over the undirected closure
   /// Over BFS from 256 sampled sources (every source on smaller overlays,
   /// which makes it exact).
   double avg_shortest_path = 0.0;
-  /// in_degree_histogram[d] = alive nodes with in-degree d.
+  /// in_degree_histogram[d] = measured nodes with in-degree d.
   std::vector<std::size_t> in_degree_histogram;
-  analysis::Summary in_degree;  ///< mean/stddev/min/max over alive nodes
-  double backup_view_mean = 0.0;  ///< backup-view entries per alive node
+  analysis::Summary in_degree;  ///< mean/stddev/min/max over measured nodes
+  /// The views broadcasts go out on. Its poisoned share is the eclipse
+  /// ratio: about the adversary's population share when it merely takes
+  /// part, more when it captures slots.
+  ViewCensus dissemination;
+  ViewCensus backup;  ///< the views repair draws from
+
+  /// Backup-view entries per measured node.
+  [[nodiscard]] double backup_view_mean() const;
 };
 
 struct PhaseResult {

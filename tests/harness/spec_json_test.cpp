@@ -92,9 +92,9 @@ constexpr GoldenEvents kGoldenEvents[] = {
     {"ablation_passive_size", 20, 636'532, 4'000, 1'000},
     {"ablation_walk_lengths", 5, 132'075, 250, 0},
     {"ablation_warm_cache", 9, 435'083, 900, 540},
-    {"adversarial_drop", 1, 45'369, 100, 30},
-    {"adversarial_poison", 1, 63'332, 100, 30},
-    {"adversarial_sybil", 1, 48'266, 100, 30},
+    {"adversarial_drop", 3, 231'124, 300, 90},
+    {"adversarial_poison", 3, 261'954, 300, 90},
+    {"adversarial_sybil", 3, 241'884, 300, 90},
     {"fig1", 2, 222'819, 800, 100},
     {"fig1_reference", 1, 36'556, 50, 50},
     {"fig1c", 2, 158'750, 200, 100},
@@ -102,6 +102,7 @@ constexpr GoldenEvents kGoldenEvents[] = {
     {"fig3", 24, 1'456'839, 24'000, 1'200},
     {"fig4", 27, 1'454'384, 27'270, 1'350},
     {"fig5", 4, 236'145, 0, 200},
+    {"heavy_churn", 3, 479'652, 120, 60},
     {"overhead_accounting", 4, 290'565, 400, 240},
     {"protocol_comparison", 4, 253'152, 240, 40},
     {"pubsub_eager", 1, 113'663, 560, 50},
@@ -178,7 +179,8 @@ TEST(SpecJsonTest, OverlayPhasesMoveNoEventOrReliability) {
   // An overlay phase reads the views and draws only from its own sampler,
   // so inserting one before and after every phase of every committed point
   // (scaled down further, to 64 nodes) changes no phase's events,
-  // reliabilities or counters.
+  // reliabilities or counters. On an honest cluster its census finds no
+  // view entry naming a colluder or a fabrication.
   for (const std::string& name : committed_spec_names()) {
     for (const SweepPoint& point : load_sweep_file(spec_path(name))) {
       SCOPED_TRACE(name + " " + point.patches.dump());
@@ -207,6 +209,15 @@ TEST(SpecJsonTest, OverlayPhasesMoveNoEventOrReliability) {
         EXPECT_EQ(with.phases[2 * i + 2].counters, Counters{}) << a.label;
       }
       EXPECT_GT(with.phases.back().overlay.alive, 0u);
+      if (spec.net.adversary.enabled()) continue;
+      for (const PhaseResult& phase : with.phases) {
+        if (phase.kind != Experiment::PhaseKind::kOverlay) continue;
+        for (const ViewCensus& census :
+             {phase.overlay.dissemination, phase.overlay.backup}) {
+          EXPECT_EQ(census.colluders, 0u) << phase.label;
+          EXPECT_EQ(census.fabricated, 0u) << phase.label;
+        }
+      }
     }
   }
 }

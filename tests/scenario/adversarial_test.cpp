@@ -105,7 +105,7 @@ std::vector<AdversarialCase> make_grid() {
 
 /// The attack spec every row runs: stabilize, measure, apply pressure
 /// (membership rounds with the adversary active; plus one burst for sybil),
-/// heal briefly, measure again.
+/// heal briefly, measure again, and snapshot the honest overlay.
 Experiment attack_spec(const AdversarialCase& c,
                        std::size_t sybils_per_burst) {
   Experiment spec("adversarial_" + std::string(attack_name(c.attack)));
@@ -113,7 +113,15 @@ Experiment attack_spec(const AdversarialCase& c,
   if (c.attack == AttackKind::kSybil) spec.sybil_burst(sybils_per_burst);
   spec.cycles(10, "pressure");
   spec.broadcast(10, "after");
+  spec.overlay("health");
   return spec;
+}
+
+/// Largest honest component over the honest alive nodes (1.0 intact).
+double honest_component(const OverlayStats& health) {
+  return health.alive == 0 ? 0.0
+                           : static_cast<double>(health.largest_component) /
+                                 static_cast<double>(health.alive);
 }
 
 class AdversarialScenarioTest
@@ -151,15 +159,16 @@ TEST_P(AdversarialScenarioTest, AttackStaysBounded) {
   }
 
   // Overlay survival after the pressure + healing phases.
-  const auto health = collect_overlay_health(cluster.backend());
-  EXPECT_GT(health.honest_alive, 0u);
-  EXPECT_GT(health.active.slots, 0u);
-  EXPECT_LE(health.eclipse_ratio(), c.max_eclipse)
-      << "adversary captured " << health.active.poisoned() << "/"
-      << health.active.slots << " honest dissemination slots";
-  EXPECT_GE(health.honest_component_fraction(), c.min_component)
-      << "honest overlay fragmented: " << health.largest_honest_component
-      << "/" << health.honest_alive;
+  const OverlayStats& health = result.phase("health").overlay;
+  EXPECT_GT(health.alive, 0u);
+  EXPECT_GT(health.dissemination.slots, 0u);
+  EXPECT_LE(health.dissemination.poisoned_share(), c.max_eclipse)
+      << "adversary captured "
+      << health.dissemination.colluders + health.dissemination.fabricated
+      << "/" << health.dissemination.slots << " honest dissemination slots";
+  EXPECT_GE(honest_component(health), c.min_component)
+      << "honest overlay fragmented: " << health.largest_component << "/"
+      << health.alive;
 
   // Application-level damage stays within the per-protocol floor.
   EXPECT_GE(result.phase("after").avg_reliability(), c.min_reliability);
@@ -183,17 +192,18 @@ TEST(AdversarialEclipsePressure, ColludingMinorityCannotCaptureMajority) {
   cfg.adversary.fabricated_fraction = 0.0;  // pure colluder roster
   cfg.adversary.poison_per_cycle = 2;       // sustained unsolicited pressure
   auto cluster = Cluster::sim(cfg);
-  cluster.run(Experiment("eclipse_pressure")
-                  .stabilize(10)
-                  .cycles(20, "pressure"));
+  const auto result = cluster.run(Experiment("eclipse_pressure")
+                                      .stabilize(10)
+                                      .cycles(20, "pressure")
+                                      .overlay("health"));
 
-  const auto health = collect_overlay_health(cluster.backend());
-  ASSERT_GT(health.active.slots, 0u);
-  EXPECT_EQ(health.active.fabricated, 0u);  // nothing fabricated to find
-  EXPECT_LE(health.eclipse_ratio(), 0.5)
-      << "10% colluders captured " << health.active.poisoned() << "/"
-      << health.active.slots << " honest active-view slots";
-  EXPECT_GE(health.honest_component_fraction(), 0.9);
+  const OverlayStats& health = result.phase("health").overlay;
+  ASSERT_GT(health.dissemination.slots, 0u);
+  EXPECT_EQ(health.dissemination.fabricated, 0u);  // nothing fabricated
+  EXPECT_LE(health.dissemination.poisoned_share(), 0.5)
+      << "10% colluders captured " << health.dissemination.colluders << "/"
+      << health.dissemination.slots << " honest active-view slots";
+  EXPECT_GE(honest_component(health), 0.9);
 }
 
 /// The per-frame mutation bounds (core::Stats hostile-frame counters) fire
@@ -243,12 +253,13 @@ TEST(AdversarialDeterminism, IdenticalRunsProduceIdenticalResults) {
       for (const auto& phase : result.phases) {
         for (const double r : phase.reliabilities) fingerprint.push_back(r);
       }
-      const auto health = collect_overlay_health(cluster.backend());
-      fingerprint.push_back(static_cast<double>(health.active.slots));
-      fingerprint.push_back(static_cast<double>(health.active.adversarial));
-      fingerprint.push_back(static_cast<double>(health.active.fabricated));
+      const OverlayStats& health = result.phase("health").overlay;
+      fingerprint.push_back(static_cast<double>(health.dissemination.slots));
       fingerprint.push_back(
-          static_cast<double>(health.largest_honest_component));
+          static_cast<double>(health.dissemination.colluders));
+      fingerprint.push_back(
+          static_cast<double>(health.dissemination.fabricated));
+      fingerprint.push_back(static_cast<double>(health.largest_component));
       const auto& counters = cluster.backend().adversary()->counters();
       fingerprint.push_back(static_cast<double>(counters.poisoned_frames));
       fingerprint.push_back(static_cast<double>(counters.gossip_dropped));
@@ -351,9 +362,9 @@ TEST(AdversarialTcp, AttacksRunOverRealSockets) {
       case AttackKind::kNone:
         break;
     }
-    const auto health = collect_overlay_health(cluster.backend());
-    EXPECT_GT(health.active.slots, 0u);
-    EXPECT_LE(health.eclipse_ratio(), 0.6)
+    const OverlayStats& health = result.phase("health").overlay;
+    EXPECT_GT(health.dissemination.slots, 0u);
+    EXPECT_LE(health.dissemination.poisoned_share(), 0.6)
         << attack_name(attack) << " over TCP";
     EXPECT_GE(result.phase("after").avg_reliability(), 0.5)
         << attack_name(attack) << " over TCP";

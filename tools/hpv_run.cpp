@@ -31,10 +31,15 @@
 // phase writes `alive_<key>` and `counters_<key>`, an object of its nonzero
 // counters under the names of harness::Counters::named (frames_sent,
 // payload_bytes, crashes, frames_GOSSIP...), which both backends share.
+// A sim point also writes, as its run ends, `queue_event_storage` (the
+// event queue's storage in events) and `history_byte_storage` (the bytes
+// of every node's delivered-id table); the record's top level holds the
+// largest of each, which bench_compare fails on when it grows.
 //
 // Determinism: this binary never reads a clock — wall timings come from
 // ExperimentResult, which the harness stamps (tools/ is inside the
 // determinism linter's roots).
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -79,6 +84,10 @@ struct PointRun {
   std::size_t nodes = 0;
   std::uint64_t seed = 0;
   ExperimentResult result;
+  // Sim points only, read when the run ends: the event queue's storage in
+  // events and the bytes of every node's delivered-id table.
+  std::size_t queue_event_storage = 0;
+  std::size_t history_byte_storage = 0;
 };
 
 PointRun run_point(const harness::RunSpec& spec, const Options& opt) {
@@ -87,7 +96,13 @@ PointRun run_point(const harness::RunSpec& spec, const Options& opt) {
   if (!run.tcp) {
     run.nodes = spec.net.node_count;
     run.seed = spec.net.seed;
-    run.result = harness::Cluster::sim(spec.net).run(spec.experiment);
+    harness::Cluster cluster = harness::Cluster::sim(spec.net);
+    run.result = cluster.run(spec.experiment);
+    run.queue_event_storage =
+        cluster.sim_backend()->simulator().queue_storage_events();
+    for (std::size_t i = 0; i < cluster->node_count(); ++i) {
+      run.history_byte_storage += cluster->engine(i).history_bytes();
+    }
     return run;
   }
   harness::TcpBackendConfig cfg = spec.tcp;
@@ -121,6 +136,15 @@ std::vector<std::string> phase_keys(const ExperimentResult& result) {
   return keys;
 }
 
+/// `value` with `digits` decimals, as printf's %.*f writes it.
+std::string fixed(double value, int digits) {
+  const int size = std::snprintf(nullptr, 0, "%.*f", digits, value);
+  std::string out(static_cast<std::size_t>(size) + 1, '\0');
+  std::snprintf(out.data(), out.size(), "%.*f", digits, value);
+  out.pop_back();
+  return out;
+}
+
 void print_row(std::size_t index, const SweepPoint& point,
                const PointRun& run) {
   std::string row = "  [" + std::to_string(index) + "]";
@@ -129,31 +153,30 @@ void print_row(std::size_t index, const SweepPoint& point,
   }
   row += " seed=" + std::to_string(run.seed) +
          " events=" + std::to_string(run.result.events);
-  char buf[160];
   const std::vector<std::string> keys = phase_keys(run.result);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const PhaseResult& phase = run.result.phases[i];
-    const char* label = keys[i].c_str();
+    const std::string& label = keys[i];
     if (!phase.reliabilities.empty()) {
-      std::snprintf(buf, sizeof(buf), " %s=%.4f", label,
-                    phase.avg_reliability());
-      row += buf;
+      row += " " + label + "=" + fixed(phase.avg_reliability(), 4);
     }
     if (phase.kind == Experiment::PhaseKind::kHealUntil) {
-      std::snprintf(buf, sizeof(buf), " %s_cycles=%s%zu", label,
-                    phase.recovered ? "" : ">", phase.cycles_to_heal);
-      row += buf;
+      row += " " + label + "_cycles=" + (phase.recovered ? "" : ">") +
+             std::to_string(phase.cycles_to_heal);
     }
     if (phase.kind == Experiment::PhaseKind::kOverlay) {
       const harness::OverlayStats& o = phase.overlay;
-      std::snprintf(buf, sizeof(buf),
-                    " %s: %s lcc=%zu/%zu clustering=%.6f asp=%.5f "
-                    "indeg=%.2f±%.2f[%.0f,%.0f] backup=%.2f",
-                    label, o.connected ? "connected" : "PARTITIONED",
-                    o.largest_component, o.alive, o.clustering,
-                    o.avg_shortest_path, o.in_degree.mean, o.in_degree.stddev,
-                    o.in_degree.min, o.in_degree.max, o.backup_view_mean);
-      row += buf;
+      row += " " + label + ": " + (o.connected ? "connected" : "PARTITIONED") +
+             " lcc=" + std::to_string(o.largest_component) + "/" +
+             std::to_string(o.alive) +
+             " clustering=" + fixed(o.clustering, 6) +
+             " asp=" + fixed(o.avg_shortest_path, 5) +
+             " indeg=" + fixed(o.in_degree.mean, 2) + "±" +
+             fixed(o.in_degree.stddev, 2) + "[" + fixed(o.in_degree.min, 0) +
+             "," + fixed(o.in_degree.max, 0) +
+             "] backup=" + fixed(o.backup_view_mean(), 2) +
+             " eclipse=" + fixed(o.dissemination.poisoned_share(), 4) +
+             " backup_poison=" + fixed(o.backup.poisoned_share(), 4);
     }
   }
   std::printf("%s\n", row.c_str());
@@ -166,6 +189,7 @@ json::Value array_of(const std::vector<T>& values) {
 
 void add_overlay(json::Value& p, const std::string& label,
                  const harness::OverlayStats& o) {
+  p.set("honest_alive_" + label, o.alive);
   p.set("connected_" + label, o.connected);
   p.set("largest_component_" + label, o.largest_component);
   p.set("clustering_" + label, o.clustering);
@@ -175,7 +199,9 @@ void add_overlay(json::Value& p, const std::string& label,
   p.set("in_degree_stddev_" + label, o.in_degree.stddev);
   p.set("in_degree_min_" + label, o.in_degree.min);
   p.set("in_degree_max_" + label, o.in_degree.max);
-  p.set("backup_view_mean_" + label, o.backup_view_mean);
+  p.set("backup_view_mean_" + label, o.backup_view_mean());
+  p.set("eclipse_" + label, o.dissemination.poisoned_share());
+  p.set("backup_poison_" + label, o.backup.poisoned_share());
 }
 
 json::Value point_json(const SweepPoint& point, const PointRun& run) {
@@ -184,6 +210,10 @@ json::Value point_json(const SweepPoint& point, const PointRun& run) {
   p.set("seed", run.seed);
   p.set("events", run.result.events);
   p.set("wall_seconds", run.result.wall_seconds);
+  if (!run.tcp) {
+    p.set("queue_event_storage", run.queue_event_storage);
+    p.set("history_byte_storage", run.history_byte_storage);
+  }
   const std::vector<std::string> keys = phase_keys(run.result);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const PhaseResult& phase = run.result.phases[i];
@@ -204,9 +234,14 @@ json::Value point_json(const SweepPoint& point, const PointRun& run) {
     }
     if (!phase.broadcasts.empty()) {
       double hops = 0.0;
-      for (const auto& m : phase.broadcasts) hops += m.max_hops;
-      p.set("max_hops_" + label,
-            hops / static_cast<double>(phase.broadcasts.size()));
+      double latency = 0.0;
+      for (const auto& m : phase.broadcasts) {
+        hops += m.max_hops;
+        latency += static_cast<double>(m.latency_to_last());
+      }
+      const auto messages = static_cast<double>(phase.broadcasts.size());
+      p.set("max_hops_" + label, hops / messages);
+      p.set("latency_to_last_" + label, latency / messages);
     }
     if (phase.kind == Experiment::PhaseKind::kHealUntil) {
       p.set("cycles_to_heal_" + label, phase.cycles_to_heal);
@@ -225,9 +260,12 @@ json::Value point_json(const SweepPoint& point, const PointRun& run) {
 void run_sweep(const std::string& name, const std::vector<SweepPoint>& points,
                std::size_t runs, const Options& opt) {
   bool any_tcp = false;
+  bool all_tcp = true;
   for (const SweepPoint& p : points) {
-    any_tcp = any_tcp ||
-              (opt.backend.empty() ? p.spec.backend : opt.backend) == "tcp";
+    const bool tcp =
+        (opt.backend.empty() ? p.spec.backend : opt.backend) == "tcp";
+    any_tcp = any_tcp || tcp;
+    all_tcp = all_tcp && tcp;
   }
   // Real sockets share the machine's ports and timing: one TCP point at a
   // time.
@@ -253,11 +291,15 @@ void run_sweep(const std::string& name, const std::vector<SweepPoint>& points,
 
   std::uint64_t events = 0;
   double wall = 0.0;
+  std::size_t queue_storage = 0;
+  std::size_t history_storage = 0;
   json::Value list = json::Value::array();
   for (std::size_t i = 0; i < points.size(); ++i) {
     print_row(i, points[i], done[i]);
     events += done[i].result.events;
     wall += done[i].result.wall_seconds;
+    queue_storage = std::max(queue_storage, done[i].queue_event_storage);
+    history_storage = std::max(history_storage, done[i].history_byte_storage);
     list.push_back(point_json(points[i], done[i]));
   }
   std::printf("total: %llu events in %.3fs\n",
@@ -276,6 +318,11 @@ void run_sweep(const std::string& name, const std::vector<SweepPoint>& points,
   doc.set("events", events);
   doc.set("events_per_second",
           wall > 0.0 ? static_cast<double>(events) / wall : 0.0);
+  if (!all_tcp) {
+    // The largest point's figures: bench_compare gates every *_storage key.
+    doc.set("queue_event_storage", queue_storage);
+    doc.set("history_byte_storage", history_storage);
+  }
   doc.set("points", std::move(list));
   const std::string path =
       opt.out.empty() ? "BENCH_" + name + ".json" : opt.out;
